@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .core import Element
-from .diagram import OrbitPartition, OrbitRecord, closed_path
+from .diagram import OrbitPartition, partition_from_groups
+from .enumeration import checked_triples
 from .errors import CycleLimitExceeded, MismatchedN
 
 
@@ -88,35 +89,25 @@ def cf_expand(e: Element, limit: int = None) -> Expansion:
     )
 
 
-def _min_rotation(seq):
-    return min(tuple(seq[i:]) + tuple(seq[:i]) for i in range(len(seq)))
-
-
 def psl_equivalent(e1: Element, e2: Element) -> bool:
     """True iff e1 and e2 lie in the same PSL(2,Z)-orbit."""
     if e1.n != e2.n:
         raise MismatchedN(f"cannot compare n={e1.n} with n={e2.n}")
-    x1 = cf_expand(e1)
-    x2 = cf_expand(e2)
-    c1 = _min_rotation([st.triple for st in x1.cycle_states])
-    c2 = _min_rotation([st.triple for st in x2.cycle_states])
-    if c1 != c2:
-        return False
-    length = len(c1)
-    if length % 2 == 1:
-        return True
-    anchor = c1[0]
-    i1 = x1.entry_index + [st.triple for st in x1.cycle_states].index(anchor)
-    i2 = x2.entry_index + [st.triple for st in x2.cycle_states].index(anchor)
-    return i1 % 2 == i2 % 2
+    n = e1.n
+    s, limit, cache = isqrt(n), _default_limit(n), {}
+    return _cf_key(e1.triple, n, s, cache, limit) == _cf_key(
+        e2.triple, n, s, cache, limit
+    )
 
 
 def _cf_key(t, n, s, cache, limit):
-    """Orbit key of a triple: (canonical cycle, entry parity when even length).
+    """Orbit key of a triple: (least cycle state, entry parity when even length).
 
-    cache maps triple -> (canonical cycle, parity-to-anchor or None, length)
-    and is shared across all elements of one n, so the total work is linear
-    in the number of distinct states rather than elements times tail length.
+    The CF step is a function, so distinct cycles share no state and the
+    least state names the cycle.  cache maps triple -> (least cycle state,
+    parity-to-it or None, length) and is shared across all elements of one
+    n, so the total work is linear in the number of distinct states rather
+    than elements times tail length.
     """
     if t not in cache:
         path = []
@@ -127,51 +118,39 @@ def _cf_key(t, n, s, cache, limit):
                 # new periodic cycle discovered
                 cyc = path[pos[cur]:]
                 length = len(cyc)
-                canon = _min_rotation(cyc)
-                ai = cyc.index(canon[0])
+                least = min(cyc)
+                ai = cyc.index(least)
                 for j, state in enumerate(cyc):
                     par = ((ai - j) % length) % 2 if length % 2 == 0 else None
-                    cache[state] = (canon, par, length)
+                    cache[state] = (least, par, length)
                 path = path[:pos[cur]]
                 break
             if len(path) > limit:
-                raise CycleLimitExceeded(f"no period within {limit} CF steps")
+                raise CycleLimitExceeded(
+                    f"no period within {limit} CF steps of {t}|{n}"
+                )
             pos[cur] = len(path)
             path.append(cur)
             _, cur = _step(cur, s)
-        canon, par, length = cache[cur]
+        least, par, length = cache[cur]
         for state in reversed(path):
             if length % 2 == 0:
                 par = (par + 1) % 2
-            cache[state] = (canon, par, length)
-    canon, par, length = cache[t]
-    return (canon, par)
+            cache[state] = (least, par, length)
+    least, par, length = cache[t]
+    return (least, par)
+
+
+def cf_groups(n: int, max_n: int = None):
+    """The ambiguous triples of n grouped by CF orbit key."""
+    triples = checked_triples(n, max_n)
+    s, limit, cache = isqrt(n), _default_limit(n), {}
+    groups = {}
+    for t in triples:
+        groups.setdefault(_cf_key(t, n, s, cache, limit), []).append(t)
+    return groups.values()
 
 
 def partition_cf(n: int, max_n: int = None) -> OrbitPartition:
     """Orbit partition of the ambiguous set via CF equivalence keys."""
-    from .enumeration import enumerate_ambiguous
-
-    kwargs = {} if max_n is None else {"max_n": max_n}
-    amb = enumerate_ambiguous(n, **kwargs)
-    s = isqrt(n)
-    limit = _default_limit(n)
-    cache = {}
-    groups = {}
-    for e in amb:
-        key = _cf_key(e.triple, n, s, cache, limit)
-        groups.setdefault(key, []).append(e.triple)
-    records = []
-    for members in groups.values():
-        members.sort(key=lambda u: (u[0], u[2]))
-        rep = Element.from_triple(members[0], n)
-        path = closed_path(rep, limit=2 * len(members) + 2)
-        records.append(
-            OrbitRecord(
-                rep,
-                tuple(Element.from_triple(u, n) for u in members),
-                path,
-            )
-        )
-    records.sort(key=lambda r: (r.representative.a, r.representative.c))
-    return OrbitPartition(n, tuple(records))
+    return partition_from_groups(n, cf_groups(n, max_n))

@@ -14,7 +14,7 @@ import enum
 import random
 from dataclasses import dataclass
 
-from .core import Element, apply_x, apply_y, apply_yy, is_ambiguous
+from .core import Element, apply_x, apply_y, apply_yy
 from .enumeration import enumerate_ambiguous
 from .errors import (
     InternalInconsistency,
@@ -37,22 +37,27 @@ class ResidueClass:
     n: int
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
+def odd_prime_divisors(n: int):
+    """The odd primes dividing n >= 1, ascending, by trial division."""
+    out = []
+    m = n
+    while m % 2 == 0:
+        m //= 2
     d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
         d += 2
-    return True
+    if m > 1:
+        out.append(m)
+    return out
 
 
 def legendre(u: int, p: int) -> int:
     """Legendre symbol (u/p) by Euler's criterion."""
-    if p == 2 or not _is_prime(p):
+    if p < 3 or odd_prime_divisors(p) != [p]:
         raise NotOddPrime(f"{p} is not an odd prime")
     r = pow(u % p, (p - 1) // 2, p)
     return -1 if r == p - 1 else r
@@ -113,6 +118,7 @@ def invariance_audit(
     p: int = None,
     depth: int = 20,
     seed: int = 0,
+    max_n: int = None,
 ) -> AuditReport:
     """Check class(g.e) == class(e) for g in {x, y, y^2} over the whole
     ambiguous set and along depth random generator extensions of each element.
@@ -121,7 +127,7 @@ def invariance_audit(
     rng = random.Random(seed)
     violations = []
     checked = 0
-    for e in enumerate_ambiguous(n):
+    for e in enumerate_ambiguous(n, max_n):
         cur = e
         expected = classify(cur).value
         for _ in range(depth + 1):
@@ -136,12 +142,12 @@ def invariance_audit(
     )
 
 
-def class_occupancy(n: int, kind: ClassifierKind, p: int = None):
+def class_occupancy(n: int, kind: ClassifierKind, p: int = None, max_n: int = None):
     """Count ambiguous elements per class value; empty classes are reported,
     never assumed inhabited."""
     classify = classifier_for(kind, p)
     counts = {}
-    for e in enumerate_ambiguous(n):
+    for e in enumerate_ambiguous(n, max_n):
         v = classify(e).value
         counts[v] = counts.get(v, 0) + 1
     return dict(sorted(counts.items()))

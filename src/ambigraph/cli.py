@@ -19,11 +19,12 @@ from .classify import (
     class_mod_p,
     class_occupancy,
     invariance_audit,
+    odd_prime_divisors,
 )
-from .core import Element, is_ambiguous, make_element, value_approx
-from .diagram import export_dot, partition_graph
-from .enumeration import enumerate_ambiguous
-from .errors import AmbigraphError, InternalInconsistency, UnsupportedFormat
+from .core import Element, make_element, value_approx
+from .diagram import closed_path, export_dot, partition_graph
+from .enumeration import DEFAULT_MAX_N, check_cap, enumerate_ambiguous
+from .errors import AmbigraphError, InternalInconsistency
 from .harness import (
     check_paper_examples,
     cross_checked_partition,
@@ -56,26 +57,9 @@ def _elem(e: Element) -> str:
     return str(e)
 
 
-def _odd_prime_divisors(n: int):
-    out = []
-    m = n
-    while m % 2 == 0:
-        m //= 2
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 2
-    if m > 1:
-        out.append(m)
-    return out
-
-
 def _classes_of(e: Element):
     classes = {}
-    for p in _odd_prime_divisors(e.n):
+    for p in odd_prime_divisors(e.n):
         classes[f"mod_p[{p}]"] = class_mod_p(e, p).value
     if e.n % 8 == 0:
         classes["mod8"] = class_mod8(e).value
@@ -97,12 +81,6 @@ def _orbit_dict(rec, n):
         "classes": _classes_of(rec.representative),
         "length": rec.ambiguous_length,
     }
-
-
-def serialize_report(report: dict, fmt: str) -> bytes:
-    if fmt == "json":
-        return (json.dumps(report, indent=2) + "\n").encode()
-    raise UnsupportedFormat(f"unsupported format {fmt!r}")
 
 
 def _emit(doc, out):
@@ -192,22 +170,26 @@ def _cmd_classify(args, out):
         doc["orbits"].append(entry)
     if args.mod_p:
         rpt = invariance_audit(args.n, ClassifierKind.MOD_P, p=args.mod_p,
-                               depth=args.audit_depth, seed=args.seed)
+                               depth=args.audit_depth, seed=args.seed,
+                               max_n=args.max_n)
         doc["audits"].append({"kind": "mod_p", "p": args.mod_p,
                               "checked": rpt.checked,
                               "violations": len(rpt.violations)})
         doc["occupancy_mod_p"] = {
             str(k): v
-            for k, v in class_occupancy(args.n, ClassifierKind.MOD_P, args.mod_p).items()
+            for k, v in class_occupancy(args.n, ClassifierKind.MOD_P, args.mod_p,
+                                        max_n=args.max_n).items()
         }
     if args.mod8:
         rpt = invariance_audit(args.n, ClassifierKind.MOD_8,
-                               depth=args.audit_depth, seed=args.seed)
+                               depth=args.audit_depth, seed=args.seed,
+                               max_n=args.max_n)
         doc["audits"].append({"kind": "mod8", "checked": rpt.checked,
                               "violations": len(rpt.violations)})
         doc["occupancy_mod8"] = {
             str(k): v
-            for k, v in class_occupancy(args.n, ClassifierKind.MOD_8).items()
+            for k, v in class_occupancy(args.n, ClassifierKind.MOD_8,
+                                        max_n=args.max_n).items()
         }
     if args.json:
         _emit(doc, out)
@@ -221,6 +203,7 @@ def _cmd_classify(args, out):
 
 def _cmd_cf(args, out):
     e = _parse_rep_with_n(args.element)
+    check_cap(e.n, args.max_n)
     x = cf_expand(e)
     out.write(f"preperiod {list(x.preperiod)}\n")
     out.write(f"cycle {list(x.cycle)}\n")
@@ -231,6 +214,7 @@ def _cmd_cf(args, out):
 def _cmd_equivalent(args, out):
     a1, c1 = _parse_pair(args.first)
     a2, c2 = _parse_pair(args.second)
+    check_cap(args.n, args.max_n)
     e1 = make_element(a1, c1, args.n)
     e2 = make_element(a2, c2, args.n)
     verdict = psl_equivalent(e1, e2)
@@ -240,9 +224,8 @@ def _cmd_equivalent(args, out):
 
 def _cmd_circuit(args, out):
     a, c = _parse_pair(args.rep)
+    check_cap(args.n, args.max_n)
     e = make_element(a, c, args.n)
-    from .diagram import closed_path
-
     path = closed_path(e)
     circuit = circuit_from_path(path)
     word = stabilizer_word(e)
@@ -257,6 +240,7 @@ def _cmd_circuit(args, out):
 
 def _cmd_check_word(args, out):
     a, c = _parse_pair(args.rep)
+    check_cap(args.n, args.max_n)
     e = make_element(a, c, args.n)
     w = parse_word(args.word)
     verdict = check_word_fixes(w, e)
@@ -435,7 +419,7 @@ def build_parser():
         description="Orbits of real quadratic irrationals under the modular group",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--max-n", type=int, default=10 ** 8,
+    parser.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
                         help="guard cap on n (default 1e8)")
     sub = parser.add_subparsers(dest="command", required=True)
 

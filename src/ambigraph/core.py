@@ -121,24 +121,22 @@ def make_element(a: int, c: int, n: int) -> Element:
 
 def apply_x(e: Element) -> Element:
     """x: alpha -> -1/alpha, on triples (a,b,c) -> (-a,c,b)."""
-    return Element(-e.a, e.c, e.b, e.n)
+    return Element.from_triple(x_triple(e.triple), e.n)
 
 
 def apply_y(e: Element) -> Element:
     """y: alpha -> (alpha-1)/alpha, on triples (a,b,c) -> (b-a, b-2a+c, b)."""
-    a, b, c = e.a, e.b, e.c
-    return Element(b - a, b - 2 * a + c, b, e.n)
+    return Element.from_triple(y_triple(e.triple), e.n)
 
 
 def apply_yy(e: Element) -> Element:
     """y^2: alpha -> -1/(alpha-1), on triples (a,b,c) -> (c-a, c, b-2a+c)."""
-    a, b, c = e.a, e.b, e.c
-    return Element(c - a, c, b - 2 * a + c, e.n)
+    return Element.from_triple(yy_triple(e.triple), e.n)
 
 
 def conjugate(e: Element) -> Element:
     """Algebraic conjugate (a - sqrt(n))/c, i.e. the triple (-a,-b,-c)."""
-    return Element(-e.a, -e.b, -e.c, e.n)
+    return Element.from_triple(conj_triple(e.triple), e.n)
 
 
 def is_ambiguous(e: Element) -> bool:

@@ -11,6 +11,7 @@ cross-checked against each other.
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     Element,
@@ -20,13 +21,8 @@ from .core import (
     y_triple,
     yy_triple,
 )
-from .enumeration import ambiguous_triples, enumerate_ambiguous
-from .errors import (
-    CycleLimitExceeded,
-    DichotomyViolation,
-    InternalInconsistency,
-    UnknownOrbit,
-)
+from .enumeration import checked_triples
+from .errors import DichotomyViolation, InternalInconsistency, UnknownOrbit
 
 
 class StepType(enum.Enum):
@@ -80,25 +76,30 @@ class ClosedPath:
         return tuple(s for s, _ in self.steps)
 
 
-def closed_path(e: Element, limit: int = None) -> ClosedPath:
+def closed_path(e: Element) -> ClosedPath:
+    """Walk the successor from an ambiguous anchor until it returns.
+
+    Every step lands in the finite ambiguous set (successor_triple raises
+    DichotomyViolation otherwise), so the walk ends; a vertex revisited
+    before the anchor means the successor is not a bijection.
+    """
     if not is_ambiguous(e):
         raise ValueError(f"closed_path requires an ambiguous element, got {e}")
-    if limit is None:
-        limit = len(ambiguous_triples(e.n)) + 1
     n = e.n
+    anchor = t = e.triple
+    seen = {anchor}
     steps = []
-    t = e.triple
-    anchor = e.triple
     while True:
         t, tag = successor_triple(t)
         steps.append((tag, Element.from_triple(t, n)))
         if t == anchor:
-            break
-        if len(steps) > limit:
-            raise CycleLimitExceeded(
-                f"no return to anchor {e} within {limit} steps"
+            return ClosedPath(e, tuple(steps))
+        if t in seen:
+            raise InternalInconsistency(
+                f"successor walk from {anchor} revisits {t} before returning "
+                f"to the anchor (n={n})"
             )
-    return ClosedPath(e, tuple(steps))
+        seen.add(t)
 
 
 def orbit_members(path: ClosedPath):
@@ -142,11 +143,12 @@ class OrbitPartition:
             frozenset(m.triple for m in o.members) for o in self.orbits
         )
 
+    @cached_property
+    def _orbit_index(self):
+        return {m.triple: i for i, o in enumerate(self.orbits) for m in o.members}
+
     def orbit_of(self, e: Element):
-        for i, o in enumerate(self.orbits):
-            if e.triple in {m.triple for m in o.members}:
-                return i
-        return None
+        return self._orbit_index.get(e.triple)
 
 
 class UnionFind:
@@ -176,19 +178,23 @@ class UnionFind:
         return comps
 
 
-def _records_from_components(n, comps, check_paths=True):
+def partition_from_groups(n, groups) -> OrbitPartition:
+    """Orbit partition from groups of member triples.
+
+    Each group must equal the closed path of its least member together with
+    the x-images of the path vertices.
+    """
     records = []
-    for members in comps:
+    for members in groups:
         members = sorted(members, key=lambda t: (t[0], t[2]))
         rep = Element.from_triple(members[0], n)
-        path = closed_path(rep, limit=2 * len(members) + 2)
-        if check_paths:
-            closure = {v.triple for v in path.vertices}
-            closure |= {x_triple(t) for t in closure}
-            if closure != set(members):
-                raise InternalInconsistency(
-                    f"component of {rep} != path-plus-x-images closure"
-                )
+        path = closed_path(rep)
+        closure = {v.triple for v in path.vertices}
+        closure |= {x_triple(t) for t in closure}
+        if closure != set(members):
+            raise InternalInconsistency(
+                f"component of {rep} != path-plus-x-images closure"
+            )
         records.append(
             OrbitRecord(
                 rep,
@@ -197,14 +203,12 @@ def _records_from_components(n, comps, check_paths=True):
             )
         )
     records.sort(key=lambda r: (r.representative.a, r.representative.c))
-    return tuple(records)
+    return OrbitPartition(n, tuple(records))
 
 
 def partition_graph(n: int, max_n: int = None) -> OrbitPartition:
     """Partition the ambiguous set into orbits by union-find over generator edges."""
-    kwargs = {} if max_n is None else {"max_n": max_n}
-    amb = enumerate_ambiguous(n, **kwargs)
-    triples = [e.triple for e in amb]
+    triples = checked_triples(n, max_n)
     universe = set(triples)
     uf = UnionFind(triples)
     for t in triples:
@@ -217,8 +221,7 @@ def partition_graph(n: int, max_n: int = None) -> OrbitPartition:
         yyt = yy_triple(t)
         if yyt in universe:
             uf.union(t, yyt)
-    comps = uf.components().values()
-    return OrbitPartition(n, _records_from_components(n, comps))
+    return partition_from_groups(n, uf.components().values())
 
 
 def export_dot(partition: OrbitPartition, rep_a: int, rep_c: int) -> str:

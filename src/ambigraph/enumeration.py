@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import Element, _is_square
 from .errors import LimitExceeded, NegativeInput, NonPositiveN, SquareN, ZeroInput
@@ -53,8 +54,13 @@ class AmbiguousSet:
         return [e.triple for e in self.elements]
 
 
+@lru_cache(maxsize=1)
 def ambiguous_triples(n: int):
-    """Sorted list of primitive triples (a,b,c) with a^2 < n and c | a^2-n."""
+    """Sorted tuple of primitive triples (a,b,c) with a^2 < n and c | a^2-n.
+
+    Memoised for the last n, so every consumer within one command shares
+    a single enumeration.
+    """
     out = []
     s = math.isqrt(n)
     for a in range(-s, s + 1):
@@ -64,15 +70,26 @@ def ambiguous_triples(n: int):
             if math.gcd(math.gcd(a, b), c) == 1:
                 out.append((a, b, c))
     out.sort(key=lambda t: (t[0], t[2]))
-    return out
+    return tuple(out)
 
 
-def enumerate_ambiguous(n: int, max_n: int = DEFAULT_MAX_N) -> AmbiguousSet:
+def check_cap(n: int, max_n: int = None):
+    """Raise LimitExceeded when n exceeds max_n (default DEFAULT_MAX_N)."""
+    cap = DEFAULT_MAX_N if max_n is None else max_n
+    if n > cap:
+        raise LimitExceeded(f"n={n} exceeds configured cap {cap}")
+
+
+def checked_triples(n: int, max_n: int = None):
+    """ambiguous_triples(n) for a positive nonsquare n within the cap."""
     if n <= 0:
         raise NonPositiveN(f"n must be positive, got {n}")
     if _is_square(n):
         raise SquareN(f"n must be nonsquare, got {n}")
-    if n > max_n:
-        raise LimitExceeded(f"n={n} exceeds configured cap {max_n}")
-    elems = tuple(Element(a, b, c, n) for a, b, c in ambiguous_triples(n))
+    check_cap(n, max_n)
+    return ambiguous_triples(n)
+
+
+def enumerate_ambiguous(n: int, max_n: int = DEFAULT_MAX_N) -> AmbiguousSet:
+    elems = tuple(Element(a, b, c, n) for a, b, c in checked_triples(n, max_n))
     return AmbiguousSet(n, elems)

@@ -66,14 +66,6 @@ class UnknownOrbit(AmbigraphError):
     pass
 
 
-class UnsupportedFormat(AmbigraphError):
-    pass
-
-
-class EmptyClass(AmbigraphError):
-    pass
-
-
 # --- resource guards ----------------------------------------------------
 
 class LimitExceeded(AmbigraphError):

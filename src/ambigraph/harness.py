@@ -13,16 +13,12 @@ computationally refutable and the reports say so explicitly.
 import time
 from dataclasses import dataclass, field
 
-from .classify import (
-    ClassifierKind,
-    class_occupancy,
-    classifier_for,
-)
+from .classify import ClassifierKind, classifier_for
 from .core import Element, is_ambiguous, make_element
-from .diagram import OrbitPartition, partition_graph
-from .cf import partition_cf
-from .enumeration import enumerate_ambiguous
-from .errors import AmbigraphError, EmptyClass, InternalInconsistency
+from .diagram import OrbitPartition, closed_path, partition_graph
+from .cf import cf_groups
+from .enumeration import checked_triples
+from .errors import AmbigraphError, InternalInconsistency
 from .words import check_word_fixes, circuit_from_path, parse_word, stabilizer_word
 
 THEOREM_L = {"2.1": 0, "2.3": 0, "2.5": 1, "2.6": 1, "2.7": 2, "2.8": 2}
@@ -102,7 +98,9 @@ class RepResolution:
     note: str  # empty when the literal representative was valid
 
 
-def resolve_rep(spec: RepSpec, n: int, p: int = None) -> RepResolution:
+def resolve_rep(
+    spec: RepSpec, n: int, p: int = None, max_n: int = None
+) -> RepResolution:
     classify = classifier_for(spec.kind, p)
     try:
         e = make_element(spec.a, spec.c, n)
@@ -119,7 +117,8 @@ def resolve_rep(spec: RepSpec, n: int, p: int = None) -> RepResolution:
         return RepResolution(spec, e, False, note)
     except AmbigraphError as exc:
         reason = str(exc)
-    for cand in enumerate_ambiguous(n):
+    for t in checked_triples(n, max_n):
+        cand = Element.from_triple(t, n)
         if classify(cand).value == spec.intended_value:
             note = (
                 f"literal representative ({spec.a},{spec.c}|{n}) is invalid "
@@ -168,9 +167,9 @@ class VerdictReport:
 def cross_checked_partition(n: int, max_n: int = None) -> OrbitPartition:
     """Graph and CF partitions, verified identical; CF is the trusted oracle."""
     pg = partition_graph(n, max_n=max_n)
-    pc = partition_cf(n, max_n=max_n)
-    if pg.member_sets() != pc.member_sets():
-        diff = pg.member_sets() ^ pc.member_sets()
+    cf_sets = frozenset(frozenset(g) for g in cf_groups(n, max_n=max_n))
+    if pg.member_sets() != cf_sets:
+        diff = pg.member_sets() ^ cf_sets
         example = sorted(min(diff, key=len))[:4]
         raise InternalInconsistency(
             f"graph and CF partitions disagree for n={n}; "
@@ -187,7 +186,9 @@ def verify_case(case: TheoremCase, max_n: int = None) -> VerdictReport:
     classify = classifier_for(kind, p)
 
     errata = []
-    resolutions = tuple(resolve_rep(spec, case.n, case.p) for spec in predict(case))
+    resolutions = tuple(
+        resolve_rep(spec, case.n, case.p, max_n=max_n) for spec in predict(case)
+    )
     for res in resolutions:
         if res.note:
             errata.append(res.note)
@@ -205,8 +206,13 @@ def verify_case(case: TheoremCase, max_n: int = None) -> VerdictReport:
 
     orbit_classes = []
     homogeneous = True
+    occupancy = {}
     for record in partition.orbits:
-        values = {classify(m).value for m in record.members}
+        values = set()
+        for m in record.members:
+            v = classify(m).value
+            values.add(v)
+            occupancy[v] = occupancy.get(v, 0) + 1
         if len(values) == 1:
             orbit_classes.append(values.pop())
         else:
@@ -227,7 +233,6 @@ def verify_case(case: TheoremCase, max_n: int = None) -> VerdictReport:
             f"{count} recorded without asserting the claim"
         )
 
-    occupancy = class_occupancy(case.n, kind, p)
     return VerdictReport(
         case,
         count,
@@ -237,7 +242,7 @@ def verify_case(case: TheoremCase, max_n: int = None) -> VerdictReport:
         distinct,
         tuple(orbit_classes),
         homogeneous,
-        occupancy,
+        dict(sorted(occupancy.items())),
         tuple(errata),
         time.perf_counter() - start,
     )
@@ -321,7 +326,7 @@ def check_paper_examples(max_n: int = None) -> ExamplesReport:
     v_pos = check_word_fixes(w4, make_element(0, 1, 243))
     v_neg = check_word_fixes(w4, make_element(0, -1, 243))
     sw = stabilizer_word(make_element(0, 1, 243))
-    circuit = circuit_from_path_of(make_element(0, 1, 243))
+    circuit = circuit_from_path(closed_path(make_element(0, 1, 243)))
     findings.append(
         Finding(
             "sqrt(3^5) example word fixes 3^2*sqrt(3) and its -1 companion",
@@ -366,12 +371,6 @@ def check_paper_examples(max_n: int = None) -> ExamplesReport:
     return ExamplesReport(tuple(findings))
 
 
-def circuit_from_path_of(e: Element):
-    from .diagram import closed_path
-
-    return circuit_from_path(closed_path(e))
-
-
 # --- sweeps --------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -410,7 +409,7 @@ def sweep(ps, ks, ls, max_n: int) -> tuple:
                     continue
                 if k % 2 == 0 or k < 3:
                     try:
-                        count = len(cross_checked_partition(n))
+                        count = len(cross_checked_partition(n, max_n=max_n))
                         note = "k even or k < 3: no claim attached"
                     except AmbigraphError as exc:
                         count = -1
@@ -421,7 +420,7 @@ def sweep(ps, ks, ls, max_n: int) -> tuple:
                 theorem = _theorem_for(p, l)
                 try:
                     case = make_case(theorem, p, k, l)
-                    report = verify_case(case)
+                    report = verify_case(case, max_n=max_n)
                 except InternalInconsistency:
                     raise
                 except AmbigraphError as exc:

@@ -229,10 +229,10 @@ def circuit_from_path(path: ClosedPath) -> Circuit:
     return canonical_circuit(exps, run_types[0])
 
 
-def stabilizer_word(e: Element, limit: int = None) -> Word:
+def stabilizer_word(e: Element) -> Word:
     """Anchored word read off the closed path of e; evaluating it on e
     returns e.  The first and last blocks may share a type (anchored form)."""
-    path = closed_path(e, limit=limit)
+    path = closed_path(e)
     blocks = []
     for t in path.step_types:
         if blocks and blocks[-1][0] is t:

@@ -85,3 +85,17 @@ def test_intermediate_states_stay_valid():
         x = cf_expand(e)
         for s in x.cycle_states:
             assert s.n == 125
+
+
+def test_psl_equivalent_matches_partition():
+    # every orbit representative against every ambiguous element, n <= 60
+    for n in range(2, 61):
+        if isqrt(n) ** 2 == n:
+            continue
+        partition = partition_graph(n)
+        for rec in partition.orbits:
+            rep = rec.representative
+            for e in enumerate_ambiguous(n):
+                assert psl_equivalent(rep, e) == (
+                    partition.orbit_of(rep) == partition.orbit_of(e)
+                ), (rep, e)

@@ -89,3 +89,28 @@ def test_occupancy_reports_empty_class():
     assert set(occ) == {1}
     occ = class_occupancy(125, ClassifierKind.MOD_P, 5)
     assert set(occ) == {1, -1}
+
+
+def test_legendre_rejects_non_odd_primes():
+    for p in (-7, -1, 0, 1, 2, 4, 9, 15, 25, 49):
+        with pytest.raises(NotOddPrime):
+            legendre(3, p)
+
+
+def test_odd_prime_divisors():
+    from ambigraph.classify import odd_prime_divisors
+
+    assert odd_prime_divisors(1) == []
+    assert odd_prime_divisors(8) == []
+    assert odd_prime_divisors(69984) == [3]
+    assert odd_prime_divisors(2 * 3 ** 2 * 5 * 7 ** 3 * 101) == [3, 5, 7, 101]
+
+
+def test_enumerating_classifiers_honour_max_n():
+    from ambigraph.classify import class_occupancy, invariance_audit
+    from ambigraph.errors import LimitExceeded
+
+    with pytest.raises(LimitExceeded):
+        class_occupancy(1000, ClassifierKind.MOD_8, max_n=999)
+    with pytest.raises(LimitExceeded):
+        invariance_audit(1000, ClassifierKind.MOD_8, depth=0, max_n=999)

@@ -1,6 +1,8 @@
 import os
 import tempfile
 
+import pytest
+
 
 def test_ambiguous_count_only(run_cli):
     code, out = run_cli("ambiguous", "5", "--count-only")
@@ -149,3 +151,46 @@ def test_big_integer_serialization():
     assert _int(5) == 5
     assert _int(-(2 ** 70)) == str(-(2 ** 70))
     assert _int(2 ** 62) == 2 ** 62
+
+
+def test_point_queries_honour_max_n(run_cli):
+    for argv in (
+        ("--max-n", "1000", "circuit", "1009", "--rep", "1,2"),
+        ("--max-n", "1000", "equivalent", "0,1", "1,2", "--n", "1009"),
+        ("--max-n", "1000", "cf", "0,1|1009"),
+        ("--max-n", "1000", "check-word", "1009", "(yx)^1", "--rep", "1,2"),
+    ):
+        code, out = run_cli(*argv)
+        assert code == 1 and out == "", argv
+
+
+def test_circuit_above_default_cap_fails_fast(run_cli):
+    import time
+
+    start = time.perf_counter()
+    code, _ = run_cli("circuit", "1000000000000003", "--rep", "1,2")
+    assert code == 1
+    assert time.perf_counter() - start < 1.0
+
+
+def test_negative_literals(run_cli):
+    code, out = run_cli("circuit", "125", "--rep=-1,2")
+    assert code == 0 and out.startswith("path length")
+    code, out = run_cli("cf", "--", "-1,2|5")
+    assert code == 0 and out.startswith("preperiod")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("orbits", "125", "--json"),
+        ("verify", "--theorem", "2.9", "--p", "3", "--k", "5", "--l", "3"),
+        ("classify", "216", "--mod8"),
+    ],
+)
+def test_one_enumeration_per_command(run_cli, argv):
+    from ambigraph.enumeration import ambiguous_triples
+
+    ambiguous_triples.cache_clear()
+    run_cli(*argv)
+    assert ambiguous_triples.cache_info().misses == 1

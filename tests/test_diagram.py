@@ -104,3 +104,54 @@ def test_export_dot_node_count_equals_length():
         text = export_dot(partition, rep.a, rep.c)
         nodes = [ln for ln in text.splitlines() if ln.endswith('";')]
         assert len(nodes) == o.ambiguous_length
+
+
+def _forbid_enumeration(monkeypatch):
+    """Make every module binding of ambiguous_triples raise when called."""
+    import sys
+
+    from ambigraph import enumeration
+
+    original = enumeration.ambiguous_triples
+
+    def forbidden(n):
+        raise AssertionError(f"enumerated the triples of n={n}")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ambigraph") and getattr(
+            module, "ambiguous_triples", None
+        ) is original:
+            monkeypatch.setattr(module, "ambiguous_triples", forbidden)
+
+
+def test_closed_path_and_circuit_never_enumerate(monkeypatch, run_cli, golden):
+    from ambigraph.words import stabilizer_word
+
+    _forbid_enumeration(monkeypatch)
+    e = make_element(1, 2, 125)
+    assert len(closed_path(e)) == 22
+    assert str(stabilizer_word(e)) == "(yx)^5(y2x)^11(yx)^6"
+    code, out = run_cli("circuit", "125", "--rep", "1,2")
+    assert code == 0
+    golden("circuit_125.txt", out)
+
+
+def test_closed_path_revisit_names_n_and_triple(monkeypatch):
+    from ambigraph import diagram
+    from ambigraph.errors import InternalInconsistency
+
+    anchor, a, b = (0, -5, 1), (1, -4, 1), (2, -1, 1)
+    loop = {anchor: a, a: b, b: a}  # a cycle that never returns to the anchor
+    monkeypatch.setattr(
+        diagram, "successor_triple", lambda t, n=None: (loop[t], StepType.YX)
+    )
+    with pytest.raises(InternalInconsistency) as info:
+        closed_path(Element(*anchor, 5))
+    assert "n=5" in str(info.value) and str(a) in str(info.value)
+
+
+def test_orbit_of_outside_partition():
+    partition = partition_graph(5)
+    assert partition.orbit_of(make_element(1, 2, 5)) is not None
+    assert partition.orbit_of(make_element(7, 2, 5)) is None  # not ambiguous
+    assert partition.orbit_of(make_element(1, 2, 125)) is None

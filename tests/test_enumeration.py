@@ -83,3 +83,18 @@ def test_ordering_and_determinism():
     b = enumerate_ambiguous(125)
     assert a.triples() == b.triples()
     assert a.triples() == sorted(a.triples(), key=lambda t: (t[0], t[2]))
+
+
+def test_triples_are_memoised_and_checked():
+    from ambigraph.enumeration import ambiguous_triples, checked_triples
+    from ambigraph.errors import NonPositiveN
+
+    assert checked_triples(125) is ambiguous_triples(125)
+    assert isinstance(ambiguous_triples(125), tuple)
+    assert enumerate_ambiguous(125).triples() == list(checked_triples(125))
+    with pytest.raises(NonPositiveN):
+        checked_triples(0)
+    with pytest.raises(SquareN):
+        checked_triples(49)
+    with pytest.raises(LimitExceeded):
+        checked_triples(1009, max_n=1000)

@@ -122,3 +122,38 @@ def test_sweep_records_refuted_2_9_case():
     rows = sweep([3], [5], [3], max_n=10 ** 6)
     assert rows[0].status == "fail"
     assert rows[0].computed_count == 12 and rows[0].expected_count == 4
+
+
+def test_sweep_passes_its_cap_through(monkeypatch):
+    from ambigraph import harness
+    from ambigraph.errors import AmbigraphError
+
+    seen = []
+
+    def spy(name):
+        def call(*args, max_n=None):
+            seen.append((name, max_n))
+            raise AmbigraphError("spy")
+        return call
+
+    monkeypatch.setattr(harness, "verify_case", spy("verify_case"))
+    monkeypatch.setattr(harness, "cross_checked_partition", spy("partition"))
+    cap = 2 * 10 ** 8
+    rows = sweep([3], [17, 4], [0], max_n=cap)
+    assert seen == [("verify_case", cap), ("partition", cap)]
+    assert [r.status for r in rows] == ["error", "out-of-scope"]
+
+
+def test_verify_case_passes_its_cap_to_resolve_rep(monkeypatch):
+    from ambigraph import harness
+
+    seen = []
+    original = harness.resolve_rep
+
+    def spy(spec, n, p=None, max_n=None):
+        seen.append(max_n)
+        return original(spec, n, p, max_n=max_n)
+
+    monkeypatch.setattr(harness, "resolve_rep", spy)
+    verify_case(make_case("2.9", 3, 5, 3), max_n=10 ** 6)
+    assert seen == [10 ** 6] * 4
