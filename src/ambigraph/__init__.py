@@ -48,6 +48,7 @@ from .words import (
     fixed_quadratic,
     mobius_apply,
     parse_word,
+    path_word,
     stabilizer_word,
     word_to_matrix,
 )

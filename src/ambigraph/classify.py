@@ -12,10 +12,11 @@ Two classifiers are implemented:
 
 import enum
 import random
+from collections import Counter
 from dataclasses import dataclass
 
-from .core import Element, apply_x, apply_y, apply_yy
-from .enumeration import enumerate_ambiguous
+from .core import Element, check_triple, x_triple, y_triple, yy_triple
+from .enumeration import checked_triples
 from .errors import (
     InternalInconsistency,
     NNotDivisibleBy8,
@@ -63,36 +64,44 @@ def legendre(u: int, p: int) -> int:
     return -1 if r == p - 1 else r
 
 
-def class_mod_p(e: Element, p: int) -> ResidueClass:
-    if e.n % p != 0:
-        raise PNotDividesN(f"p={p} does not divide n={e.n}")
-    if e.c % p != 0:
-        value = legendre(e.c, p)
-    elif e.b % p != 0:
-        value = legendre(e.b, p)
+def classifier_for(kind: ClassifierKind, n: int, p: int = None):
+    """The class value of a triple of n, as a function of the triple.
+
+    Both classifiers take the symbol of c unless m | c, else that of b, with
+    m = p and symbol legendre(., p), or m = 2 and symbol . mod 8.  n and p
+    are checked here, once.
+    """
+    if kind is ClassifierKind.MOD_P:
+        legendre(1, p)  # raises NotOddPrime unless p is an odd prime
+        if n % p != 0:
+            raise PNotDividesN(f"p={p} does not divide n={n}")
+        m, symbol = p, lambda u: legendre(u, p)
     else:
+        if n % 8 != 0:
+            raise NNotDivisibleBy8(f"n={n} is not divisible by 8")
+        m, symbol = 2, lambda u: u % 8
+
+    def classify(t):
+        a, b, c = t
+        if c % m != 0:
+            return symbol(c)
+        if b % m != 0:
+            return symbol(b)
         raise InternalInconsistency(
-            f"p={p} divides both b and c of primitive {e}"
+            f"{m} divides both b and c of primitive {a},{b},{c}|{n}"
         )
+
+    return classify
+
+
+def class_mod_p(e: Element, p: int) -> ResidueClass:
+    value = classifier_for(ClassifierKind.MOD_P, e.n, p)(e.triple)
     return ResidueClass(ClassifierKind.MOD_P, value, p, e.n)
 
 
 def class_mod8(e: Element) -> ResidueClass:
-    if e.n % 8 != 0:
-        raise NNotDivisibleBy8(f"n={e.n} is not divisible by 8")
-    if e.c % 2 != 0:
-        value = e.c % 8
-    elif e.b % 2 != 0:
-        value = e.b % 8
-    else:
-        raise InternalInconsistency(f"both b and c even in primitive {e}")
+    value = classifier_for(ClassifierKind.MOD_8, e.n)(e.triple)
     return ResidueClass(ClassifierKind.MOD_8, value, 8, e.n)
-
-
-def classifier_for(kind: ClassifierKind, p: int = None):
-    if kind is ClassifierKind.MOD_P:
-        return lambda e: class_mod_p(e, p)
-    return class_mod8
 
 
 @dataclass(frozen=True)
@@ -109,9 +118,6 @@ class AuditReport:
         return not self.violations
 
 
-_GENERATORS = (("x", apply_x), ("y", apply_y), ("y2", apply_yy))
-
-
 def invariance_audit(
     n: int,
     kind: ClassifierKind,
@@ -122,21 +128,28 @@ def invariance_audit(
 ) -> AuditReport:
     """Check class(g.e) == class(e) for g in {x, y, y^2} over the whole
     ambiguous set and along depth random generator extensions of each element.
+    Every image is validated as a triple of n; Elements are built only for
+    the violations.
     """
-    classify = classifier_for(kind, p)
+    if depth < 0:
+        raise ValueError(f"audit depth must be >= 0, got {depth}")
+    classify = classifier_for(kind, n, p)
+    generators = (("x", x_triple), ("y", y_triple), ("y2", yy_triple))
     rng = random.Random(seed)
     violations = []
     checked = 0
-    for e in enumerate_ambiguous(n, max_n):
-        cur = e
-        expected = classify(cur).value
+    for t in checked_triples(n, max_n):
+        cur = t
+        expected = classify(cur)
         for _ in range(depth + 1):
-            for name, g in _GENERATORS:
+            for name, g in generators:
                 image = g(cur)
+                check_triple(image, n)
                 checked += 1
-                if classify(image).value != expected:
-                    violations.append((cur, name, image))
-            cur = _GENERATORS[rng.randrange(3)][1](cur)
+                if classify(image) != expected:
+                    violations.append((Element.from_triple(cur, n), name,
+                                       Element.from_triple(image, n)))
+            cur = generators[rng.randrange(3)][1](cur)
     return AuditReport(
         n, kind, p or 0, depth, checked, tuple(violations)
     )
@@ -145,9 +158,5 @@ def invariance_audit(
 def class_occupancy(n: int, kind: ClassifierKind, p: int = None, max_n: int = None):
     """Count ambiguous elements per class value; empty classes are reported,
     never assumed inhabited."""
-    classify = classifier_for(kind, p)
-    counts = {}
-    for e in enumerate_ambiguous(n, max_n):
-        v = classify(e).value
-        counts[v] = counts.get(v, 0) + 1
+    counts = Counter(map(classifier_for(kind, n, p), checked_triples(n, max_n)))
     return dict(sorted(counts.items()))

@@ -15,13 +15,12 @@ from . import __version__
 from .cf import cf_expand, partition_cf, psl_equivalent
 from .classify import (
     ClassifierKind,
-    class_mod8,
-    class_mod_p,
     class_occupancy,
+    classifier_for,
     invariance_audit,
     odd_prime_divisors,
 )
-from .core import Element, make_element, value_approx
+from .core import make_element, value_approx
 from .diagram import closed_path, export_dot, partition_graph
 from .enumeration import DEFAULT_MAX_N, check_cap, enumerate_ambiguous
 from .errors import AmbigraphError, InternalInconsistency
@@ -32,12 +31,7 @@ from .harness import (
     sweep,
     verify_case,
 )
-from .words import (
-    check_word_fixes,
-    circuit_from_path,
-    parse_word,
-    stabilizer_word,
-)
+from .words import check_word_fixes, circuit_from_path, parse_word, path_word
 
 SCHEMA_VERSION = 1
 _I64 = 2 ** 63 - 1
@@ -53,26 +47,23 @@ def _int(v):
     return str(v) if abs(v) > _I64 else v
 
 
-def _elem(e: Element) -> str:
-    return str(e)
-
-
-def _classes_of(e: Element):
+def _classes_of(e):
     classes = {}
     for p in odd_prime_divisors(e.n):
-        classes[f"mod_p[{p}]"] = class_mod_p(e, p).value
+        classify = classifier_for(ClassifierKind.MOD_P, e.n, p)
+        classes[f"mod_p[{p}]"] = classify(e.triple)
     if e.n % 8 == 0:
-        classes["mod8"] = class_mod8(e).value
+        classes["mod8"] = classifier_for(ClassifierKind.MOD_8, e.n)(e.triple)
     return classes
 
 
 def _orbit_dict(rec, n):
     circuit = circuit_from_path(rec.path)
-    word = stabilizer_word(rec.representative)
+    word = path_word(rec.path)
     return {
         "n": _int(n),
-        "rep": _elem(rec.representative),
-        "members": [_elem(m) for m in rec.members],
+        "rep": str(rec.representative),
+        "members": [str(m) for m in rec.members],
         "circuit": {
             "exponents": [_int(m) for m in circuit.exponents],
             "start": circuit.start.value,
@@ -100,7 +91,7 @@ def _cmd_ambiguous(args, out):
                 "schema": SCHEMA_VERSION,
                 "n": _int(args.n),
                 "count": len(amb),
-                "elements": [_elem(e) for e in amb],
+                "elements": [str(e) for e in amb],
             },
             out,
         )
@@ -112,7 +103,7 @@ def _cmd_ambiguous(args, out):
     else:
         out.write(f"{len(amb)} ambiguous numbers in Q*(sqrt({args.n}))\n")
         for e in amb:
-            out.write(f"  {_elem(e)}  ~ {value_approx(e):.6f}\n")
+            out.write(f"  {e}  ~ {value_approx(e):.6f}\n")
     return EXIT_OK
 
 
@@ -145,13 +136,23 @@ def _cmd_orbits(args, out):
         for o in partition.orbits:
             circuit = circuit_from_path(o.path)
             out.write(
-                f"  rep {_elem(o.representative)}  length {o.ambiguous_length}"
+                f"  rep {o.representative}  length {o.ambiguous_length}"
                 f"  circuit {circuit}\n"
             )
     return EXIT_OK
 
 
 def _cmd_classify(args, out):
+    kinds = {}  # JSON name -> (kind, p); p is None for mod 8
+    if args.mod_p is not None:
+        kinds["mod_p"] = (ClassifierKind.MOD_P, args.mod_p)
+    if args.mod8:
+        kinds["mod8"] = (ClassifierKind.MOD_8, None)
+    classifiers = {
+        name: classifier_for(kind, args.n, p) for name, (kind, p) in kinds.items()
+    }
+    if args.audit_depth < 0:
+        raise AmbigraphError(f"--audit-depth must be >= 0, got {args.audit_depth}")
     partition = cross_checked_partition(args.n, max_n=args.max_n)
     doc = {
         "schema": SCHEMA_VERSION,
@@ -160,36 +161,20 @@ def _cmd_classify(args, out):
         "audits": [],
     }
     for o in partition.orbits:
-        entry = {"rep": _elem(o.representative), "classes": {}}
-        if args.mod_p:
-            entry["classes"]["mod_p"] = class_mod_p(o.representative, args.mod_p).value
-        if args.mod8:
-            entry["classes"]["mod8"] = class_mod8(o.representative).value
-        if not args.mod_p and not args.mod8:
-            entry["classes"] = _classes_of(o.representative)
-        doc["orbits"].append(entry)
-    if args.mod_p:
-        rpt = invariance_audit(args.n, ClassifierKind.MOD_P, p=args.mod_p,
-                               depth=args.audit_depth, seed=args.seed,
-                               max_n=args.max_n)
-        doc["audits"].append({"kind": "mod_p", "p": args.mod_p,
+        rep = o.representative
+        classes = {name: f(rep.triple) for name, f in classifiers.items()}
+        doc["orbits"].append(
+            {"rep": str(rep), "classes": classes or _classes_of(rep)}
+        )
+    for name, (kind, p) in kinds.items():
+        rpt = invariance_audit(args.n, kind, p=p, depth=args.audit_depth,
+                               seed=args.seed, max_n=args.max_n)
+        doc["audits"].append({"kind": name, **({"p": p} if p else {}),
                               "checked": rpt.checked,
                               "violations": len(rpt.violations)})
-        doc["occupancy_mod_p"] = {
+        doc[f"occupancy_{name}"] = {
             str(k): v
-            for k, v in class_occupancy(args.n, ClassifierKind.MOD_P, args.mod_p,
-                                        max_n=args.max_n).items()
-        }
-    if args.mod8:
-        rpt = invariance_audit(args.n, ClassifierKind.MOD_8,
-                               depth=args.audit_depth, seed=args.seed,
-                               max_n=args.max_n)
-        doc["audits"].append({"kind": "mod8", "checked": rpt.checked,
-                              "violations": len(rpt.violations)})
-        doc["occupancy_mod8"] = {
-            str(k): v
-            for k, v in class_occupancy(args.n, ClassifierKind.MOD_8,
-                                        max_n=args.max_n).items()
+            for k, v in class_occupancy(args.n, kind, p, max_n=args.max_n).items()
         }
     if args.json:
         _emit(doc, out)
@@ -207,7 +192,7 @@ def _cmd_cf(args, out):
     x = cf_expand(e)
     out.write(f"preperiod {list(x.preperiod)}\n")
     out.write(f"cycle {list(x.cycle)}\n")
-    out.write(f"cycle states {[ _elem(s) for s in x.cycle_states ]}\n")
+    out.write(f"cycle states {[str(s) for s in x.cycle_states]}\n")
     return EXIT_OK
 
 
@@ -228,10 +213,10 @@ def _cmd_circuit(args, out):
     e = make_element(a, c, args.n)
     path = closed_path(e)
     circuit = circuit_from_path(path)
-    word = stabilizer_word(e)
+    word = path_word(path)
     verdict = check_word_fixes(word, e)
     out.write(f"path length {len(path)}\n")
-    out.write("vertices " + " ".join(_elem(v) for v in path.vertices) + "\n")
+    out.write("vertices " + " ".join(str(v) for v in path.vertices) + "\n")
     out.write(f"circuit {circuit} starting {circuit.start}\n")
     out.write(f"word {word}\n")
     out.write(f"word fixes anchor: {verdict.fixes}\n")
@@ -251,7 +236,7 @@ def _cmd_check_word(args, out):
         "matrix": [_int(v) for v in verdict.matrix.entries()],
         "fixed_quadratic": [_int(v) for v in verdict.quadratic],
         "target_quadratic": [_int(v) for v in verdict.target_quadratic],
-        "image": _elem(verdict.image),
+        "image": str(verdict.image),
         "fixes": verdict.fixes,
     }
     if args.json:
@@ -278,7 +263,7 @@ def _verdict_dict(report):
         "reps": [
             {
                 "claimed": f"{res.spec.a},{res.spec.c}",
-                "resolved": _elem(res.element) if res.element else None,
+                "resolved": str(res.element) if res.element else None,
                 "substituted": res.substituted,
                 "orbit": orbit,
                 "note": res.note,

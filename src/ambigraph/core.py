@@ -29,8 +29,8 @@ def _is_square(n: int) -> bool:
     return s * s == n
 
 
-# Triple-level generator action, used by the hot loops in diagram/cf where
-# constructing Element objects per step would dominate the runtime.
+# Triple-level generator action, used by the hot loops in diagram, cf and
+# classify where constructing Element objects per step would dominate.
 
 def x_triple(t):
     a, b, c = t
@@ -56,6 +56,18 @@ def is_ambiguous_triple(t) -> bool:
     return t[1] * t[2] < 0
 
 
+def check_triple(t, n):
+    """Raise unless (a, b, c) is a valid triple of n: c != 0, bc = a^2 - n
+    and gcd(a, b, c) = 1."""
+    a, b, c = t
+    if c == 0:
+        raise ZeroDenominator("c must be nonzero")
+    if b * c != a * a - n:
+        raise NotDivisible(f"bc = a^2 - n fails for ({a},{b},{c}|{n})")
+    if gcd(gcd(a, b), c) != 1:
+        raise NotPrimitive(f"gcd(a,b,c) > 1 for ({a},{b},{c}|{n})")
+
+
 @dataclass(frozen=True, order=False)
 class Element:
     """The quadratic irrational (a + sqrt(n))/c with b = (a^2 - n)/c."""
@@ -70,16 +82,7 @@ class Element:
             raise NonPositiveN(f"n must be positive, got {self.n}")
         if _is_square(self.n):
             raise SquareN(f"n must be nonsquare, got {self.n}")
-        if self.c == 0:
-            raise ZeroDenominator("c must be nonzero")
-        if self.b * self.c != self.a * self.a - self.n:
-            raise NotDivisible(
-                f"bc = a^2 - n fails for ({self.a},{self.b},{self.c}|{self.n})"
-            )
-        if gcd(gcd(self.a, self.b), self.c) != 1:
-            raise NotPrimitive(
-                f"gcd(a,b,c) > 1 for ({self.a},{self.b},{self.c}|{self.n})"
-            )
+        check_triple(self.triple, self.n)
 
     @property
     def triple(self):

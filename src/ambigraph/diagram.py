@@ -33,7 +33,7 @@ class StepType(enum.Enum):
         return self.value
 
 
-def successor_triple(t, n=None):
+def successor_triple(t):
     """Triple-level successor; returns ((a,b,c), StepType)."""
     f = x_triple(t)
     cy = y_triple(f)
@@ -57,23 +57,22 @@ def successor(e: Element):
 class ClosedPath:
     """The closed successor cycle through an ambiguous anchor.
 
-    steps[i] is (StepType, target); the last target equals the anchor.
+    triples are the vertices in walk order, anchor first; step_types[i] is
+    the step from triples[i] to the next vertex, the last one back to the
+    anchor.
     """
 
-    anchor: Element
-    steps: tuple
+    n: int
+    triples: tuple
+    step_types: tuple
 
     def __len__(self):
-        return len(self.steps)
+        return len(self.step_types)
 
     @property
     def vertices(self):
-        """Path vertices in traversal order, starting at the anchor."""
-        return (self.anchor,) + tuple(t for _, t in self.steps[:-1])
-
-    @property
-    def step_types(self):
-        return tuple(s for s, _ in self.steps)
+        """Path vertices as Elements, in walk order starting at the anchor."""
+        return tuple(Element.from_triple(t, self.n) for t in self.triples)
 
 
 def closed_path(e: Element) -> ClosedPath:
@@ -85,45 +84,50 @@ def closed_path(e: Element) -> ClosedPath:
     """
     if not is_ambiguous(e):
         raise ValueError(f"closed_path requires an ambiguous element, got {e}")
-    n = e.n
     anchor = t = e.triple
-    seen = {anchor}
-    steps = []
+    seen = {anchor: None}  # insertion-ordered: the vertices in walk order
+    tags = []
     while True:
         t, tag = successor_triple(t)
-        steps.append((tag, Element.from_triple(t, n)))
+        tags.append(tag)
         if t == anchor:
-            return ClosedPath(e, tuple(steps))
+            return ClosedPath(e.n, tuple(seen), tuple(tags))
         if t in seen:
             raise InternalInconsistency(
                 f"successor walk from {anchor} revisits {t} before returning "
-                f"to the anchor (n={n})"
+                f"to the anchor (n={e.n})"
             )
-        seen.add(t)
+        seen[t] = None
+
+
+def _closure(path: ClosedPath):
+    """The member triples of an orbit: path vertices plus their x-images."""
+    return set(path.triples) | {x_triple(t) for t in path.triples}
 
 
 def orbit_members(path: ClosedPath):
-    """Orbit member set: path vertices plus their x-images, sorted by (a, c)."""
-    n = path.anchor.n
-    triples = set()
-    for v in path.vertices:
-        triples.add(v.triple)
-        triples.add(x_triple(v.triple))
+    """Orbit members as Elements, sorted by (a, c)."""
     return tuple(
-        Element.from_triple(t, n)
-        for t in sorted(triples, key=lambda t: (t[0], t[2]))
+        Element.from_triple(t, path.n)
+        for t in sorted(_closure(path), key=lambda t: (t[0], t[2]))
     )
 
 
 @dataclass(frozen=True)
 class OrbitRecord:
     representative: Element
-    members: tuple
+    triples: tuple  # member triples, sorted by (a, c)
     path: ClosedPath
 
     @property
+    def members(self):
+        """Orbit members as Elements, sorted by (a, c)."""
+        n = self.representative.n
+        return tuple(Element.from_triple(t, n) for t in self.triples)
+
+    @property
     def ambiguous_length(self):
-        return len(self.members)
+        return len(self.triples)
 
 
 @dataclass(frozen=True)
@@ -135,17 +139,15 @@ class OrbitPartition:
         return len(self.orbits)
 
     def sizes(self):
-        return sorted(len(o.members) for o in self.orbits)
+        return sorted(len(o.triples) for o in self.orbits)
 
     def member_sets(self):
         """Frozenset-of-frozensets view for partition comparisons."""
-        return frozenset(
-            frozenset(m.triple for m in o.members) for o in self.orbits
-        )
+        return frozenset(frozenset(o.triples) for o in self.orbits)
 
     @cached_property
     def _orbit_index(self):
-        return {m.triple: i for i, o in enumerate(self.orbits) for m in o.members}
+        return {t: i for i, o in enumerate(self.orbits) for t in o.triples}
 
     def orbit_of(self, e: Element):
         return self._orbit_index.get(e.triple)
@@ -189,19 +191,11 @@ def partition_from_groups(n, groups) -> OrbitPartition:
         members = sorted(members, key=lambda t: (t[0], t[2]))
         rep = Element.from_triple(members[0], n)
         path = closed_path(rep)
-        closure = {v.triple for v in path.vertices}
-        closure |= {x_triple(t) for t in closure}
-        if closure != set(members):
+        if _closure(path) != set(members):
             raise InternalInconsistency(
                 f"component of {rep} != path-plus-x-images closure"
             )
-        records.append(
-            OrbitRecord(
-                rep,
-                tuple(Element.from_triple(t, n) for t in members),
-                path,
-            )
-        )
+        records.append(OrbitRecord(rep, tuple(members), path))
     records.sort(key=lambda r: (r.representative.a, r.representative.c))
     return OrbitPartition(n, tuple(records))
 
@@ -233,14 +227,14 @@ def export_dot(partition: OrbitPartition, rep_a: int, rep_c: int) -> str:
     """
     record = None
     for o in partition.orbits:
-        if any(m.a == rep_a and m.c == rep_c for m in o.members):
+        if any(t[0] == rep_a and t[2] == rep_c for t in o.triples):
             record = o
             break
     if record is None:
         raise UnknownOrbit(
             f"no orbit of n={partition.n} contains a={rep_a}, c={rep_c}"
         )
-    members = sorted(m.triple for m in record.members)
+    members = sorted(record.triples)
     lines = ["digraph orbit {"]
     for t in members:
         lines.append(f'  "{t[0]},{t[1]},{t[2]}";')

@@ -11,6 +11,7 @@ computationally refutable and the reports say so explicitly.
 """
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .classify import ClassifierKind, classifier_for
@@ -19,7 +20,7 @@ from .diagram import OrbitPartition, closed_path, partition_graph
 from .cf import cf_groups
 from .enumeration import checked_triples
 from .errors import AmbigraphError, InternalInconsistency
-from .words import check_word_fixes, circuit_from_path, parse_word, stabilizer_word
+from .words import check_word_fixes, circuit_from_path, parse_word, path_word
 
 THEOREM_L = {"2.1": 0, "2.3": 0, "2.5": 1, "2.6": 1, "2.7": 2, "2.8": 2}
 _P_MOD4 = {"2.1": 1, "2.3": 3, "2.5": 1, "2.6": 3, "2.7": 1, "2.8": 3}
@@ -37,6 +38,8 @@ class TheoremCase:
 
 
 def make_case(theorem: str, p: int, k: int, l: int = None) -> TheoremCase:
+    if p is None or k is None:
+        raise ValueError(f"theorem {theorem} needs p and k")
     if theorem == "2.9":
         if l is None or l < 3:
             raise ValueError("theorem 2.9 needs l >= 3")
@@ -101,12 +104,12 @@ class RepResolution:
 def resolve_rep(
     spec: RepSpec, n: int, p: int = None, max_n: int = None
 ) -> RepResolution:
-    classify = classifier_for(spec.kind, p)
+    classify = classifier_for(spec.kind, n, p)
     try:
         e = make_element(spec.a, spec.c, n)
         if not is_ambiguous(e):
             raise AmbigraphError("representative is not ambiguous")
-        value = classify(e).value
+        value = classify(e.triple)
         if value == spec.intended_value:
             return RepResolution(spec, e, False, "")
         note = (
@@ -118,8 +121,8 @@ def resolve_rep(
     except AmbigraphError as exc:
         reason = str(exc)
     for t in checked_triples(n, max_n):
-        cand = Element.from_triple(t, n)
-        if classify(cand).value == spec.intended_value:
+        if classify(t) == spec.intended_value:
+            cand = Element.from_triple(t, n)
             note = (
                 f"literal representative ({spec.a},{spec.c}|{n}) is invalid "
                 f"({reason}); substituted least element of class "
@@ -183,7 +186,7 @@ def verify_case(case: TheoremCase, max_n: int = None) -> VerdictReport:
     partition = cross_checked_partition(case.n, max_n=max_n)
     kind = ClassifierKind.MOD_8 if case.theorem == "2.9" else ClassifierKind.MOD_P
     p = None if kind is ClassifierKind.MOD_8 else case.p
-    classify = classifier_for(kind, p)
+    classify = classifier_for(kind, case.n, p)
 
     errata = []
     resolutions = tuple(
@@ -206,13 +209,11 @@ def verify_case(case: TheoremCase, max_n: int = None) -> VerdictReport:
 
     orbit_classes = []
     homogeneous = True
-    occupancy = {}
+    occupancy = Counter()
     for record in partition.orbits:
-        values = set()
-        for m in record.members:
-            v = classify(m).value
-            values.add(v)
-            occupancy[v] = occupancy.get(v, 0) + 1
+        classes = [classify(t) for t in record.triples]
+        occupancy.update(classes)
+        values = set(classes)
         if len(values) == 1:
             orbit_classes.append(values.pop())
         else:
@@ -325,15 +326,14 @@ def check_paper_examples(max_n: int = None) -> ExamplesReport:
     w4 = parse_word(EXAMPLE_2_4_WORD)
     v_pos = check_word_fixes(w4, make_element(0, 1, 243))
     v_neg = check_word_fixes(w4, make_element(0, -1, 243))
-    sw = stabilizer_word(make_element(0, 1, 243))
-    circuit = circuit_from_path(closed_path(make_element(0, 1, 243)))
+    path = closed_path(make_element(0, 1, 243))
     findings.append(
         Finding(
             "sqrt(3^5) example word fixes 3^2*sqrt(3) and its -1 companion",
             v_pos.fixes and v_neg.fixes,
             details={
-                "stabilizer_word": str(sw),
-                "circuit": circuit.exponents,
+                "stabilizer_word": str(path_word(path)),
+                "circuit": circuit_from_path(path).exponents,
             },
         )
     )

@@ -208,38 +208,28 @@ def canonical_circuit(exponents, start: StepType) -> Circuit:
     return Circuit(best, start)
 
 
+def path_word(path: ClosedPath) -> Word:
+    """Anchored word read off a closed path; evaluating it on the anchor
+    returns the anchor.  The first and last blocks may share a type."""
+    return _merge_blocks(((t, 1) for t in path.step_types), notice_on_merge=False)
+
+
 def circuit_from_path(path: ClosedPath) -> Circuit:
-    """Cyclic run-length encoding of the path's step types."""
-    types = list(path.step_types)
-    if all(t is types[0] for t in types):
+    """Cyclic run-length encoding of the path's step types: the blocks of
+    its word, with the last block folded into the first when they share a
+    type."""
+    blocks = list(path_word(path).blocks)
+    if len(blocks) == 1:
         raise OddBlockCount("closed path uses a single step type")
-    # rotate so position 0 starts a run
-    shift = 0
-    while types[shift - 1] is types[shift]:
-        shift -= 1
-    types = types[shift:] + types[:shift]
-    exps = []
-    run_types = []
-    for t in types:
-        if run_types and run_types[-1] is t:
-            exps[-1] += 1
-        else:
-            run_types.append(t)
-            exps.append(1)
-    return canonical_circuit(exps, run_types[0])
+    if blocks[0][0] is blocks[-1][0]:
+        t, m = blocks.pop()
+        blocks[0] = (t, blocks[0][1] + m)
+    return canonical_circuit([m for _, m in blocks], blocks[0][0])
 
 
 def stabilizer_word(e: Element) -> Word:
-    """Anchored word read off the closed path of e; evaluating it on e
-    returns e.  The first and last blocks may share a type (anchored form)."""
-    path = closed_path(e)
-    blocks = []
-    for t in path.step_types:
-        if blocks and blocks[-1][0] is t:
-            blocks[-1] = (t, blocks[-1][1] + 1)
-        else:
-            blocks.append((t, 1))
-    return Word(tuple(blocks))
+    """The anchored word of the closed path of e."""
+    return path_word(closed_path(e))
 
 
 @dataclass(frozen=True)

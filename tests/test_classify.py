@@ -114,3 +114,37 @@ def test_enumerating_classifiers_honour_max_n():
         class_occupancy(1000, ClassifierKind.MOD_8, max_n=999)
     with pytest.raises(LimitExceeded):
         invariance_audit(1000, ClassifierKind.MOD_8, depth=0, max_n=999)
+
+
+def test_audit_rejects_negative_depth():
+    with pytest.raises(ValueError):
+        invariance_audit(216, ClassifierKind.MOD_8, depth=-1)
+
+
+def test_audit_violations_are_valid_elements(monkeypatch):
+    from ambigraph import classify
+    from ambigraph.core import x_triple, y_triple, yy_triple
+
+    # a "class" that is the triple itself differs on every image but the start
+    monkeypatch.setattr(classify, "classifier_for", lambda kind, n, p=None: tuple)
+    report = invariance_audit(216, ClassifierKind.MOD_8, depth=2)
+    assert 0 < len(report.violations) <= report.checked
+    moves = {"x": x_triple, "y": y_triple, "y2": yy_triple}
+    for e, name, image in report.violations:
+        assert isinstance(e, Element) and isinstance(image, Element)
+        assert e.n == image.n == 216
+        assert image.triple == moves[name](e.triple)
+
+
+def test_audit_validates_every_image(monkeypatch):
+    from ambigraph import classify
+    from ambigraph.core import y_triple
+    from ambigraph.errors import NotDivisible
+
+    def broken_y(t):
+        a, b, c = y_triple(t)
+        return (a, b + 1, c)
+
+    monkeypatch.setattr(classify, "y_triple", broken_y)
+    with pytest.raises(NotDivisible):
+        invariance_audit(216, ClassifierKind.MOD_8, depth=0)

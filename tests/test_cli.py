@@ -194,3 +194,34 @@ def test_one_enumeration_per_command(run_cli, argv):
     ambiguous_triples.cache_clear()
     run_cli(*argv)
     assert ambiguous_triples.cache_info().misses == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--theorem", "2.1"),
+        ("verify", "--theorem", "2.1", "--p", "5"),
+        ("verify", "--theorem", "2.9", "--l", "3"),
+    ],
+)
+def test_verify_without_p_or_k_is_a_usage_error(run_cli, argv):
+    code, out = run_cli(*argv)
+    assert code == 1 and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "1000", "--mod-p", "3"),
+        ("classify", "243", "--mod-p", "9"),
+        ("classify", "125", "--mod-p", "0"),
+        ("classify", "125", "--mod8"),
+        ("classify", "216", "--mod8", "--audit-depth", "-1"),
+    ],
+)
+def test_classify_rejects_bad_input_before_partitioning(run_cli, monkeypatch, argv):
+    from test_diagram import _forbid_enumeration
+
+    _forbid_enumeration(monkeypatch)
+    code, out = run_cli(*argv)
+    assert code == 1 and out == ""

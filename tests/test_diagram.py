@@ -1,3 +1,6 @@
+import json
+import sys
+
 import pytest
 
 from ambigraph.core import Element, make_element
@@ -106,22 +109,24 @@ def test_export_dot_node_count_equals_length():
         assert len(nodes) == o.ambiguous_length
 
 
+def _rebind(monkeypatch, name, original, replacement):
+    """Point every ambigraph module binding of original at replacement."""
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("ambigraph") and getattr(
+            module, name, None
+        ) is original:
+            monkeypatch.setattr(module, name, replacement)
+
+
 def _forbid_enumeration(monkeypatch):
     """Make every module binding of ambiguous_triples raise when called."""
-    import sys
-
     from ambigraph import enumeration
-
-    original = enumeration.ambiguous_triples
 
     def forbidden(n):
         raise AssertionError(f"enumerated the triples of n={n}")
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("ambigraph") and getattr(
-            module, "ambiguous_triples", None
-        ) is original:
-            monkeypatch.setattr(module, "ambiguous_triples", forbidden)
+    _rebind(monkeypatch, "ambiguous_triples", enumeration.ambiguous_triples,
+            forbidden)
 
 
 def test_closed_path_and_circuit_never_enumerate(monkeypatch, run_cli, golden):
@@ -155,3 +160,35 @@ def test_orbit_of_outside_partition():
     assert partition.orbit_of(make_element(1, 2, 5)) is not None
     assert partition.orbit_of(make_element(7, 2, 5)) is None  # not ambiguous
     assert partition.orbit_of(make_element(1, 2, 125)) is None
+
+
+def test_orbits_json_walks_each_closed_path_once(monkeypatch, run_cli):
+    from ambigraph import diagram
+
+    original = diagram.closed_path
+    anchors = []
+
+    def spy(e):
+        anchors.append(e.triple)
+        return original(e)
+
+    _rebind(monkeypatch, "closed_path", original, spy)
+    code, out = run_cli("orbits", "216", "--json")
+    assert code == 0
+    assert len(anchors) == len(set(anchors)) == json.loads(out)["orbit_count"] == 4
+
+
+def test_orbit_records_hold_triples():
+    from ambigraph.cf import partition_cf
+
+    for n in (5, 125, 216):
+        for partition in (partition_graph(n), partition_cf(n)):
+            for rec in partition.orbits:
+                assert rec.members == tuple(
+                    Element.from_triple(t, n) for t in rec.triples
+                )
+                assert rec.path.triples[0] == rec.triples[0]
+                assert rec.representative.triple == rec.triples[0]
+                assert [v.triple for v in rec.path.vertices] == list(
+                    rec.path.triples
+                )

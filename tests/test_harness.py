@@ -23,6 +23,10 @@ def test_make_case_validation():
         make_case("2.9", 3, 3)  # missing l
     with pytest.raises(ValueError):
         make_case("2.9", 3, 3, 2)  # l < 3
+    with pytest.raises(ValueError):
+        make_case("2.1", None, 3)  # missing p
+    with pytest.raises(ValueError):
+        make_case("2.9", 3, None, 3)  # missing k
 
 
 def test_predict():
