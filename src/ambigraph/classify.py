@@ -56,26 +56,32 @@ def odd_prime_divisors(n: int):
     return out
 
 
+def _euler(u: int, p: int) -> int:
+    """Euler's criterion u^((p-1)/2) mod p as -1, 0 or 1; p is not checked."""
+    r = pow(u, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
 def legendre(u: int, p: int) -> int:
     """Legendre symbol (u/p) by Euler's criterion."""
     if p < 3 or odd_prime_divisors(p) != [p]:
         raise NotOddPrime(f"{p} is not an odd prime")
-    r = pow(u % p, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
+    return _euler(u, p)
 
 
 def classifier_for(kind: ClassifierKind, n: int, p: int = None):
     """The class value of a triple of n, as a function of the triple.
 
     Both classifiers take the symbol of c unless m | c, else that of b, with
-    m = p and symbol legendre(., p), or m = 2 and symbol . mod 8.  n and p
-    are checked here, once.
+    m = p and the Legendre symbol mod p, or m = 2 and symbol . mod 8.  n and
+    p are checked here, once, so the symbol applies Euler's criterion
+    directly.
     """
     if kind is ClassifierKind.MOD_P:
         legendre(1, p)  # raises NotOddPrime unless p is an odd prime
         if n % p != 0:
             raise PNotDividesN(f"p={p} does not divide n={n}")
-        m, symbol = p, lambda u: legendre(u, p)
+        m, symbol = p, lambda u: _euler(u, p)
     else:
         if n % 8 != 0:
             raise NNotDivisibleBy8(f"n={n} is not divisible by 8")

@@ -20,9 +20,14 @@ from .classify import (
     invariance_audit,
     odd_prime_divisors,
 )
-from .core import make_element, value_approx
+from .core import make_element, triple_str, value_approx
 from .diagram import closed_path, export_dot, partition_graph
-from .enumeration import DEFAULT_MAX_N, check_cap, enumerate_ambiguous
+from .enumeration import (
+    DEFAULT_MAX_N,
+    check_cap,
+    checked_triples,
+    enumerate_ambiguous,
+)
 from .errors import AmbigraphError, InternalInconsistency
 from .harness import (
     check_paper_examples,
@@ -63,7 +68,7 @@ def _orbit_dict(rec, n):
     return {
         "n": _int(n),
         "rep": str(rec.representative),
-        "members": [str(m) for m in rec.members],
+        "members": [triple_str(t, n) for t in rec.triples],
         "circuit": {
             "exponents": [_int(m) for m in circuit.exponents],
             "start": circuit.start.value,
@@ -81,10 +86,10 @@ def _emit(doc, out):
 # --- subcommands ---------------------------------------------------------
 
 def _cmd_ambiguous(args, out):
-    amb = enumerate_ambiguous(args.n, max_n=args.max_n)
     if args.count_only:
-        out.write(f"{len(amb)}\n")
+        out.write(f"{len(checked_triples(args.n, args.max_n))}\n")
         return EXIT_OK
+    amb = enumerate_ambiguous(args.n, max_n=args.max_n)
     if args.json:
         _emit(
             {
@@ -216,7 +221,8 @@ def _cmd_circuit(args, out):
     word = path_word(path)
     verdict = check_word_fixes(word, e)
     out.write(f"path length {len(path)}\n")
-    out.write("vertices " + " ".join(str(v) for v in path.vertices) + "\n")
+    out.write("vertices " + " ".join(triple_str(t, e.n) for t in path.triples)
+              + "\n")
     out.write(f"circuit {circuit} starting {circuit.start}\n")
     out.write(f"word {word}\n")
     out.write(f"word fixes anchor: {verdict.fixes}\n")

@@ -68,6 +68,12 @@ def check_triple(t, n):
         raise NotPrimitive(f"gcd(a,b,c) > 1 for ({a},{b},{c}|{n})")
 
 
+def triple_str(t, n) -> str:
+    """The wire form "a,b,c|n" of the triple t of n."""
+    a, b, c = t
+    return f"{a},{b},{c}|{n}"
+
+
 @dataclass(frozen=True, order=False)
 class Element:
     """The quadratic irrational (a + sqrt(n))/c with b = (a^2 - n)/c."""
@@ -89,7 +95,7 @@ class Element:
         return (self.a, self.b, self.c)
 
     def __str__(self):
-        return f"{self.a},{self.b},{self.c}|{self.n}"
+        return triple_str(self.triple, self.n)
 
     @classmethod
     def from_triple(cls, t, n):

@@ -153,33 +153,6 @@ class OrbitPartition:
         return self._orbit_index.get(e.triple)
 
 
-class UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            # deterministic: smaller tuple wins as root
-            if ry < rx:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
-
-    def components(self):
-        comps = {}
-        for x in self.parent:
-            comps.setdefault(self.find(x), []).append(x)
-        return comps
-
-
 def partition_from_groups(n, groups) -> OrbitPartition:
     """Orbit partition from groups of member triples.
 
@@ -201,21 +174,35 @@ def partition_from_groups(n, groups) -> OrbitPartition:
 
 
 def partition_graph(n: int, max_n: int = None) -> OrbitPartition:
-    """Partition the ambiguous set into orbits by union-find over generator edges."""
+    """Partition the ambiguous set into orbits by union-find over generator edges.
+
+    Triples are named by their index in the sorted enumeration; parent[i]
+    is an index, find halves the path, and the smaller index becomes the
+    root of a union.
+    """
     triples = checked_triples(n, max_n)
-    universe = set(triples)
-    uf = UnionFind(triples)
-    for t in triples:
-        xt = x_triple(t)
-        if xt in universe:
-            uf.union(t, xt)
-        yt = y_triple(t)
-        if yt in universe:
-            uf.union(t, yt)
-        yyt = yy_triple(t)
-        if yyt in universe:
-            uf.union(t, yyt)
-    return partition_from_groups(n, uf.components().values())
+    index = {t: i for i, t in enumerate(triples)}
+    parent = list(range(len(triples)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, t in enumerate(triples):
+        for image in (x_triple(t), y_triple(t), yy_triple(t)):
+            j = index.get(image)
+            if j is not None:
+                ri, rj = find(i), find(j)
+                if ri < rj:
+                    parent[rj] = ri
+                elif rj < ri:
+                    parent[ri] = rj
+    components = {}
+    for i, t in enumerate(triples):
+        components.setdefault(find(i), []).append(t)
+    return partition_from_groups(n, components.values())
 
 
 def export_dot(partition: OrbitPartition, rep_a: int, rep_c: int) -> str:

@@ -54,22 +54,88 @@ class AmbiguousSet:
         return [e.triple for e in self.elements]
 
 
+def _primes_upto(m: int):
+    """The primes p <= m, for m >= 1, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (m + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(m) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, m + 1, p)))
+    return [p for p in range(m + 1) if sieve[p]]
+
+
+def _sqrt_mod(n: int, p: int):
+    """The roots r in [0, p) of r^2 = n (mod p), for a prime p."""
+    n %= p
+    if p == 2 or n == 0:
+        return (n,)
+    if pow(n, (p - 1) // 2, p) != 1:  # Euler's criterion: a non-residue
+        return ()
+    if p % 4 == 3:
+        r = pow(n, (p + 1) // 4, p)
+    else:  # Tonelli-Shanks, with p - 1 = q * 2^e and q odd
+        q, e = p - 1, 0
+        while q % 2 == 0:
+            q //= 2
+            e += 1
+        z = 2
+        while pow(z, (p - 1) // 2, p) == 1:
+            z += 1
+        c, r, t = pow(z, q, p), pow(n, (q + 1) // 2, p), pow(n, q, p)
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                t2 = t2 * t2 % p
+                i += 1
+            b = pow(c, 1 << (e - i - 1), p)
+            e, c = i, b * b % p
+            r, t = r * b % p, t * c % p
+    return (r, p - r)
+
+
 @lru_cache(maxsize=1)
 def ambiguous_triples(n: int):
     """Sorted tuple of primitive triples (a,b,c) with a^2 < n and c | a^2-n.
 
+    The values m = n - a^2 for a in [0, isqrt(n)] are factored by a sieve,
+    as in the quadratic sieve: for each prime p <= sqrt(n), p | m exactly
+    when a is a root of a^2 = n (mod p), so stepping a through those roots
+    finds every a whose m has p as a factor.  After the primes up to sqrt(n)
+    are divided out, what is left of m is 1 or a prime.  The divisors c of
+    m then give the triples of a and of -a alike, in (a, c) order.
+
     Memoised for the last n, so every consumer within one command shares
     a single enumeration.
     """
-    out = []
     s = math.isqrt(n)
-    for a in range(-s, s + 1):
-        m = a * a - n  # negative by construction
-        for c in divisors_signed(m):
-            b = m // c
-            if math.gcd(math.gcd(a, b), c) == 1:
-                out.append((a, b, c))
-    out.sort(key=lambda t: (t[0], t[2]))
+    rest = [n - a * a for a in range(s + 1)]
+    factors = [[] for _ in range(s + 1)]
+    for p in _primes_upto(s):
+        for r in _sqrt_mod(n, p):
+            for a in range(r, s + 1, p):
+                m, e = rest[a], 0
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                rest[a] = m
+                factors[a].append((p, e))
+    rows = []  # rows[a]: the (b, c) of a >= 0, sorted by c
+    for a in range(s + 1):
+        if rest[a] > 1:
+            factors[a].append((rest[a], 1))
+        divs = [1]
+        for p, e in factors[a]:
+            powers = [p ** k for k in range(e + 1)]
+            divs = [d * q for d in divs for q in powers]
+        divs.sort()
+        m = n - a * a
+        g = math.gcd(a, n)  # gcd(a, b, c) divides a and a^2 - bc = n
+        if g > 1:
+            divs = [d for d in divs if math.gcd(g, d, m // d) == 1]
+        rows.append([(m // d, -d) for d in reversed(divs)]
+                    + [(-m // d, d) for d in divs])
+    out = [(-a, b, c) for a in range(s, 0, -1) for b, c in rows[a]]
+    out += [(a, b, c) for a in range(s + 1) for b, c in rows[a]]
     return tuple(out)
 
 

@@ -148,3 +148,25 @@ def test_audit_validates_every_image(monkeypatch):
     monkeypatch.setattr(classify, "y_triple", broken_y)
     with pytest.raises(NotDivisible):
         invariance_audit(216, ClassifierKind.MOD_8, depth=0)
+
+
+def test_mod_p_classifier_checks_p_once(monkeypatch):
+    from ambigraph import classify
+
+    calls = []
+    original = classify.odd_prime_divisors
+
+    def spy(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(classify, "odd_prime_divisors", spy)
+    triples = enumerate_ambiguous(1125).triples()
+    f = classify.classifier_for(ClassifierKind.MOD_P, 1125, 5)
+    values = [f(t) for t in triples]
+    assert calls == [5]
+    calls.clear()
+    report = invariance_audit(1125, ClassifierKind.MOD_P, p=5, depth=3)
+    assert report.ok and report.checked == 12 * len(triples)
+    assert calls == [5]  # not once per image
+    assert values == [legendre(c if c % 5 else b, 5) for a, b, c in triples]

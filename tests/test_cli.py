@@ -1,3 +1,4 @@
+import json
 import os
 import tempfile
 
@@ -225,3 +226,25 @@ def test_classify_rejects_bad_input_before_partitioning(run_cli, monkeypatch, ar
     _forbid_enumeration(monkeypatch)
     code, out = run_cli(*argv)
     assert code == 1 and out == ""
+
+
+def test_orbits_json_builds_one_element_per_orbit(monkeypatch, run_cli, golden):
+    from ambigraph import core
+
+    built = []
+    original = core.check_triple
+
+    def spy(t, n):
+        built.append(t)
+        return original(t, n)
+
+    monkeypatch.setattr(core, "check_triple", spy)  # run by every Element
+    code, out = run_cli("orbits", "216", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert 0 < len(built) <= doc["orbit_count"] == 4
+    assert sum(len(o["members"]) for o in doc["orbits"]) > 4 * len(built)
+    built.clear()
+    code, out = run_cli("orbits", "125", "--json")
+    golden("orbits_125.json", out)
+    assert len(built) <= json.loads(out)["orbit_count"]

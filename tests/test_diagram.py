@@ -192,3 +192,14 @@ def test_orbit_records_hold_triples():
                 assert [v.triple for v in rec.path.vertices] == list(
                     rec.path.triples
                 )
+
+
+def test_union_find_matches_cf_groups_up_to_300():
+    from math import isqrt
+
+    from ambigraph.cf import cf_groups
+
+    for n in range(2, 301):
+        if isqrt(n) ** 2 != n:
+            want = frozenset(frozenset(g) for g in cf_groups(n))
+            assert partition_graph(n).member_sets() == want, n

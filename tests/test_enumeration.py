@@ -1,3 +1,4 @@
+import random
 from math import gcd, isqrt as _isqrt
 
 import pytest
@@ -98,3 +99,58 @@ def test_triples_are_memoised_and_checked():
         checked_triples(49)
     with pytest.raises(LimitExceeded):
         checked_triples(1009, max_n=1000)
+
+
+def trial_division_triples(n):
+    """Reference enumeration: the signed divisors of every a^2 - n by trial
+    division, gcd-filtered and sorted by (a, c)."""
+    out = []
+    for a in range(-_isqrt(n), _isqrt(n) + 1):
+        m = a * a - n
+        for c in divisors_signed(m):
+            if gcd(gcd(a, m // c), c) == 1:
+                out.append((a, m // c, c))
+    return tuple(sorted(out, key=lambda t: (t[0], t[2])))
+
+
+def _sieve_cases():
+    rng = random.Random(0)
+    large = []
+    while len(large) < 3:
+        n = rng.randrange(10 ** 6, 10 ** 7)
+        if _isqrt(n) ** 2 != n:
+            large.append(n)
+    return large + [69984, 139968]  # 2^5 * 3^7 and 2^6 * 3^7
+
+
+def test_sieve_matches_trial_division_up_to_1500():
+    from ambigraph.enumeration import ambiguous_triples
+
+    for n in range(2, 1501):
+        if _isqrt(n) ** 2 != n:
+            assert ambiguous_triples(n) == trial_division_triples(n), n
+
+
+@pytest.mark.parametrize("n", _sieve_cases())
+def test_sieve_matches_trial_division_at_large_n(n):
+    from ambigraph.enumeration import ambiguous_triples
+
+    assert ambiguous_triples(n) == trial_division_triples(n)
+
+
+def test_sqrt_mod_against_brute_force():
+    from ambigraph.enumeration import _primes_upto, _sqrt_mod
+
+    primes = _primes_upto(300)
+    assert primes == [p for p in range(2, 301)
+                      if all(p % d for d in range(2, _isqrt(p) + 1))]
+    for p in primes:  # includes 17, 97, 193, 257: p - 1 has a high power of 2
+        for n in range(3 * p):
+            want = sorted({r for r in range(p) if (r * r - n) % p == 0})
+            assert sorted(_sqrt_mod(n, p)) == want, (n, p)
+
+
+def test_count_just_above_the_default_cap(run_cli):
+    code, out = run_cli("--max-n", "200000000", "ambiguous", "100000007",
+                        "--count-only")
+    assert code == 0 and out == "393036\n"
