@@ -20,26 +20,17 @@ from .enumeration import checked_triples
 from .errors import CycleLimitExceeded, MismatchedN
 
 
-def _floor_triple(t, s):
-    """Exact floor of (a + sqrt(n))/c given s = isqrt(n); sqrt(n) irrational."""
-    a, b, c = t
-    if c > 0:
-        return (a + s) // c
-    return (-a - s - 1) // (-c)
-
-
 def _step(t, s):
-    """One CF step: subtract the floor, then take the reciprocal."""
+    """One CF step, given s = isqrt(n): the exact floor q of (a + sqrt(n))/c
+    (sqrt(n) is irrational), and the reciprocal (-a1, -c, -b1) of
+    t - q = (a1, b1, c)."""
     a, b, c = t
-    q = _floor_triple(t, s)
-    a1 = a - q * c
-    b1 = b - 2 * a * q + q * q * c
-    # reciprocal of (a1, b1, c) is (-a1, -c, -b1)
-    return q, (-a1, -c, -b1)
+    q = (a + s) // c if c > 0 else (-a - s - 1) // (-c)
+    return q, (q * c - a, -c, 2 * a * q - q * q * c - b)
 
 
 def floor_element(e: Element) -> int:
-    return _floor_triple(e.triple, isqrt(e.n))
+    return _step(e.triple, isqrt(e.n))[0]
 
 
 def _default_limit(n):
@@ -104,41 +95,43 @@ def _cf_key(t, n, s, cache, limit):
     """Orbit key of a triple: (least cycle state, entry parity when even length).
 
     The CF step is a function, so distinct cycles share no state and the
-    least state names the cycle.  cache maps triple -> (least cycle state,
-    parity-to-it or None, length) and is shared across all elements of one
-    n, so the total work is linear in the number of distinct states rather
-    than elements times tail length.
+    least state names the cycle.  cache maps triple -> key and is shared
+    across all elements of one n, so the total work is linear in the number
+    of distinct states rather than elements times tail length.  While a walk
+    is open, cache maps each state on it to its position on the walk
+    instead, so each step costs one lookup.
     """
-    if t not in cache:
-        path = []
-        pos = {}
-        cur = t
-        while cur not in cache:
-            if cur in pos:
-                # new periodic cycle discovered
-                cyc = path[pos[cur]:]
-                length = len(cyc)
-                least = min(cyc)
-                ai = cyc.index(least)
-                for j, state in enumerate(cyc):
-                    par = ((ai - j) % length) % 2 if length % 2 == 0 else None
-                    cache[state] = (least, par, length)
-                path = path[:pos[cur]]
-                break
-            if len(path) > limit:
-                raise CycleLimitExceeded(
-                    f"no period within {limit} CF steps of {t}|{n}"
-                )
-            pos[cur] = len(path)
-            path.append(cur)
-            _, cur = _step(cur, s)
-        least, par, length = cache[cur]
-        for state in reversed(path):
-            if length % 2 == 0:
-                par = (par + 1) % 2
-            cache[state] = (least, par, length)
-    least, par, length = cache[t]
-    return (least, par)
+    key = cache.get(t)
+    if key is not None:
+        return key
+    path, cur = [], t
+    while key is None:
+        if len(path) > limit:
+            for state in path:
+                del cache[state]
+            raise CycleLimitExceeded(f"no period within {limit} CF steps of {t}|{n}")
+        cache[cur] = len(path)
+        path.append(cur)
+        a, b, c = cur  # one CF step, as in _step
+        q = (a + s) // c if c > 0 else (-a - s - 1) // (-c)
+        cur = (q * c - a, -c, 2 * a * q - q * q * c - b)
+        key = cache.get(cur)
+    if type(key) is int:
+        # the walk closed on itself: path[key:] is a new periodic cycle
+        cyc = path[key:]
+        del path[key:]
+        least = min(cyc)
+        ai = cyc.index(least)
+        even = len(cyc) % 2 == 0
+        for j, state in enumerate(cyc):
+            cache[state] = (least, (ai - j) % 2 if even else None)
+        key = cache[cur]
+    least, par = key
+    for state in reversed(path):
+        if par is not None:
+            par ^= 1
+        cache[state] = key = (least, par)
+    return key
 
 
 def cf_groups(n: int, max_n: int = None):

@@ -20,14 +20,9 @@ from .classify import (
     invariance_audit,
     odd_prime_divisors,
 )
-from .core import make_element, triple_str, value_approx
+from .core import approx_values, make_element, triple_str
 from .diagram import closed_path, export_dot, partition_graph
-from .enumeration import (
-    DEFAULT_MAX_N,
-    check_cap,
-    checked_triples,
-    enumerate_ambiguous,
-)
+from .enumeration import DEFAULT_MAX_N, check_cap, checked_triples
 from .errors import AmbigraphError, InternalInconsistency
 from .harness import (
     check_paper_examples,
@@ -86,29 +81,29 @@ def _emit(doc, out):
 # --- subcommands ---------------------------------------------------------
 
 def _cmd_ambiguous(args, out):
+    n = args.n
+    triples = checked_triples(n, args.max_n)
     if args.count_only:
-        out.write(f"{len(checked_triples(args.n, args.max_n))}\n")
+        out.write(f"{len(triples)}\n")
         return EXIT_OK
-    amb = enumerate_ambiguous(args.n, max_n=args.max_n)
     if args.json:
         _emit(
             {
                 "schema": SCHEMA_VERSION,
-                "n": _int(args.n),
-                "count": len(amb),
-                "elements": [str(e) for e in amb],
+                "n": _int(n),
+                "count": len(triples),
+                "elements": [triple_str(t, n) for t in triples],
             },
             out,
         )
     elif args.csv:
         w = csv.writer(out, lineterminator="\n")
         w.writerow(["a", "b", "c", "n"])
-        for e in amb:
-            w.writerow([e.a, e.b, e.c, e.n])
+        w.writerows((a, b, c, n) for a, b, c in triples)
     else:
-        out.write(f"{len(amb)} ambiguous numbers in Q*(sqrt({args.n}))\n")
-        for e in amb:
-            out.write(f"  {e}  ~ {value_approx(e):.6f}\n")
+        out.write(f"{len(triples)} ambiguous numbers in Q*(sqrt({n}))\n")
+        for t, value in zip(triples, approx_values(triples, n)):
+            out.write(f"  {triple_str(t, n)}  ~ {value:.6f}\n")
     return EXIT_OK
 
 

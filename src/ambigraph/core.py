@@ -52,10 +52,6 @@ def conj_triple(t):
     return (-a, -b, -c)
 
 
-def is_ambiguous_triple(t) -> bool:
-    return t[1] * t[2] < 0
-
-
 def check_triple(t, n):
     """Raise unless (a, b, c) is a valid triple of n: c != 0, bc = a^2 - n
     and gcd(a, b, c) = 1."""
@@ -153,14 +149,26 @@ def is_ambiguous(e: Element) -> bool:
     return e.b * e.c < 0
 
 
+def _scaled_sqrt(n, digits=None):
+    """(10^digits, sqrt(n) * 10^digits rounded down)."""
+    if digits is None:
+        digits = max(30, n.bit_length())
+    scale = 10 ** digits
+    return scale, isqrt(n * scale * scale)
+
+
 def value_approx(e: Element, digits: int = None) -> float:
     """Floating approximation of (a + sqrt(n))/c, for display and sorting only.
 
     sqrt(n) is computed by scaled integer square root so the Fraction
     intermediate carries enough precision regardless of the size of n.
     """
-    if digits is None:
-        digits = max(30, e.n.bit_length())
-    scale = 10 ** digits
-    root = isqrt(e.n * scale * scale)
+    scale, root = _scaled_sqrt(e.n, digits)
     return float(Fraction(e.a * scale + root, e.c * scale))
+
+
+def approx_values(triples, n):
+    """value_approx of each triple of n, with no Element or Fraction: int
+    true division is correctly rounded, as float(Fraction) is."""
+    scale, root = _scaled_sqrt(n)
+    return [(a * scale + root) / (c * scale) for a, _, c in triples]

@@ -13,14 +13,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import (
-    Element,
-    is_ambiguous,
-    is_ambiguous_triple,
-    x_triple,
-    y_triple,
-    yy_triple,
-)
+from .core import Element, is_ambiguous, x_triple
 from .enumeration import checked_triples
 from .errors import DichotomyViolation, InternalInconsistency, UnknownOrbit
 
@@ -33,23 +26,22 @@ class StepType(enum.Enum):
         return self.value
 
 
-def successor_triple(t):
-    """Triple-level successor; returns ((a,b,c), StepType)."""
-    f = x_triple(t)
-    cy = y_triple(f)
-    cyy = yy_triple(f)
-    ay = is_ambiguous_triple(cy)
-    ayy = is_ambiguous_triple(cyy)
-    if ay == ayy:
-        raise DichotomyViolation(t, cy, cyy)
-    return (cy, StepType.YX) if ay else (cyy, StepType.YYX)
+def successor_triple(t, n=None):
+    """Triple-level successor; returns ((a,b,c), StepType).  With d = b+2a+c,
+    y(x(t)) = (c+a, d, c), y^2(x(t)) = (b+a, b, d); n names n in errors."""
+    a, b, c = t
+    d = b + 2 * a + c
+    ay = d * c < 0
+    if ay == (b * d < 0):
+        raise DichotomyViolation(t, (c + a, d, c), (b + a, b, d), n)
+    return ((c + a, d, c), StepType.YX) if ay else ((b + a, b, d), StepType.YYX)
 
 
 def successor(e: Element):
     """The unique ambiguous element among y(x(e)), y^2(x(e)), with its tag."""
     if not is_ambiguous(e):
         raise ValueError(f"successor requires an ambiguous element, got {e}")
-    t, tag = successor_triple(e.triple)
+    t, tag = successor_triple(e.triple, e.n)
     return Element.from_triple(t, e.n), tag
 
 
@@ -88,7 +80,7 @@ def closed_path(e: Element) -> ClosedPath:
     seen = {anchor: None}  # insertion-ordered: the vertices in walk order
     tags = []
     while True:
-        t, tag = successor_triple(t)
+        t, tag = successor_triple(t, e.n)
         tags.append(tag)
         if t == anchor:
             return ClosedPath(e.n, tuple(seen), tuple(tags))
@@ -156,12 +148,12 @@ class OrbitPartition:
 def partition_from_groups(n, groups) -> OrbitPartition:
     """Orbit partition from groups of member triples.
 
-    Each group must equal the closed path of its least member together with
-    the x-images of the path vertices.
+    Members, and groups by first member, come in enumeration ((a, c)) order,
+    as partition_graph and cf.cf_groups give them.  Each group must equal the
+    closed path of its first member together with its vertices' x-images.
     """
     records = []
     for members in groups:
-        members = sorted(members, key=lambda t: (t[0], t[2]))
         rep = Element.from_triple(members[0], n)
         path = closed_path(rep)
         if _closure(path) != set(members):
@@ -169,7 +161,6 @@ def partition_from_groups(n, groups) -> OrbitPartition:
                 f"component of {rep} != path-plus-x-images closure"
             )
         records.append(OrbitRecord(rep, tuple(members), path))
-    records.sort(key=lambda r: (r.representative.a, r.representative.c))
     return OrbitPartition(n, tuple(records))
 
 
@@ -178,7 +169,9 @@ def partition_graph(n: int, max_n: int = None) -> OrbitPartition:
 
     Triples are named by their index in the sorted enumeration; parent[i]
     is an index, find halves the path, and the smaller index becomes the
-    root of a union.
+    root of a union.  y^2 = y^-1, so x and y edges suffice.  x is an
+    involution of the ambiguous set, taken from the end with a > 0 (or a = 0,
+    c > 0); y(t) = (b-a, b', b), b' = b-2a+c, only if ambiguous: b*b' < 0.
     """
     triples = checked_triples(n, max_n)
     index = {t: i for i, t in enumerate(triples)}
@@ -190,15 +183,25 @@ def partition_graph(n: int, max_n: int = None) -> OrbitPartition:
             i = parent[i]
         return i
 
-    for i, t in enumerate(triples):
-        for image in (x_triple(t), y_triple(t), yy_triple(t)):
-            j = index.get(image)
-            if j is not None:
-                ri, rj = find(i), find(j)
-                if ri < rj:
-                    parent[rj] = ri
-                elif rj < ri:
-                    parent[ri] = rj
+    def union(i, j):
+        ri, rj = find(i), find(j)
+        if ri < rj:
+            parent[rj] = ri
+        elif rj < ri:
+            parent[ri] = rj
+
+    try:
+        for i, (a, b, c) in enumerate(triples):
+            if a > 0 or (a == 0 and c > 0):
+                union(i, index[(-a, c, b)])
+            d = b - 2 * a + c
+            if b * d < 0:
+                union(i, index[(b - a, d, b)])
+    except KeyError as exc:
+        raise InternalInconsistency(
+            f"ambiguous image {exc.args[0]} of {(a, b, c)} is missing from "
+            f"the enumeration (n={n})"
+        ) from None
     components = {}
     for i, t in enumerate(triples):
         components.setdefault(find(i), []).append(t)
@@ -227,7 +230,7 @@ def export_dot(partition: OrbitPartition, rep_a: int, rep_c: int) -> str:
         lines.append(f'  "{t[0]},{t[1]},{t[2]}";')
     succ_edges = []
     for t in members:
-        s, tag = successor_triple(t)
+        s, tag = successor_triple(t, partition.n)
         succ_edges.append((t, s, tag.value))
     for t, s, lab in sorted(succ_edges):
         lines.append(

@@ -47,9 +47,6 @@ class AmbiguousSet:
     def __iter__(self):
         return iter(self.elements)
 
-    def __contains__(self, e):
-        return e in self.elements
-
     def triples(self):
         return [e.triple for e in self.elements]
 

@@ -85,12 +85,14 @@ class DichotomyViolation(AmbigraphError):
     verbatim instead of vanishing into a stack trace.
     """
 
-    def __init__(self, element, candidate_y, candidate_yy):
+    def __init__(self, element, candidate_y, candidate_yy, n=None):
         self.element = element
         self.candidate_y = candidate_y
         self.candidate_yy = candidate_yy
+        self.n = n
+        where = "" if n is None else f" (n={n})"
         super().__init__(
-            f"dichotomy violated at {element}: "
+            f"dichotomy violated at {element}{where}: "
             f"y-branch {candidate_y}, y2-branch {candidate_yy}"
         )
 

@@ -168,11 +168,13 @@ class VerdictReport:
 
 
 def cross_checked_partition(n: int, max_n: int = None) -> OrbitPartition:
-    """Graph and CF partitions, verified identical; CF is the trusted oracle."""
+    """Graph and CF partitions, verified identical as lists of member
+    triples in enumeration order; CF is the trusted oracle."""
     pg = partition_graph(n, max_n=max_n)
-    cf_sets = frozenset(frozenset(g) for g in cf_groups(n, max_n=max_n))
-    if pg.member_sets() != cf_sets:
-        diff = pg.member_sets() ^ cf_sets
+    graph = [rec.triples for rec in pg.orbits]
+    cf = sorted(map(tuple, cf_groups(n, max_n)), key=lambda g: (g[0][0], g[0][2]))
+    if graph != cf:
+        diff = frozenset(map(frozenset, graph)) ^ frozenset(map(frozenset, cf))
         example = sorted(min(diff, key=len))[:4]
         raise InternalInconsistency(
             f"graph and CF partitions disagree for n={n}; "

@@ -99,3 +99,24 @@ def test_psl_equivalent_matches_partition():
                 assert psl_equivalent(rep, e) == (
                     partition.orbit_of(rep) == partition.orbit_of(e)
                 ), (rep, e)
+
+
+def test_cf_key_limit_leaves_no_position_markers():
+    from ambigraph.cf import _cf_key, _default_limit
+    from ambigraph.enumeration import ambiguous_triples
+    from ambigraph.errors import CycleLimitExceeded
+
+    n = 125
+    s, limit = isqrt(n), _default_limit(n)
+    cache = {}
+    failed = 0
+    for t in ambiguous_triples(n):
+        try:
+            _cf_key(t, n, s, cache, 1)
+        except CycleLimitExceeded as exc:
+            failed += 1
+            assert f"{t}|{n}" in str(exc)
+        assert all(type(v) is tuple for v in cache.values())
+    assert 0 < failed < len(ambiguous_triples(n))  # the cache holds both
+    for t in ambiguous_triples(n):
+        assert _cf_key(t, n, s, cache, limit) == _cf_key(t, n, s, {}, limit)

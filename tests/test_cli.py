@@ -248,3 +248,33 @@ def test_orbits_json_builds_one_element_per_orbit(monkeypatch, run_cli, golden):
     code, out = run_cli("orbits", "125", "--json")
     golden("orbits_125.json", out)
     assert len(built) <= json.loads(out)["orbit_count"]
+
+
+@pytest.mark.parametrize("form", [[], ["--json"], ["--csv"], ["--count-only"]])
+def test_ambiguous_builds_no_element_per_triple(monkeypatch, run_cli, form):
+    from ambigraph import core
+
+    calls = []
+    original = core.check_triple
+
+    def spy(t, n):
+        calls.append(t)
+        return original(t, n)
+
+    monkeypatch.setattr(core, "check_triple", spy)  # run by every Element
+    code, out = run_cli("ambiguous", "1000", *form)
+    assert code == 0 and out
+    assert len(calls) <= 1
+
+
+@pytest.mark.slow
+def test_verify_at_3_to_the_17_above_the_default_cap(run_cli):
+    # n = 129140163 exceeds DEFAULT_MAX_N; about 6 s and 200 MB peak RSS
+    code, out = run_cli(
+        "--max-n", "200000000", "verify", "--theorem", "2.3", "--p", "3",
+        "--k", "17",
+    )
+    assert code == 0
+    assert out == (
+        "theorem 2.3 n=129140163: computed 2 orbits (claimed 2), pass\n"
+    )

@@ -143,3 +143,16 @@ def test_value_approx_respects_x(a, c, n):
         return
     v = value_approx(e)
     assert value_approx(apply_x(e)) == pytest.approx(-1.0 / v, rel=1e-9)
+
+
+def test_approx_values_equal_value_approx():
+    from ambigraph.core import approx_values
+    from ambigraph.enumeration import ambiguous_triples
+
+    for n in [m for m in range(2, 501) if int(m ** 0.5 + 0.5) ** 2 != m] + [
+        10000001
+    ]:
+        triples = ambiguous_triples(n)
+        assert approx_values(triples, n) == [
+            value_approx(Element.from_triple(t, n)) for t in triples
+        ], n

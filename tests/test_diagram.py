@@ -1,5 +1,6 @@
 import json
 import sys
+from math import isqrt
 
 import pytest
 
@@ -203,3 +204,53 @@ def test_union_find_matches_cf_groups_up_to_300():
         if isqrt(n) ** 2 != n:
             want = frozenset(frozenset(g) for g in cf_groups(n))
             assert partition_graph(n).member_sets() == want, n
+
+
+NONSQUARES_1500 = [n for n in range(2, 1501) if isqrt(n) ** 2 != n]
+
+
+def test_generators_on_the_ambiguous_set_up_to_1500():
+    """What the union-find relies on: x maps the ambiguous set onto itself,
+    y has order 3, and every ambiguous y image is enumerated."""
+    from ambigraph.core import x_triple, y_triple
+    from ambigraph.enumeration import ambiguous_triples
+
+    for n in NONSQUARES_1500:
+        triples = ambiguous_triples(n)
+        members = set(triples)
+        assert {x_triple(t) for t in triples} == members, n
+        for t in triples:
+            y = y_triple(t)
+            assert y_triple(y_triple(y)) == t, (n, t)
+            assert y[1] * y[2] > 0 or y in members, (n, t)
+
+
+def test_partition_graph_names_a_missing_image(monkeypatch):
+    from ambigraph import diagram
+    from ambigraph.errors import InternalInconsistency
+
+    triples = diagram.checked_triples(125)
+    gone = triples[0]  # a < 0, so it is the x image looked up from x(gone)
+    monkeypatch.setattr(
+        diagram, "checked_triples", lambda n, max_n=None: triples[1:]
+    )
+    with pytest.raises(InternalInconsistency) as info:
+        partition_graph(125)
+    assert "n=125" in str(info.value) and str(gone) in str(info.value)
+
+
+def test_dichotomy_violation_in_a_walk_names_n(monkeypatch):
+    from ambigraph import diagram
+    from ambigraph.errors import DichotomyViolation
+
+    original = diagram.successor_triple
+
+    def broken(t, n=None):
+        # (1, -1, -1) has d = b + 2a + c = 0: neither candidate is ambiguous
+        return original((1, -1, -1), n)
+
+    monkeypatch.setattr(diagram, "successor_triple", broken)
+    with pytest.raises(DichotomyViolation) as info:
+        closed_path(Element(1, -62, 2, 125))
+    assert info.value.n == 125 and info.value.element == (1, -1, -1)
+    assert "n=125" in str(info.value) and "(1, -1, -1)" in str(info.value)

@@ -161,3 +161,26 @@ def test_verify_case_passes_its_cap_to_resolve_rep(monkeypatch):
     monkeypatch.setattr(harness, "resolve_rep", spy)
     verify_case(make_case("2.9", 3, 5, 3), max_n=10 ** 6)
     assert seen == [10 ** 6] * 4
+
+
+def test_cross_check_compares_partitions_not_group_order(monkeypatch, run_cli):
+    from ambigraph import harness
+    from ambigraph.cf import cf_groups
+    from ambigraph.diagram import partition_graph
+    from ambigraph.errors import InternalInconsistency
+
+    groups = [list(g) for g in cf_groups(216)]
+    assert len(groups) == 4
+    monkeypatch.setattr(harness, "cf_groups", lambda n, max_n=None: groups[::-1])
+    partition = harness.cross_checked_partition(216)
+    assert partition.member_sets() == partition_graph(216).member_sets()
+
+    merged = sorted(groups[0] + groups[1], key=lambda t: (t[0], t[2]))
+    monkeypatch.setattr(
+        harness, "cf_groups", lambda n, max_n=None: [merged] + groups[2:]
+    )
+    with pytest.raises(InternalInconsistency) as info:
+        harness.cross_checked_partition(216)
+    assert "n=216" in str(info.value)
+    code, out = run_cli("orbits", "216")
+    assert code == 3 and out == ""
