@@ -45,6 +45,7 @@ from .words import (
     Word,
     check_word_fixes,
     circuit_from_path,
+    circuit_from_word,
     fixed_quadratic,
     mobius_apply,
     parse_word,

@@ -41,18 +41,23 @@ def _default_limit(n):
 class Expansion:
     """Eventually periodic CF expansion with exact tail states.
 
-    preperiod + cycle are the partial quotients; cycle_states[i] is the exact
-    tail whose expansion is the cycle rotated to start at position i.
+    preperiod + cycle are the partial quotients; cycle_triples[i] is the
+    exact tail whose expansion is the cycle rotated to start at position i.
     """
 
+    n: int
     preperiod: tuple
     cycle: tuple
-    cycle_states: tuple  # Elements, aligned with cycle
+    cycle_triples: tuple  # aligned with cycle
     entry_index: int
 
     @property
     def quotients(self):
         return self.preperiod + self.cycle
+
+    @property
+    def cycle_states(self):
+        return tuple(Element.from_triple(t, self.n) for t in self.cycle_triples)
 
 
 def cf_expand(e: Element, limit: int = None) -> Expansion:
@@ -73,9 +78,10 @@ def cf_expand(e: Element, limit: int = None) -> Expansion:
         quotients.append(q)
     entry = seen[t]
     return Expansion(
+        n=n,
         preperiod=tuple(quotients[:entry]),
         cycle=tuple(quotients[entry:]),
-        cycle_states=tuple(Element.from_triple(u, n) for u in states[entry:]),
+        cycle_triples=tuple(states[entry:]),
         entry_index=entry,
     )
 

@@ -6,7 +6,9 @@ invariant broke).  All output is deterministic for fixed inputs.
 """
 
 import argparse
+import contextlib
 import csv
+import functools
 import io
 import json
 import sys
@@ -31,7 +33,8 @@ from .harness import (
     sweep,
     verify_case,
 )
-from .words import check_word_fixes, circuit_from_path, parse_word, path_word
+from .words import (check_word_fixes, circuit_from_path, circuit_from_word,
+                    parse_word, path_word)
 
 SCHEMA_VERSION = 1
 _I64 = 2 ** 63 - 1
@@ -58,8 +61,8 @@ def _classes_of(e):
 
 
 def _orbit_dict(rec, n):
-    circuit = circuit_from_path(rec.path)
     word = path_word(rec.path)
+    circuit = circuit_from_word(word)
     return {
         "n": _int(n),
         "rep": str(rec.representative),
@@ -192,7 +195,7 @@ def _cmd_cf(args, out):
     x = cf_expand(e)
     out.write(f"preperiod {list(x.preperiod)}\n")
     out.write(f"cycle {list(x.cycle)}\n")
-    out.write(f"cycle states {[str(s) for s in x.cycle_states]}\n")
+    out.write(f"cycle states {[triple_str(t, e.n) for t in x.cycle_triples]}\n")
     return EXIT_OK
 
 
@@ -212,8 +215,8 @@ def _cmd_circuit(args, out):
     check_cap(args.n, args.max_n)
     e = make_element(a, c, args.n)
     path = closed_path(e)
-    circuit = circuit_from_path(path)
     word = path_word(path)
+    circuit = circuit_from_word(word)
     verdict = check_word_fixes(word, e)
     out.write(f"path length {len(path)}\n")
     out.write("vertices " + " ".join(triple_str(t, e.n) for t in path.triples)
@@ -399,7 +402,10 @@ def _parse_rep_with_n(text):
         raise AmbigraphError(f"expected 'a,c|n', got {text!r}") from exc
 
 
+@functools.cache
 def build_parser():
+    """Built once per process: parse_args returns a fresh Namespace, no
+    default is mutable and each func is a fixed _cmd_* function."""
     parser = argparse.ArgumentParser(
         prog="ambigraph",
         description="Orbits of real quadratic irrationals under the modular group",
@@ -467,8 +473,9 @@ def build_parser():
     s.add_argument("--p", required=True, help="comma list of odd primes")
     s.add_argument("--k", required=True, help="comma list of exponents")
     s.add_argument("--l", required=True, help="comma list of powers of two")
-    s.add_argument("--json", action="store_true")
-    s.add_argument("--csv", action="store_true")
+    fmt = s.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true")
+    fmt.add_argument("--csv", action="store_true")
     s.add_argument("-o", "--output", default=None)
     s.set_defaults(func=_cmd_sweep)
 
@@ -483,9 +490,9 @@ def build_parser():
 
 def dispatch(argv, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out):  # --help and --version
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:

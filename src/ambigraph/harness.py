@@ -20,7 +20,7 @@ from .diagram import OrbitPartition, closed_path, partition_graph
 from .cf import cf_groups
 from .enumeration import checked_triples
 from .errors import AmbigraphError, InternalInconsistency
-from .words import check_word_fixes, circuit_from_path, parse_word, path_word
+from .words import check_word_fixes, circuit_from_word, parse_word, path_word
 
 THEOREM_L = {"2.1": 0, "2.3": 0, "2.5": 1, "2.6": 1, "2.7": 2, "2.8": 2}
 _P_MOD4 = {"2.1": 1, "2.3": 3, "2.5": 1, "2.6": 3, "2.7": 1, "2.8": 3}
@@ -328,14 +328,14 @@ def check_paper_examples(max_n: int = None) -> ExamplesReport:
     w4 = parse_word(EXAMPLE_2_4_WORD)
     v_pos = check_word_fixes(w4, make_element(0, 1, 243))
     v_neg = check_word_fixes(w4, make_element(0, -1, 243))
-    path = closed_path(make_element(0, 1, 243))
+    word = path_word(closed_path(make_element(0, 1, 243)))
     findings.append(
         Finding(
             "sqrt(3^5) example word fixes 3^2*sqrt(3) and its -1 companion",
             v_pos.fixes and v_neg.fixes,
             details={
-                "stabilizer_word": str(path_word(path)),
-                "circuit": circuit_from_path(path).exponents,
+                "stabilizer_word": str(word),
+                "circuit": circuit_from_word(word).exponents,
             },
         )
     )

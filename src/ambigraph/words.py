@@ -12,6 +12,8 @@ Matrices are projective: M and -M are the same group element.
 
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate, groupby
+from operator import itemgetter
 
 from .core import Element
 from .diagram import ClosedPath, StepType, closed_path
@@ -47,19 +49,20 @@ _BLOCK_RE = re.compile(r"\(\s*(y\^?2x|yx)\s*\)\s*(?:\^\s*(?:\{(\d+)\}|(\d+)))?")
 _RAW_RE = re.compile(r"y\^?2x|yyx|yx")
 
 
-def _merge_blocks(raw_blocks, notice_on_merge):
-    blocks = []
-    notices = []
-    for t, m in raw_blocks:
-        if blocks and blocks[-1][0] is t:
-            blocks[-1] = (t, blocks[-1][1] + m)
-            if notice_on_merge:
-                notices.append(
-                    f"merged adjacent ({t})-blocks into ({t})^{blocks[-1][1]}"
-                )
-        else:
-            blocks.append((t, m))
+def _merge_blocks(raw_blocks):
+    """Merge adjacent same-type blocks by exponent addition, noting each."""
+    blocks, notices = [], []
+    for t, run in groupby(raw_blocks, itemgetter(0)):
+        totals = list(accumulate(m for _, m in run))
+        blocks.append((t, totals[-1]))
+        notices += [f"merged adjacent ({t})-blocks into ({t})^{m}"
+                    for m in totals[1:]]
     return Word(tuple(blocks), tuple(notices))
+
+
+def _unit_word(types):
+    """The word of a sequence of single steps: one block per run of a type."""
+    return Word(tuple((t, len(list(run))) for t, run in groupby(types)))
 
 
 def parse_word(text: str) -> Word:
@@ -84,18 +87,17 @@ def parse_word(text: str) -> Word:
             pos = m.end()
             while pos < len(s) and s[pos].isspace():
                 pos += 1
-        return _merge_blocks(raw_blocks, notice_on_merge=True)
+        return _merge_blocks(raw_blocks)
     # raw generator string: greedy scan of yx / yyx / y2x tokens
-    raw_blocks = []
+    tags = []
     pos = 0
     while pos < len(s):
         m = _RAW_RE.match(s, pos)
         if m is None:
             raise ParseError(f"cannot parse raw word at position {pos}: {s[pos:]!r}", pos)
-        tag = StepType.YX if m.group(0) == "yx" else StepType.YYX
-        raw_blocks.append((tag, 1))
+        tags.append(StepType.YX if m.group(0) == "yx" else StepType.YYX)
         pos = m.end()
-    return _merge_blocks(raw_blocks, notice_on_merge=False)
+    return _unit_word(tags)
 
 
 @dataclass(frozen=True)
@@ -211,20 +213,24 @@ def canonical_circuit(exponents, start: StepType) -> Circuit:
 def path_word(path: ClosedPath) -> Word:
     """Anchored word read off a closed path; evaluating it on the anchor
     returns the anchor.  The first and last blocks may share a type."""
-    return _merge_blocks(((t, 1) for t in path.step_types), notice_on_merge=False)
+    return _unit_word(path.step_types)
 
 
-def circuit_from_path(path: ClosedPath) -> Circuit:
-    """Cyclic run-length encoding of the path's step types: the blocks of
-    its word, with the last block folded into the first when they share a
-    type."""
-    blocks = list(path_word(path).blocks)
-    if len(blocks) == 1:
-        raise OddBlockCount("closed path uses a single step type")
+def circuit_from_word(word: Word) -> Circuit:
+    """Cyclic run-length encoding of an anchored word: its blocks, with the
+    last block folded into the first when they share a type."""
+    blocks = list(word.blocks)
+    if len(blocks) < 2:
+        raise OddBlockCount("a circuit needs both step types")
     if blocks[0][0] is blocks[-1][0]:
         t, m = blocks.pop()
         blocks[0] = (t, blocks[0][1] + m)
     return canonical_circuit([m for _, m in blocks], blocks[0][0])
+
+
+def circuit_from_path(path: ClosedPath) -> Circuit:
+    """The circuit of a closed path's word."""
+    return circuit_from_word(path_word(path))
 
 
 def stabilizer_word(e: Element) -> Word:

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -133,6 +135,79 @@ def test_usage_errors(run_cli):
     assert code == 1
     code, _ = run_cli("equivalent", "0,1", "bogus", "--n", "5")
     assert code == 1
+    code, out = run_cli("sweep", "--p", "3", "--k", "3", "--l", "0", "--json", "--csv")
+    assert code == 1 and out == ""
+
+
+def test_parser_is_built_once_per_process(run_cli):
+    from ambigraph.cli import build_parser
+
+    build_parser.cache_clear()
+    for argv in (("ambiguous", "5", "--count-only"), ("orbits", "5"),
+                 ("orbits",), ("--version",), ("cf", "0,1|5")):
+        run_cli(*argv)
+    assert build_parser.cache_info().misses == 1
+
+
+def test_reused_parser_carries_nothing_between_calls(run_cli, golden):
+    code, out = run_cli("orbits", "125", "--json")
+    assert code == 0
+    golden("orbits_125.json", out)
+    code, out = run_cli("orbits", "5")
+    assert code == 0
+    golden("orbits_5.txt", out)
+
+    code, out = run_cli("--max-n", "10", "orbits", "125")
+    assert code == 1 and out == ""
+    code, out = run_cli("orbits", "125")
+    assert code == 0 and out.startswith("2 orbits of ambiguous numbers for n=125")
+
+    code, out = run_cli("orbits")
+    assert code == 1 and out == ""
+    code, out = run_cli("circuit", "125", "--rep=-1,2")
+    assert code == 0
+    assert out.splitlines()[0] == "path length 22"
+    assert out.splitlines()[-1] == "word fixes anchor: True"
+
+    code, out = run_cli("classify", "216", "--mod8", "--json")
+    assert code == 0
+    golden("classify_216.json", out)
+    code, out = run_cli("classify", "125", "--mod-p", "5", "--json")
+    assert code == 0
+    golden("classify_125.json", out)
+    doc = json.loads(out)
+    assert [a["kind"] for a in doc["audits"]] == ["mod_p"]
+    assert "occupancy_mod8" not in doc
+
+
+def test_help_and_version_are_written_to_out(run_cli, capsys):
+    from ambigraph import __version__
+
+    code, out = run_cli("--version")
+    assert code == 0 and out == f"{__version__}\n"
+    code, out = run_cli("orbits", "--help")
+    assert code == 0 and out.startswith("usage: ambigraph orbits")
+    assert "--method" in out
+    assert capsys.readouterr().out == ""
+
+
+def test_console_entry_point():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    cmd = [sys.executable, "-m", "ambigraph.cli"]
+    done = subprocess.run(cmd + ["orbits", "125", "--json"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    with open(os.path.join(os.path.dirname(__file__), "golden",
+                           "orbits_125.json")) as fh:
+        assert done.stdout == fh.read()
+    done = subprocess.run(cmd + ["orbits", "4"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error:")
 
 
 def test_outputs_are_deterministic(run_cli):
@@ -248,6 +323,25 @@ def test_orbits_json_builds_one_element_per_orbit(monkeypatch, run_cli, golden):
     code, out = run_cli("orbits", "125", "--json")
     golden("orbits_125.json", out)
     assert len(built) <= json.loads(out)["orbit_count"]
+
+
+def test_cf_builds_only_the_parsed_element(monkeypatch, run_cli):
+    from ambigraph import core
+
+    built = []
+    original = core.check_triple
+
+    def spy(t, n):
+        built.append(t)
+        return original(t, n)
+
+    monkeypatch.setattr(core, "check_triple", spy)  # run by every Element
+    code, out = run_cli("cf", "--", "-60,65717|200751")
+    assert code == 0
+    states = out.splitlines()[2]
+    assert states.startswith("cycle states ['447,-3,314|200751', ")
+    assert states.count("|200751") > 100
+    assert built == [(-60, -3, 65717)]
 
 
 @pytest.mark.parametrize("form", [[], ["--json"], ["--csv"], ["--count-only"]])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from ambigraph.core import make_element
 from ambigraph.diagram import StepType, closed_path
 from ambigraph.enumeration import enumerate_ambiguous
-from ambigraph.errors import ParseError
+from ambigraph.errors import OddBlockCount, ParseError
 from ambigraph.words import (
     IDENTITY_WORD,
     MAT_X,
@@ -17,6 +17,7 @@ from ambigraph.words import (
     canonical_circuit,
     check_word_fixes,
     circuit_from_path,
+    circuit_from_word,
     fixed_quadratic,
     mobius_apply,
     parse_word,
@@ -38,6 +39,18 @@ def test_parse_word_merges_adjacent_blocks_with_notice():
     w = parse_word("(yx)^5(yx)^22")
     assert w.blocks == ((StepType.YX, 27),)
     assert w.notices
+
+
+def test_parse_word_notes_each_merge_with_its_running_total():
+    w = parse_word("(yx)^1(yx)^2(yx)^3(y^2x)(y^2x)(yx)")
+    assert str(w) == "(yx)^6(y2x)^2(yx)^1"
+    assert w.notices == (
+        "merged adjacent (yx)-blocks into (yx)^3",
+        "merged adjacent (yx)-blocks into (yx)^6",
+        "merged adjacent (y2x)-blocks into (y2x)^2",
+    )
+    assert parse_word("yxyxy2xyyxyx") == parse_word("(yx)^2(y^2x)^2(yx)")
+    assert parse_word("yxyxy2xyyxyx").notices == ()
 
 
 def test_parse_word_raw_string():
@@ -116,6 +129,15 @@ def test_circuit_examples():
     assert c.exponents == (1, 1)
     c = circuit_from_path(closed_path(make_element(0, 1, 243)))
     assert c == canonical_circuit((30, 1, 1, 2, 3, 15, 3, 2, 1, 1), StepType.YX)
+
+
+def test_circuit_from_word_folds_the_ends_and_needs_both_types():
+    w = parse_word("(yx)^5(y^2x)^11(yx)^6")
+    assert circuit_from_word(w).exponents == (11, 11)
+    assert circuit_from_word(w).start is StepType.YX
+    for bad in (IDENTITY_WORD, parse_word("(yx)^3")):
+        with pytest.raises(OddBlockCount):
+            circuit_from_word(bad)
 
 
 def test_stabilizer_word_examples():
