@@ -14,6 +14,7 @@ import enum
 import random
 from collections import Counter
 from dataclasses import dataclass
+from math import gcd
 
 from .core import Element, check_triple, x_triple, y_triple, yy_triple
 from .enumeration import checked_triples
@@ -56,17 +57,12 @@ def odd_prime_divisors(n: int):
     return out
 
 
-def _euler(u: int, p: int) -> int:
-    """Euler's criterion u^((p-1)/2) mod p as -1, 0 or 1; p is not checked."""
-    r = pow(u, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
-
-
 def legendre(u: int, p: int) -> int:
     """Legendre symbol (u/p) by Euler's criterion."""
     if p < 3 or odd_prime_divisors(p) != [p]:
         raise NotOddPrime(f"{p} is not an odd prime")
-    return _euler(u, p)
+    r = pow(u, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
 
 
 def classifier_for(kind: ClassifierKind, n: int, p: int = None):
@@ -74,28 +70,36 @@ def classifier_for(kind: ClassifierKind, n: int, p: int = None):
 
     Both classifiers take the symbol of c unless m | c, else that of b, with
     m = p and the Legendre symbol mod p, or m = 2 and symbol . mod 8.  n and
-    p are checked here, once, so the symbol applies Euler's criterion
-    directly.
+    p are checked here, once, so each closure applies its symbol directly:
+    Euler's criterion on the residue, or the low three bits.
     """
     if kind is ClassifierKind.MOD_P:
         legendre(1, p)  # raises NotOddPrime unless p is an odd prime
         if n % p != 0:
             raise PNotDividesN(f"p={p} does not divide n={n}")
-        m, symbol = p, lambda u: _euler(u, p)
+        half = (p - 1) // 2
+
+        def classify(t):
+            a, b, c = t
+            r = c % p or b % p
+            if r:
+                return -1 if pow(r, half, p) == p - 1 else 1
+            raise InternalInconsistency(
+                f"{p} divides both b and c of primitive {a},{b},{c}|{n}"
+            )
     else:
         if n % 8 != 0:
             raise NNotDivisibleBy8(f"n={n} is not divisible by 8")
-        m, symbol = 2, lambda u: u % 8
 
-    def classify(t):
-        a, b, c = t
-        if c % m != 0:
-            return symbol(c)
-        if b % m != 0:
-            return symbol(b)
-        raise InternalInconsistency(
-            f"{m} divides both b and c of primitive {a},{b},{c}|{n}"
-        )
+        def classify(t):
+            a, b, c = t
+            if c & 1:
+                return c & 7
+            if b & 1:
+                return b & 7
+            raise InternalInconsistency(
+                f"2 divides both b and c of primitive {a},{b},{c}|{n}"
+            )
 
     return classify
 
@@ -134,28 +138,35 @@ def invariance_audit(
 ) -> AuditReport:
     """Check class(g.e) == class(e) for g in {x, y, y^2} over the whole
     ambiguous set and along depth random generator extensions of each element.
-    Every image is validated as a triple of n; Elements are built only for
-    the violations.
+    Each round validates the three images (c = 0 fails bc = a^2 - n, n being
+    nonsquare; check_triple raises on a failure) and steps onto one of them,
+    drawn as randrange(3) draws it: getrandbits(2), redrawn on 3.  Elements
+    are built only for the violations.
     """
     if depth < 0:
         raise ValueError(f"audit depth must be >= 0, got {depth}")
     classify = classifier_for(kind, n, p)
-    generators = (("x", x_triple), ("y", y_triple), ("y2", yy_triple))
-    rng = random.Random(seed)
+    names = ("x", "y", "y2")
+    getrandbits = random.Random(seed).getrandbits
     violations = []
     checked = 0
     for t in checked_triples(n, max_n):
         cur = t
         expected = classify(cur)
         for _ in range(depth + 1):
-            for name, g in generators:
-                image = g(cur)
-                check_triple(image, n)
-                checked += 1
+            images = (x_triple(cur), y_triple(cur), yy_triple(cur))
+            for name, image in zip(names, images):
+                a, b, c = image
+                if b * c != a * a - n or gcd(a, b, c) != 1:
+                    check_triple(image, n)
                 if classify(image) != expected:
                     violations.append((Element.from_triple(cur, n), name,
                                        Element.from_triple(image, n)))
-            cur = generators[rng.randrange(3)][1](cur)
+            checked += 3
+            r = getrandbits(2)
+            while r == 3:
+                r = getrandbits(2)
+            cur = images[r]
     return AuditReport(
         n, kind, p or 0, depth, checked, tuple(violations)
     )

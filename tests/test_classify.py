@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ambigraph.classify import (
@@ -5,13 +7,29 @@ from ambigraph.classify import (
     class_mod8,
     class_mod_p,
     class_occupancy,
+    classifier_for,
     invariance_audit,
     legendre,
 )
-from ambigraph.core import Element, apply_x, apply_y, apply_yy, make_element
+from ambigraph.core import (
+    Element,
+    apply_x,
+    apply_y,
+    apply_yy,
+    check_triple,
+    make_element,
+    x_triple,
+    y_triple,
+    yy_triple,
+)
 from ambigraph.diagram import partition_graph
 from ambigraph.enumeration import enumerate_ambiguous
-from ambigraph.errors import NNotDivisibleBy8, NotOddPrime, PNotDividesN
+from ambigraph.errors import (
+    InternalInconsistency,
+    NNotDivisibleBy8,
+    NotOddPrime,
+    PNotDividesN,
+)
 
 
 def test_legendre():
@@ -170,3 +188,70 @@ def test_mod_p_classifier_checks_p_once(monkeypatch):
     assert report.ok and report.checked == 12 * len(triples)
     assert calls == [5]  # not once per image
     assert values == [legendre(c if c % 5 else b, 5) for a, b, c in triples]
+
+
+def _images_to_depth(t, depth):
+    """t and every image of t under words of at most depth generators."""
+    layer, seen = [t], [t]
+    for _ in range(depth):
+        layer = [g(u) for u in layer for g in (x_triple, y_triple, yy_triple)]
+        seen.extend(layer)
+    return seen
+
+
+def test_direct_classifiers_match_their_definitions():
+    cases = [(125, ClassifierKind.MOD_P, 5), (250, ClassifierKind.MOD_P, 5),
+             (243, ClassifierKind.MOD_P, 3), (216, ClassifierKind.MOD_8, None),
+             (1000, ClassifierKind.MOD_8, None)]
+    for n, kind, p in cases:
+        f = classifier_for(kind, n, p)
+        triples = [u for t in enumerate_ambiguous(n).triples()
+                   for u in _images_to_depth(t, 3)]
+        assert any(min(u) < -n for u in triples) and any(max(u) > n for u in triples)
+        for a, b, c in triples:
+            if kind is ClassifierKind.MOD_P:
+                assert f((a, b, c)) == legendre(c if c % p else b, p)
+            else:
+                assert f((a, b, c)) == (c if c % 2 else b) % 8
+
+
+def test_classifiers_name_n_and_the_triple_when_m_divides_b_and_c():
+    with pytest.raises(InternalInconsistency, match=r"0,-25,5\|125"):
+        classifier_for(ClassifierKind.MOD_P, 125, 5)((0, -25, 5))
+    with pytest.raises(InternalInconsistency, match=r"0,-108,2\|216"):
+        classifier_for(ClassifierKind.MOD_8, 216)((0, -108, 2))
+
+
+def _reference_walk(n, depth, seed):
+    """The audit's walk by its plain rule: validate every image, then step
+    with a fresh generator call chosen by randrange(3)."""
+    generators = (("x", x_triple), ("y", y_triple), ("y2", yy_triple))
+    rng = random.Random(seed)
+    images = []
+    for t in enumerate_ambiguous(n).triples():
+        cur = t
+        for _ in range(depth + 1):
+            for name, g in generators:
+                image = g(cur)
+                check_triple(image, n)
+                images.append((t, cur, name, image))
+            cur = generators[rng.randrange(3)][1](cur)
+    return images
+
+
+@pytest.mark.parametrize("depth", [0, 1, 5])
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("n,kind,p", [(216, ClassifierKind.MOD_8, None),
+                                      (1125, ClassifierKind.MOD_P, 5)])
+def test_audit_walk_is_pinned(monkeypatch, n, kind, p, depth, seed):
+    from ambigraph import classify
+
+    # with the triple itself as its class, every image but the start is a
+    # violation, so the violations spell out the whole walk
+    monkeypatch.setattr(classify, "classifier_for", lambda kind, n, p=None: tuple)
+    report = invariance_audit(n, kind, p=p, depth=depth, seed=seed)
+    walk = _reference_walk(n, depth, seed)
+    assert report.checked == len(walk)
+    assert [(e.triple, name, image.triple) for e, name, image in report.violations] == [
+        (cur, name, image) for t, cur, name, image in walk if image != t
+    ]

@@ -131,6 +131,46 @@ def test_circuit_examples():
     assert c == canonical_circuit((30, 1, 1, 2, 3, 15, 3, 2, 1, 1), StepType.YX)
 
 
+def least_even_rotation(exponents):
+    """The quadratic reference: every even rotation, compared in full."""
+    return min(exponents[i:] + exponents[:i] for i in range(0, len(exponents), 2))
+
+
+@st.composite
+def exponent_cycles(draw):
+    # a small alphabet forces ties; a repeated unit makes the cycle periodic,
+    # also when the unit has odd length and so is not aligned to block pairs
+    unit = draw(st.lists(st.integers(1, 3), min_size=1, max_size=9))
+    seq = unit * draw(st.integers(1, 4))
+    return tuple(seq + seq if len(seq) % 2 else seq)
+
+
+@given(exponents=exponent_cycles())
+@settings(max_examples=400)
+def test_canonical_circuit_is_the_least_even_rotation(exponents):
+    quadratic = least_even_rotation(exponents)
+    for start in StepType:
+        c = canonical_circuit(exponents, start)
+        assert c.exponents == quadratic and c.start is start
+    assert canonical_circuit(list(exponents), StepType.YX).exponents == quadratic
+
+
+@pytest.mark.parametrize(
+    "exponents",
+    [(2, 2), (5, 5, 5, 5, 5, 5), (1, 2, 1, 2, 1, 2), (2, 1, 2, 1, 1, 2, 1, 2),
+     (1, 1, 2, 1, 1, 2), (3, 1, 1, 3, 1, 1, 3, 1)],
+)
+def test_canonical_circuit_ties(exponents):
+    expected = least_even_rotation(exponents)
+    assert canonical_circuit(exponents, StepType.YX).exponents == expected
+
+
+def test_canonical_circuit_needs_an_even_block_count():
+    for odd in ((1,), (1, 2, 3), (4, 4, 4, 4, 4)):
+        with pytest.raises(OddBlockCount):
+            canonical_circuit(odd, StepType.YX)
+
+
 def test_circuit_from_word_folds_the_ends_and_needs_both_types():
     w = parse_word("(yx)^5(y^2x)^11(yx)^6")
     assert circuit_from_word(w).exponents == (11, 11)
