@@ -14,9 +14,8 @@ import enum
 import random
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd
 
-from .core import Element, check_triple, x_triple, y_triple, yy_triple
+from .core import Element, check_triples, x_triple, y_triple, yy_triple
 from .enumeration import checked_triples
 from .errors import (
     InternalInconsistency,
@@ -138,10 +137,10 @@ def invariance_audit(
 ) -> AuditReport:
     """Check class(g.e) == class(e) for g in {x, y, y^2} over the whole
     ambiguous set and along depth random generator extensions of each element.
-    Each round validates the three images (c = 0 fails bc = a^2 - n, n being
-    nonsquare; check_triple raises on a failure) and steps onto one of them,
-    drawn as randrange(3) draws it: getrandbits(2), redrawn on 3.  Elements
-    are built only for the violations.
+    Each round of a walk builds the three images once and steps onto one of
+    them, drawn as randrange(3) draws it: getrandbits(2), redrawn on 3.  The
+    walk's images are then validated as triples of n, in order, and
+    classified.  Elements are built only for the violations.
     """
     if depth < 0:
         raise ValueError(f"audit depth must be >= 0, got {depth}")
@@ -152,21 +151,22 @@ def invariance_audit(
     checked = 0
     for t in checked_triples(n, max_n):
         cur = t
-        expected = classify(cur)
+        states, images = [], []
         for _ in range(depth + 1):
-            images = (x_triple(cur), y_triple(cur), yy_triple(cur))
-            for name, image in zip(names, images):
-                a, b, c = image
-                if b * c != a * a - n or gcd(a, b, c) != 1:
-                    check_triple(image, n)
-                if classify(image) != expected:
-                    violations.append((Element.from_triple(cur, n), name,
-                                       Element.from_triple(image, n)))
-            checked += 3
+            step = (x_triple(cur), y_triple(cur), yy_triple(cur))
+            states.append(cur)
+            images += step
             r = getrandbits(2)
             while r == 3:
                 r = getrandbits(2)
-            cur = images[r]
+            cur = step[r]
+        check_triples(images, n)
+        expected = classify(t)
+        for i, image in enumerate(images):
+            if classify(image) != expected:
+                violations.append((Element.from_triple(states[i // 3], n),
+                                   names[i % 3], Element.from_triple(image, n)))
+        checked += len(images)
     return AuditReport(
         n, kind, p or 0, depth, checked, tuple(violations)
     )

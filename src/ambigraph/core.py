@@ -64,6 +64,15 @@ def check_triple(t, n):
         raise NotPrimitive(f"gcd(a,b,c) > 1 for ({a},{b},{c}|{n})")
 
 
+def check_triples(ts, n):
+    """check_triple on each triple of ts in turn, in one call: a valid triple
+    costs one test, and the first that fails raises check_triple's error."""
+    for t in ts:
+        a, b, c = t
+        if not c or b * c != a * a - n or gcd(a, b, c) != 1:
+            check_triple(t, n)
+
+
 def triple_str(t, n) -> str:
     """The wire form "a,b,c|n" of the triple t of n."""
     a, b, c = t

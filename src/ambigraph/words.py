@@ -203,23 +203,11 @@ class Circuit:
 
 def canonical_circuit(exponents, start: StepType) -> Circuit:
     k = len(exponents)
-    if k % 2 != 0:
-        raise OddBlockCount(f"circuit needs an even block count, got {k}")
-    # The least even rotation is the least rotation of the block pairs; it
-    # starts at the last Lyndon factor of the doubled pairs that begins in the
-    # first copy (Duval's factorization, linear time).
+    if k == 0 or k % 2 != 0:
+        raise OddBlockCount(f"circuit needs a positive even block count, got {k}")
     exponents = tuple(exponents)
-    s = list(zip(exponents[::2], exponents[1::2])) * 2
-    h = k // 2
-    i = best = 0
-    while i < h:
-        best, j, m = i, i + 1, i
-        while j < k and s[m] <= s[j]:
-            m = i if s[m] < s[j] else m + 1
-            j += 1
-        while i <= m:
-            i += j - m
-    return Circuit(exponents[2 * best:] + exponents[:2 * best], start)
+    best = min(exponents[i:] + exponents[:i] for i in range(0, k, 2))
+    return Circuit(best, start)
 
 
 def path_word(path: ClosedPath) -> Word:

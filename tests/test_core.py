@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ambigraph.core import (
@@ -7,6 +7,8 @@ from ambigraph.core import (
     apply_x,
     apply_y,
     apply_yy,
+    check_triple,
+    check_triples,
     conjugate,
     is_ambiguous,
     make_element,
@@ -14,6 +16,7 @@ from ambigraph.core import (
 )
 from ambigraph.enumeration import enumerate_ambiguous
 from ambigraph.errors import (
+    AmbigraphError,
     NonPositiveN,
     NotDivisible,
     NotPrimitive,
@@ -156,3 +159,33 @@ def test_approx_values_equal_value_approx():
         assert approx_values(triples, n) == [
             value_approx(Element.from_triple(t, n)) for t in triples
         ], n
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except AmbigraphError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def triple_lists(draw):
+    # b = (a^2 - n) // c, sometimes shifted, so that valid triples, c = 0,
+    # bc != a^2 - n and imprimitive triples (n = 8, say) all occur
+    n = draw(st.integers(1, 150))
+    triples = []
+    for _ in range(draw(st.integers(0, 6))):
+        a, c = draw(st.integers(-12, 12)), draw(st.integers(-12, 12))
+        b = (a * a - n) // c if c else draw(st.integers(-12, 12))
+        triples.append((a, b + draw(st.sampled_from((0, 0, 0, 1))), c))
+    return triples, n
+
+
+@given(case=triple_lists())
+@example(case=([(2, 1, 0)], 4))  # bc = a^2 - n holds with c = 0 for square n
+@settings(max_examples=500)
+def test_check_triples_is_check_triple_on_each(case):
+    triples, n = case
+    first_failure = next(filter(None, (_outcome(check_triple, t, n) for t in triples)), None)
+    assert _outcome(check_triples, triples, n) == first_failure

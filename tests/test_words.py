@@ -132,7 +132,7 @@ def test_circuit_examples():
 
 
 def least_even_rotation(exponents):
-    """The quadratic reference: every even rotation, compared in full."""
+    """The reference: every even rotation, compared in full."""
     return min(exponents[i:] + exponents[:i] for i in range(0, len(exponents), 2))
 
 
@@ -166,9 +166,9 @@ def test_canonical_circuit_ties(exponents):
 
 
 def test_canonical_circuit_needs_an_even_block_count():
-    for odd in ((1,), (1, 2, 3), (4, 4, 4, 4, 4)):
+    for bad in ((), (1,), (1, 2, 3), (4, 4, 4, 4, 4)):
         with pytest.raises(OddBlockCount):
-            canonical_circuit(odd, StepType.YX)
+            canonical_circuit(bad, StepType.YX)
 
 
 def test_circuit_from_word_folds_the_ends_and_needs_both_types():
