@@ -37,6 +37,29 @@ def _default_limit(n):
     return max(4096, 8 * (isqrt(n) + 1) * 16)
 
 
+def _reduced(t, s):
+    """(a + sqrt(n))/c > 1 with its conjugate in (-1, 0), given s = isqrt(n).
+    By Galois' theorem these are exactly the states whose CF is purely
+    periodic, so a walk reaches its cycle at its first reduced state."""
+    a, _, c = t
+    return 0 <= s - a < c <= s + a
+
+
+def _cycle(t, s, limit, origin):
+    """The CF cycle through a reduced t: its states from t on and their
+    quotients, up to the step that returns to t.  origin names the walk's
+    start in the limit error."""
+    states, quotients, cur = [], [], t
+    while True:
+        if len(states) > limit:
+            raise CycleLimitExceeded(f"no period within {limit} CF steps of {origin}")
+        states.append(cur)
+        q, cur = _step(cur, s)
+        quotients.append(q)
+        if cur == t:
+            return states, quotients
+
+
 @dataclass(frozen=True)
 class Expansion:
     """Eventually periodic CF expansion with exact tail states.
@@ -65,24 +88,19 @@ def cf_expand(e: Element, limit: int = None) -> Expansion:
     s = isqrt(n)
     if limit is None:
         limit = _default_limit(n)
-    seen = {}
-    states = []
-    quotients = []
-    t = e.triple
-    while t not in seen:
-        if len(states) > limit:
+    preperiod, t = [], e.triple
+    while not _reduced(t, s):
+        if len(preperiod) > limit:
             raise CycleLimitExceeded(f"no period within {limit} CF steps of {e}")
-        seen[t] = len(states)
-        states.append(t)
         q, t = _step(t, s)
-        quotients.append(q)
-    entry = seen[t]
+        preperiod.append(q)
+    states, cycle = _cycle(t, s, limit, e)
     return Expansion(
         n=n,
-        preperiod=tuple(quotients[:entry]),
-        cycle=tuple(quotients[entry:]),
-        cycle_triples=tuple(states[entry:]),
-        entry_index=entry,
+        preperiod=tuple(preperiod),
+        cycle=tuple(cycle),
+        cycle_triples=tuple(states),
+        entry_index=len(preperiod),
     )
 
 
@@ -101,42 +119,35 @@ def _cf_key(t, n, s, cache, limit):
     """Orbit key of a triple: (least cycle state, entry parity when even length).
 
     The CF step is a function, so distinct cycles share no state and the
-    least state names the cycle.  cache maps triple -> key and is shared
-    across all elements of one n, so the total work is linear in the number
-    of distinct states rather than elements times tail length.  While a walk
-    is open, cache maps each state on it to its position on the walk
-    instead, so each step costs one lookup.
+    least state names the cycle.  The walk from t reaches its cycle at its
+    first reduced state, within three steps when t is ambiguous.  cache is
+    shared across all elements of one n and maps each cycle state already
+    walked to its key; it holds no other state.
     """
-    key = cache.get(t)
-    if key is not None:
-        return key
-    path, cur = [], t
-    while key is None:
-        if len(path) > limit:
-            for state in path:
-                del cache[state]
+    a, b, c = t
+    steps = 0
+    while not 0 <= s - a < c <= s + a:  # not reduced, as in _reduced
+        if steps > limit:
             raise CycleLimitExceeded(f"no period within {limit} CF steps of {t}|{n}")
-        cache[cur] = len(path)
-        path.append(cur)
-        a, b, c = cur  # one CF step, as in _step
-        q = (a + s) // c if c > 0 else (-a - s - 1) // (-c)
-        cur = (q * c - a, -c, 2 * a * q - q * q * c - b)
-        key = cache.get(cur)
-    if type(key) is int:
-        # the walk closed on itself: path[key:] is a new periodic cycle
-        cyc = path[key:]
-        del path[key:]
+        q = (a + s) // c if c > 0 else (-a - s - 1) // (-c)  # as in _step
+        a, b, c = q * c - a, -c, 2 * a * q - q * q * c - b
+        steps += 1
+    cur = (a, b, c)
+    key = cache.get(cur)
+    if key is None:
+        cyc, _ = _cycle(cur, s, limit, f"{t}|{n}")
         least = min(cyc)
         ai = cyc.index(least)
-        even = len(cyc) % 2 == 0
+        if len(cyc) % 2:
+            keys = ((least, None),) * 2
+        else:
+            keys = ((least, ai % 2), (least, 1 - ai % 2))
         for j, state in enumerate(cyc):
-            cache[state] = (least, (ai - j) % 2 if even else None)
-        key = cache[cur]
+            cache[state] = keys[j % 2]
+        key = keys[0]
     least, par = key
-    for state in reversed(path):
-        if par is not None:
-            par ^= 1
-        cache[state] = key = (least, par)
+    if steps % 2 and par is not None:
+        return least, par ^ 1
     return key
 
 

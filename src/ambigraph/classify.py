@@ -73,9 +73,9 @@ def classifier_for(kind: ClassifierKind, n: int, p: int = None):
     Euler's criterion on the residue, or the low three bits.
     """
     if kind is ClassifierKind.MOD_P:
-        legendre(1, p)  # raises NotOddPrime unless p is an odd prime
-        if n % p != 0:
+        if p >= 3 and n % p != 0:  # first, so that the prime test runs on p <= n
             raise PNotDividesN(f"p={p} does not divide n={n}")
+        legendre(1, p)  # raises NotOddPrime unless p is an odd prime
         half = (p - 1) // 2
 
         def classify(t):

@@ -81,6 +81,18 @@ def _emit(doc, out):
     out.write(json.dumps(doc, indent=2) + "\n")
 
 
+def _write(text, path, out):
+    """Write text to the file at path, or to out when no path is given."""
+    if not path:
+        out.write(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise AmbigraphError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 # --- subcommands ---------------------------------------------------------
 
 def _cmd_ambiguous(args, out):
@@ -146,6 +158,7 @@ def _cmd_orbits(args, out):
 
 
 def _cmd_classify(args, out):
+    check_cap(args.n, args.max_n)
     kinds = {}  # JSON name -> (kind, p); p is None for mod 8
     if args.mod_p is not None:
         kinds["mod_p"] = (ClassifierKind.MOD_P, args.mod_p)
@@ -361,11 +374,7 @@ def _cmd_sweep(args, out):
         text = buf.getvalue()
     else:
         text = json.dumps(doc, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
+    _write(text, args.output, out)
     if any(r.status == "fail" for r in rows):
         return EXIT_ERRATA
     return EXIT_OK
@@ -374,12 +383,7 @@ def _cmd_sweep(args, out):
 def _cmd_export_dot(args, out):
     a, c = _parse_pair(args.rep)
     partition = partition_graph(args.n, max_n=args.max_n)
-    text = export_dot(partition, a, c)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
+    _write(export_dot(partition, a, c), args.output, out)
     return EXIT_OK
 
 

@@ -164,8 +164,9 @@ def partition_from_groups(n, groups) -> OrbitPartition:
     return OrbitPartition(n, tuple(records))
 
 
-def partition_graph(n: int, max_n: int = None) -> OrbitPartition:
-    """Partition the ambiguous set into orbits by union-find over generator edges.
+def _components(triples, n):
+    """The orbits of the sorted ambiguous triples of n, by union-find over
+    generator edges, each a list in enumeration order.
 
     Triples are named by their index in the sorted enumeration; parent[i]
     is an index, find halves the path, and the smaller index becomes the
@@ -173,7 +174,6 @@ def partition_graph(n: int, max_n: int = None) -> OrbitPartition:
     involution of the ambiguous set, taken from the end with a > 0 (or a = 0,
     c > 0); y(t) = (b-a, b', b), b' = b-2a+c, only if ambiguous: b*b' < 0.
     """
-    triples = checked_triples(n, max_n)
     index = {t: i for i, t in enumerate(triples)}
     parent = list(range(len(triples)))
 
@@ -205,7 +205,13 @@ def partition_graph(n: int, max_n: int = None) -> OrbitPartition:
     components = {}
     for i, t in enumerate(triples):
         components.setdefault(find(i), []).append(t)
-    return partition_from_groups(n, components.values())
+    return components.values()
+
+
+def partition_graph(n: int, max_n: int = None) -> OrbitPartition:
+    """Partition the ambiguous set into orbits by union-find over generator
+    edges; the union-find's tables are garbage before the paths are walked."""
+    return partition_from_groups(n, _components(checked_triples(n, max_n), n))
 
 
 def export_dot(partition: OrbitPartition, rep_a: int, rep_c: int) -> str:

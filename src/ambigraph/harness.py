@@ -400,6 +400,8 @@ def _theorem_for(p, l):
 
 def sweep(ps, ks, ls, max_n: int) -> tuple:
     """One row per (p, k, l), in deterministic iteration order."""
+    if any(v < 0 for v in (*ks, *ls)):
+        raise AmbigraphError(f"k and l must be >= 0, got k={ks}, l={ls}")
     rows = []
     for p in ps:
         for k in ks:

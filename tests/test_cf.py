@@ -1,17 +1,23 @@
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ambigraph.cf import (
+    _cf_key,
+    _default_limit,
+    _reduced,
+    _step,
     cf_expand,
+    cf_groups,
     floor_element,
     partition_cf,
     psl_equivalent,
 )
 from ambigraph.core import Element, apply_y, is_ambiguous, make_element
 from ambigraph.diagram import partition_graph
-from ambigraph.enumeration import enumerate_ambiguous
-from ambigraph.errors import MismatchedN
+from ambigraph.enumeration import ambiguous_triples, enumerate_ambiguous
+from ambigraph.errors import CycleLimitExceeded, MismatchedN
 
 
 def test_floor_element():
@@ -120,3 +126,132 @@ def test_cf_key_limit_leaves_no_position_markers():
     assert 0 < failed < len(ambiguous_triples(n))  # the cache holds both
     for t in ambiguous_triples(n):
         assert _cf_key(t, n, s, cache, limit) == _cf_key(t, n, s, {}, limit)
+
+
+# --- reduced cycles (Galois) against the revisit-based references ---------
+
+
+def _revisit_cf_key(t, n, s, cache, limit):
+    """The former _cf_key: walks until a state repeats, holding each open
+    walk's states in cache as their positions on it."""
+    key = cache.get(t)
+    if key is not None:
+        return key
+    path, cur = [], t
+    while key is None:
+        if len(path) > limit:
+            for state in path:
+                del cache[state]
+            raise CycleLimitExceeded(f"no period within {limit} CF steps of {t}|{n}")
+        cache[cur] = len(path)
+        path.append(cur)
+        a, b, c = cur  # one CF step, as in _step
+        q = (a + s) // c if c > 0 else (-a - s - 1) // (-c)
+        cur = (q * c - a, -c, 2 * a * q - q * q * c - b)
+        key = cache.get(cur)
+    if type(key) is int:
+        cyc = path[key:]
+        del path[key:]
+        least = min(cyc)
+        ai = cyc.index(least)
+        even = len(cyc) % 2 == 0
+        for j, state in enumerate(cyc):
+            cache[state] = (least, (ai - j) % 2 if even else None)
+        key = cache[cur]
+    least, par = key
+    for state in reversed(path):
+        if par is not None:
+            par ^= 1
+        cache[state] = key = (least, par)
+    return key
+
+
+def _revisit_groups(n):
+    s, limit, cache, groups = isqrt(n), _default_limit(n), {}, {}
+    for t in ambiguous_triples(n):
+        groups.setdefault(_revisit_cf_key(t, n, s, cache, limit), []).append(t)
+    return list(groups.values())
+
+
+def _revisit_expand(t, n):
+    """(preperiod, cycle, cycle_triples, entry_index) by walking until a
+    state repeats."""
+    s, seen, states, quotients = isqrt(n), {}, [], []
+    while t not in seen:
+        seen[t] = len(states)
+        states.append(t)
+        q, t = _step(t, s)
+        quotients.append(q)
+    entry = seen[t]
+    return (tuple(quotients[:entry]), tuple(quotients[entry:]),
+            tuple(states[entry:]), entry)
+
+
+_NONSQUARE_1500 = [n for n in range(2, 1501) if isqrt(n) ** 2 != n]
+
+
+def test_cf_groups_equal_revisit_reference():
+    for n in _NONSQUARE_1500 + [1194127]:
+        assert [list(g) for g in cf_groups(n)] == _revisit_groups(n), n
+
+
+def _cycle_distances(n):
+    """Steps from each state reached from an ambiguous triple of n to its
+    CF cycle (0 on the cycle), by walking until a state repeats."""
+    s, dist = isqrt(n), {}
+    for t in ambiguous_triples(n):
+        path, pos, cur = [], {}, t
+        while cur not in dist and cur not in pos:
+            pos[cur] = len(path)
+            path.append(cur)
+            cur = _step(cur, s)[1]
+        if cur in pos:  # the walk closed a new cycle
+            for state in path[pos[cur]:]:
+                dist[state] = 0
+            del path[pos[cur]:]
+        d = dist[cur]
+        for state in reversed(path):
+            d += 1
+            dist[state] = d
+    return dist
+
+
+def test_cycle_states_are_the_reduced_triples_within_three_steps():
+    for n in _NONSQUARE_1500:
+        s, triples = isqrt(n), ambiguous_triples(n)
+        dist = _cycle_distances(n)
+        assert {t for t, d in dist.items() if d == 0} == {
+            t for t in triples if _reduced(t, s)
+        }, n
+        assert max(dist[t] for t in triples) <= 3, n
+
+
+def test_cf_cache_holds_exactly_the_reduced_triples():
+    for n in (5, 125, 243, 1000, 69984):
+        s, limit, cache = isqrt(n), _default_limit(n), {}
+        triples = ambiguous_triples(n)
+        for t in triples:
+            _cf_key(t, n, s, cache, limit)
+        assert set(cache) == {t for t in triples if _reduced(t, s)}, n
+        assert all(type(v) is tuple for v in cache.values())
+
+
+@st.composite
+def _elements(draw):
+    """Arbitrary elements (a + sqrt(n))/c, ambiguous or not."""
+    n = draw(st.integers(2, 10 ** 6).filter(lambda n: isqrt(n) ** 2 != n))
+    a = draw(st.integers(-10 ** 4, 10 ** 4))
+    m = a * a - n
+    divisors = [c for c in range(1, min(abs(m), 2000) + 1)
+                if m % c == 0 and gcd(gcd(a, m // c), c) == 1]
+    c = draw(st.sampled_from(divisors)) * draw(st.sampled_from((1, -1)))
+    return Element(a, m // c, c, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_elements())
+def test_cf_expand_equals_revisit_reference(e):
+    x = cf_expand(e)
+    assert (x.preperiod, x.cycle, x.cycle_triples, x.entry_index) == (
+        _revisit_expand(e.triple, e.n)
+    )

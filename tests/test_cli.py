@@ -372,3 +372,27 @@ def test_verify_at_3_to_the_17_above_the_default_cap(run_cli):
     assert out == (
         "theorem 2.3 n=129140163: computed 2 orbits (claimed 2), pass\n"
     )
+
+
+def test_sweep_rejects_negative_exponents(run_cli, capsys):
+    for k, l in (("-1", "0"), ("3", "-2")):
+        code, out = run_cli("sweep", "--p", "3", "--k", k, "--l", l)
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith("error: k and l must be >= 0")
+
+
+def test_output_to_a_missing_directory_is_a_usage_error(run_cli, tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    for argv in (("export-dot", "5", "--rep", "1,2"),
+                 ("sweep", "--p", "3", "--k", "3", "--l", "0")):
+        code, out = run_cli(*argv, "-o", str(target))
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+    assert not target.parent.exists()
+
+
+def test_classify_checks_p_divides_n_before_testing_p_prime(run_cli, capsys):
+    # trial division of this prime would take minutes; 2^61 - 1 does not divide 125
+    code, out = run_cli("classify", "125", "--mod-p", str(2 ** 61 - 1))
+    assert code == 1 and out == ""
+    assert "does not divide n=125" in capsys.readouterr().err
