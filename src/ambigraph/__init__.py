@@ -9,36 +9,18 @@ orbit-count claims, reporting errata where computation refutes them.
 
 __version__ = "0.1.0"
 
-from .core import (
-    Element,
-    apply_x,
-    apply_y,
-    apply_yy,
-    conjugate,
-    is_ambiguous,
-    make_element,
-    value_approx,
-)
-from .enumeration import AmbiguousSet, divisors_signed, enumerate_ambiguous, isqrt
+from .core import Element, is_ambiguous, make_element, value_approx
+from .enumeration import enumerate_ambiguous
 from .diagram import (
     ClosedPath,
     OrbitPartition,
     StepType,
     closed_path,
     export_dot,
-    orbit_members,
     partition_graph,
-    successor,
 )
-from .cf import Expansion, cf_expand, floor_element, partition_cf, psl_equivalent
-from .classify import (
-    ClassifierKind,
-    ResidueClass,
-    class_mod8,
-    class_mod_p,
-    invariance_audit,
-    legendre,
-)
+from .cf import Expansion, cf_expand, partition_cf, psl_equivalent
+from .classify import ClassifierKind, invariance_audit, legendre
 from .words import (
     Circuit,
     Mat2,

@@ -29,10 +29,6 @@ def _step(t, s):
     return q, (q * c - a, -c, 2 * a * q - q * q * c - b)
 
 
-def floor_element(e: Element) -> int:
-    return _step(e.triple, isqrt(e.n))[0]
-
-
 def _default_limit(n):
     return max(4096, 8 * (isqrt(n) + 1) * 16)
 

@@ -30,14 +30,6 @@ class ClassifierKind(enum.Enum):
     MOD_8 = "mod8"
 
 
-@dataclass(frozen=True)
-class ResidueClass:
-    kind: ClassifierKind
-    value: int  # +1/-1 for MOD_P; 1,3,5,7 for MOD_8
-    modulus_context: int  # p, or 8
-    n: int
-
-
 def odd_prime_divisors(n: int):
     """The odd primes dividing n >= 1, ascending, by trial division."""
     out = []
@@ -101,16 +93,6 @@ def classifier_for(kind: ClassifierKind, n: int, p: int = None):
             )
 
     return classify
-
-
-def class_mod_p(e: Element, p: int) -> ResidueClass:
-    value = classifier_for(ClassifierKind.MOD_P, e.n, p)(e.triple)
-    return ResidueClass(ClassifierKind.MOD_P, value, p, e.n)
-
-
-def class_mod8(e: Element) -> ResidueClass:
-    value = classifier_for(ClassifierKind.MOD_8, e.n)(e.triple)
-    return ResidueClass(ClassifierKind.MOD_8, value, 8, e.n)
 
 
 @dataclass(frozen=True)

@@ -323,7 +323,7 @@ def _cmd_verify(args, out):
         return EXIT_ERRATA if report.has_errata else EXIT_OK
     if not args.theorem:
         raise AmbigraphError("verify needs --theorem or --examples")
-    case = make_case(args.theorem, args.p, args.k, args.l)
+    case = make_case(args.theorem, args.p, args.k, args.l, args.max_n)
     report = verify_case(case, max_n=args.max_n)
     doc = {"schema": SCHEMA_VERSION, **_verdict_dict(report)}
     if args.json:

@@ -6,9 +6,11 @@ equality is always exact triple equality, never floating point.
 
 The modular group acts through the two elliptic generators
 x: alpha -> -1/alpha and y: alpha -> (alpha - 1)/alpha, which on triples
-become the integer substitutions implemented below.
+become the integer substitutions x_triple, y_triple and yy_triple (y^2:
+alpha -> -1/(alpha - 1)) below.
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,9 +20,12 @@ from .errors import (
     NonPositiveN,
     NotDivisible,
     NotPrimitive,
+    ParseError,
     SquareN,
     ZeroDenominator,
 )
+
+_WIRE_FORM = re.compile(r"(-?[0-9]+),(-?[0-9]+),(-?[0-9]+)\|(-?[0-9]+)")
 
 
 @lru_cache(maxsize=4096)
@@ -29,8 +34,7 @@ def _is_square(n: int) -> bool:
     return s * s == n
 
 
-# Triple-level generator action, used by the hot loops in diagram, cf and
-# classify where constructing Element objects per step would dominate.
+# The generator action on triples.
 
 def x_triple(t):
     a, b, c = t
@@ -45,11 +49,6 @@ def y_triple(t):
 def yy_triple(t):
     a, b, c = t
     return (c - a, c, b - 2 * a + c)
-
-
-def conj_triple(t):
-    a, b, c = t
-    return (-a, -b, -c)
 
 
 def check_triple(t, n):
@@ -108,15 +107,11 @@ class Element:
 
     @classmethod
     def parse(cls, text: str) -> "Element":
-        """Parse the wire form "a,b,c|n" (decimal, no spaces)."""
-        from .errors import ParseError
-
-        try:
-            abc, n = text.split("|")
-            a, b, c = (int(v) for v in abc.split(","))
-            return cls(a, b, c, int(n))
-        except ValueError as exc:
-            raise ParseError(f"bad element literal {text!r}: {exc}") from exc
+        """Parse the wire form "a,b,c|n": each field -?[0-9]+, nothing else."""
+        m = _WIRE_FORM.fullmatch(text)
+        if m is None:
+            raise ParseError(f"bad element literal {text!r}")
+        return cls(*map(int, m.groups()))
 
 
 def make_element(a: int, c: int, n: int) -> Element:
@@ -131,26 +126,6 @@ def make_element(a: int, c: int, n: int) -> Element:
     if num % c != 0:
         raise NotDivisible(f"c={c} does not divide a^2-n={num}")
     return Element(a, num // c, c, n)
-
-
-def apply_x(e: Element) -> Element:
-    """x: alpha -> -1/alpha, on triples (a,b,c) -> (-a,c,b)."""
-    return Element.from_triple(x_triple(e.triple), e.n)
-
-
-def apply_y(e: Element) -> Element:
-    """y: alpha -> (alpha-1)/alpha, on triples (a,b,c) -> (b-a, b-2a+c, b)."""
-    return Element.from_triple(y_triple(e.triple), e.n)
-
-
-def apply_yy(e: Element) -> Element:
-    """y^2: alpha -> -1/(alpha-1), on triples (a,b,c) -> (c-a, c, b-2a+c)."""
-    return Element.from_triple(yy_triple(e.triple), e.n)
-
-
-def conjugate(e: Element) -> Element:
-    """Algebraic conjugate (a - sqrt(n))/c, i.e. the triple (-a,-b,-c)."""
-    return Element.from_triple(conj_triple(e.triple), e.n)
 
 
 def is_ambiguous(e: Element) -> bool:

@@ -37,14 +37,6 @@ def successor_triple(t, n=None):
     return ((c + a, d, c), StepType.YX) if ay else ((b + a, b, d), StepType.YYX)
 
 
-def successor(e: Element):
-    """The unique ambiguous element among y(x(e)), y^2(x(e)), with its tag."""
-    if not is_ambiguous(e):
-        raise ValueError(f"successor requires an ambiguous element, got {e}")
-    t, tag = successor_triple(e.triple, e.n)
-    return Element.from_triple(t, e.n), tag
-
-
 @dataclass(frozen=True)
 class ClosedPath:
     """The closed successor cycle through an ambiguous anchor.
@@ -95,14 +87,6 @@ def closed_path(e: Element) -> ClosedPath:
 def _closure(path: ClosedPath):
     """The member triples of an orbit: path vertices plus their x-images."""
     return set(path.triples) | {x_triple(t) for t in path.triples}
-
-
-def orbit_members(path: ClosedPath):
-    """Orbit members as Elements, sorted by (a, c)."""
-    return tuple(
-        Element.from_triple(t, path.n)
-        for t in sorted(_closure(path), key=lambda t: (t[0], t[2]))
-    )
 
 
 @dataclass(frozen=True)

@@ -1,54 +1,12 @@
 """Enumeration of the finite set of ambiguous numbers of Q*(sqrt(n))."""
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import Element, _is_square
-from .errors import LimitExceeded, NegativeInput, NonPositiveN, SquareN, ZeroInput
+from .errors import LimitExceeded, NonPositiveN, SquareN
 
 DEFAULT_MAX_N = 10 ** 8
-
-
-def isqrt(m: int) -> int:
-    """Largest s with s*s <= m."""
-    if m < 0:
-        raise NegativeInput(f"isqrt of negative {m}")
-    return math.isqrt(m)
-
-
-def divisors_signed(m: int):
-    """All divisors of m, positive and negative, sorted ascending."""
-    if m == 0:
-        raise ZeroInput("divisors of zero")
-    m = abs(m)
-    pos = []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            pos.append(d)
-            if d * d != m:
-                pos.append(m // d)
-        d += 1
-    pos.sort()
-    return [-d for d in reversed(pos)] + pos
-
-
-@dataclass(frozen=True)
-class AmbiguousSet:
-    """All ambiguous numbers of Q*(sqrt(n)), sorted by (a, c)."""
-
-    n: int
-    elements: tuple
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def triples(self):
-        return [e.triple for e in self.elements]
 
 
 def _primes_upto(m: int):
@@ -153,6 +111,6 @@ def checked_triples(n: int, max_n: int = None):
     return ambiguous_triples(n)
 
 
-def enumerate_ambiguous(n: int, max_n: int = DEFAULT_MAX_N) -> AmbiguousSet:
-    elems = tuple(Element(a, b, c, n) for a, b, c in checked_triples(n, max_n))
-    return AmbiguousSet(n, elems)
+def enumerate_ambiguous(n: int, max_n: int = DEFAULT_MAX_N) -> tuple:
+    """The ambiguous numbers of Q*(sqrt(n)) as Elements, sorted by (a, c)."""
+    return tuple(Element(a, b, c, n) for a, b, c in checked_triples(n, max_n))

@@ -32,14 +32,6 @@ class NonPositiveN(AmbigraphError):
     pass
 
 
-class NegativeInput(AmbigraphError):
-    pass
-
-
-class ZeroInput(AmbigraphError):
-    pass
-
-
 class MismatchedN(AmbigraphError):
     pass
 

@@ -18,8 +18,8 @@ from .classify import ClassifierKind, classifier_for
 from .core import Element, is_ambiguous, make_element
 from .diagram import OrbitPartition, closed_path, partition_graph
 from .cf import cf_groups
-from .enumeration import checked_triples
-from .errors import AmbigraphError, InternalInconsistency
+from .enumeration import DEFAULT_MAX_N, checked_triples
+from .errors import AmbigraphError, InternalInconsistency, LimitExceeded
 from .words import check_word_fixes, circuit_from_word, parse_word, path_word
 
 THEOREM_L = {"2.1": 0, "2.3": 0, "2.5": 1, "2.6": 1, "2.7": 2, "2.8": 2}
@@ -37,7 +37,8 @@ class TheoremCase:
     exploratory: bool
 
 
-def make_case(theorem: str, p: int, k: int, l: int = None) -> TheoremCase:
+def make_case(theorem: str, p: int, k: int, l: int = None,
+              max_n: int = None) -> TheoremCase:
     if p is None or k is None:
         raise ValueError(f"theorem {theorem} needs p and k")
     if theorem == "2.9":
@@ -59,6 +60,10 @@ def make_case(theorem: str, p: int, k: int, l: int = None) -> TheoremCase:
         raise ValueError("p must be an odd prime")
     if k < 3 or k % 2 == 0:
         raise ValueError("k must be odd and >= 3")
+    cap = DEFAULT_MAX_N if max_n is None else max_n
+    # n = 2^l p^k has more than l + k(bits(p) - 1) bits: refuse it unbuilt
+    if l + k * (p.bit_length() - 1) >= cap.bit_length():
+        raise LimitExceeded(f"n=2^{l}*{p}^{k} exceeds configured cap {cap}")
     n = 2 ** l * p ** k
     expected = 4 if theorem == "2.9" else 2
     exploratory = theorem in ("2.1", "2.5", "2.7") and p % 8 == 1
@@ -423,7 +428,7 @@ def sweep(ps, ks, ls, max_n: int) -> tuple:
                     continue
                 theorem = _theorem_for(p, l)
                 try:
-                    case = make_case(theorem, p, k, l)
+                    case = make_case(theorem, p, k, l, max_n)
                     report = verify_case(case, max_n=max_n)
                 except InternalInconsistency:
                     raise

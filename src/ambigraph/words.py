@@ -156,18 +156,6 @@ def mobius_apply(M: Mat2, e: Element) -> Element:
         raise InternalInconsistency(f"invalid Mobius image of {e}: {exc}") from exc
 
 
-def apply_word_stepwise(w: Word, e: Element) -> Element:
-    """Reference evaluation by repeated generator application (first block first)."""
-    from .core import apply_x, apply_y, apply_yy
-
-    cur = e
-    for t, m in w.blocks:
-        for _ in range(m):
-            cur = apply_x(cur)
-            cur = apply_y(cur) if t is StepType.YX else apply_yy(cur)
-    return cur
-
-
 def fixed_quadratic(M: Mat2):
     """Coefficients (r, s-p, -q) of the fixed-point equation of M.
 

@@ -10,20 +10,20 @@ from ambigraph.cf import (
     _step,
     cf_expand,
     cf_groups,
-    floor_element,
     partition_cf,
     psl_equivalent,
 )
-from ambigraph.core import Element, apply_y, is_ambiguous, make_element
+from ambigraph.core import Element, is_ambiguous, make_element, y_triple
 from ambigraph.diagram import partition_graph
 from ambigraph.enumeration import ambiguous_triples, enumerate_ambiguous
 from ambigraph.errors import CycleLimitExceeded, MismatchedN
 
 
 def test_floor_element():
-    assert floor_element(make_element(0, 1, 5)) == 2
-    assert floor_element(make_element(0, -1, 3)) == -2
-    assert floor_element(make_element(1, 2, 125)) == 6
+    # the exact floor of (a + sqrt(n))/c is the quotient of one CF step
+    assert _step(make_element(0, 1, 5).triple, isqrt(5))[0] == 2
+    assert _step(make_element(0, -1, 3).triple, isqrt(3))[0] == -2
+    assert _step(make_element(1, 2, 125).triple, isqrt(125))[0] == 6
 
 
 def test_cf_expand_sqrt5():
@@ -69,7 +69,7 @@ def test_psl_equivalent_examples():
     assert psl_equivalent(make_element(0, 1, 5), make_element(0, -1, 5))
     assert not psl_equivalent(make_element(0, 1, 3), make_element(0, -1, 3))
     for e in enumerate_ambiguous(54):
-        assert psl_equivalent(e, apply_y(e))
+        assert psl_equivalent(e, Element.from_triple(y_triple(e.triple), 54))
     with pytest.raises(MismatchedN):
         psl_equivalent(make_element(0, 1, 5), make_element(0, 1, 7))
 

@@ -4,8 +4,6 @@ import pytest
 
 from ambigraph.classify import (
     ClassifierKind,
-    class_mod8,
-    class_mod_p,
     class_occupancy,
     classifier_for,
     invariance_audit,
@@ -13,9 +11,6 @@ from ambigraph.classify import (
 )
 from ambigraph.core import (
     Element,
-    apply_x,
-    apply_y,
-    apply_yy,
     check_triple,
     make_element,
     x_triple,
@@ -23,7 +18,7 @@ from ambigraph.core import (
     yy_triple,
 )
 from ambigraph.diagram import partition_graph
-from ambigraph.enumeration import enumerate_ambiguous
+from ambigraph.enumeration import ambiguous_triples, enumerate_ambiguous
 from ambigraph.errors import (
     InternalInconsistency,
     NNotDivisibleBy8,
@@ -43,18 +38,26 @@ def test_legendre():
         legendre(3, 9)
 
 
+def class_mod_p(e, p):
+    return classifier_for(ClassifierKind.MOD_P, e.n, p)(e.triple)
+
+
+def class_mod8(e):
+    return classifier_for(ClassifierKind.MOD_8, e.n)(e.triple)
+
+
 def test_class_mod_p_examples():
-    assert class_mod_p(Element(0, -125, 1, 125), 5).value == 1
-    assert class_mod_p(Element(1, -62, 2, 125), 5).value == -1
-    assert class_mod_p(Element(0, 243, -1, 243), 3).value == -1
+    assert class_mod_p(Element(0, -125, 1, 125), 5) == 1
+    assert class_mod_p(Element(1, -62, 2, 125), 5) == -1
+    assert class_mod_p(Element(0, 243, -1, 243), 3) == -1
     with pytest.raises(PNotDividesN):
         class_mod_p(Element(0, -5, 1, 5), 3)
 
 
 def test_class_mod8_examples():
-    assert class_mod8(Element(0, -216, 1, 216)).value == 1
-    assert class_mod8(Element(0, 216, -1, 216)).value == 7
-    assert class_mod8(make_element(1, -5, 216)).value == 3
+    assert class_mod8(Element(0, -216, 1, 216)) == 1
+    assert class_mod8(Element(0, 216, -1, 216)) == 7
+    assert class_mod8(make_element(1, -5, 216)) == 3
     with pytest.raises(NNotDivisibleBy8):
         class_mod8(Element(0, -5, 1, 5))
 
@@ -82,20 +85,20 @@ def test_audit_mod8(n):
 def test_class_constant_per_generator_corpus():
     for n, p in ((125, 5), (243, 3), (54, 3)):
         for e in enumerate_ambiguous(n):
-            v = class_mod_p(e, p).value
-            for g in (apply_x, apply_y, apply_yy):
-                assert class_mod_p(g(e), p).value == v
+            v = class_mod_p(e, p)
+            for g in (x_triple, y_triple, yy_triple):
+                assert class_mod_p(Element.from_triple(g(e.triple), n), p) == v
     for e in enumerate_ambiguous(216):
-        v = class_mod8(e).value
-        for g in (apply_x, apply_y, apply_yy):
-            assert class_mod8(g(e)).value == v
+        v = class_mod8(e)
+        for g in (x_triple, y_triple, yy_triple):
+            assert class_mod8(Element.from_triple(g(e.triple), 216)) == v
 
 
 def test_orbits_are_class_homogeneous():
     partition = partition_graph(216)
     classes = []
     for o in partition.orbits:
-        vals = {class_mod8(m).value for m in o.members}
+        vals = {class_mod8(m) for m in o.members}
         assert len(vals) == 1
         classes.append(vals.pop())
     assert sorted(classes) == [1, 3, 5, 7]
@@ -179,7 +182,7 @@ def test_mod_p_classifier_checks_p_once(monkeypatch):
         return original(m)
 
     monkeypatch.setattr(classify, "odd_prime_divisors", spy)
-    triples = enumerate_ambiguous(1125).triples()
+    triples = ambiguous_triples(1125)
     f = classify.classifier_for(ClassifierKind.MOD_P, 1125, 5)
     values = [f(t) for t in triples]
     assert calls == [5]
@@ -205,7 +208,7 @@ def test_direct_classifiers_match_their_definitions():
              (1000, ClassifierKind.MOD_8, None)]
     for n, kind, p in cases:
         f = classifier_for(kind, n, p)
-        triples = [u for t in enumerate_ambiguous(n).triples()
+        triples = [u for t in ambiguous_triples(n)
                    for u in _images_to_depth(t, 3)]
         assert any(min(u) < -n for u in triples) and any(max(u) > n for u in triples)
         for a, b, c in triples:
@@ -228,7 +231,7 @@ def _reference_walk(n, depth, seed):
     generators = (("x", x_triple), ("y", y_triple), ("y2", yy_triple))
     rng = random.Random(seed)
     images = []
-    for t in enumerate_ambiguous(n).triples():
+    for t in ambiguous_triples(n):
         cur = t
         for _ in range(depth + 1):
             for name, g in generators:

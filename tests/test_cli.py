@@ -249,6 +249,17 @@ def test_circuit_above_default_cap_fails_fast(run_cli):
     assert time.perf_counter() - start < 1.0
 
 
+def test_verify_over_cap_exponent_fails_fast(run_cli, capsys):
+    import time
+
+    start = time.perf_counter()
+    code, out = run_cli("verify", "--theorem", "2.9", "--p", "3", "--k", "3",
+                        "--l", "1000000000000")
+    assert code == 1 and out == ""
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds configured cap" in capsys.readouterr().err
+
+
 def test_negative_literals(run_cli):
     code, out = run_cli("circuit", "125", "--rep=-1,2")
     assert code == 0 and out.startswith("path length")

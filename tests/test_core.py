@@ -4,15 +4,14 @@ from hypothesis import strategies as st
 
 from ambigraph.core import (
     Element,
-    apply_x,
-    apply_y,
-    apply_yy,
     check_triple,
     check_triples,
-    conjugate,
     is_ambiguous,
     make_element,
     value_approx,
+    x_triple,
+    y_triple,
+    yy_triple,
 )
 from ambigraph.enumeration import enumerate_ambiguous
 from ambigraph.errors import (
@@ -58,23 +57,26 @@ def test_make_element_errors(a, c, n, exc):
 
 
 def test_apply_x_examples():
-    assert apply_x(Element(0, -5, 1, 5)).triple == (0, 1, -5)
-    assert apply_x(Element(1, -62, 2, 125)).triple == (-1, 2, -62)
+    assert x_triple((0, -5, 1)) == (0, 1, -5)
+    assert x_triple((1, -62, 2)) == (-1, 2, -62)
 
 
 def test_apply_y_examples():
-    assert apply_y(Element(0, -5, 1, 5)).triple == (-5, -4, -5)
-    assert apply_y(Element(-1, 2, -62, 125)).triple == (3, -58, 2)
+    assert y_triple((0, -5, 1)) == (-5, -4, -5)
+    assert y_triple((-1, 2, -62)) == (3, -58, 2)
 
 
 def test_apply_yy_examples():
-    assert apply_yy(Element(0, -5, 1, 5)).triple == (1, 1, -4)
-    assert apply_yy(Element(0, 1, -243, 243)).triple == (-243, -243, -242)
+    assert yy_triple((0, -5, 1)) == (1, 1, -4)
+    assert yy_triple((0, 1, -243)) == (-243, -243, -242)
 
 
 def test_conjugate_examples():
-    assert conjugate(Element(0, -5, 1, 5)).triple == (0, 5, -1)
-    assert conjugate(Element(1, -62, 2, 125)).triple == (-1, 62, -2)
+    # the conjugate (a - sqrt(n))/c is the triple (-a, -b, -c)
+    e = Element(0, -5, 1, 5)
+    assert Element(-e.a, -e.b, -e.c, 5).triple == (0, 5, -1)
+    e = Element(1, -62, 2, 125)
+    assert Element(-e.a, -e.b, -e.c, 125).triple == (-1, 62, -2)
 
 
 def test_is_ambiguous_examples():
@@ -97,6 +99,15 @@ def test_wire_form_roundtrip():
         Element.parse("1,2|125")
 
 
+@pytest.mark.parametrize("text", [
+    " 0,-5 , 1|5 ", "0,-1_0,1|1_0", "0,-5,1|5\n", "0,-5,+1|5", "0,-5,1|+5",
+    "0,-5,1|٥",  # ARABIC-INDIC DIGIT FIVE, which int() reads as 5
+])
+def test_wire_form_is_decimal_fields_only(text):
+    with pytest.raises(ParseError):
+        Element.parse(text)
+
+
 NONSQUARES_500 = [
     n for n in range(2, 501) if int(n ** 0.5 + 0.5) ** 2 != n
 ]
@@ -105,11 +116,13 @@ NONSQUARES_500 = [
 @pytest.mark.parametrize("n", NONSQUARES_500[::17] + [5, 125, 243])
 def test_generator_relations_on_ambiguous(n):
     for e in enumerate_ambiguous(n):
-        assert apply_x(apply_x(e)) == e
-        assert apply_y(apply_y(apply_y(e))) == e
-        assert apply_yy(e) == apply_y(apply_y(e))
-        assert conjugate(conjugate(e)) == e
-        assert is_ambiguous(apply_x(e)) == is_ambiguous(e)
+        t = e.triple
+        assert x_triple(x_triple(t)) == t
+        assert y_triple(y_triple(y_triple(t))) == t
+        assert yy_triple(t) == y_triple(y_triple(t))
+        conj = Element(-e.a, -e.b, -e.c, n)
+        assert Element(-conj.a, -conj.b, -conj.c, n) == e
+        assert is_ambiguous(Element.from_triple(x_triple(t), n)) == is_ambiguous(e)
 
 
 @given(
@@ -126,9 +139,11 @@ def test_invariants_preserved_by_generators(a, c, n):
         e = make_element(a, c, n)
     except NotPrimitive:
         return
-    for image in (apply_x(e), apply_y(e), apply_yy(e), conjugate(e)):
-        # Element construction re-validates bc = a^2 - n, primitivity, c != 0
-        assert image.b * image.c == image.a ** 2 - n
+    t = e.triple
+    for image in (x_triple(t), y_triple(t), yy_triple(t), (-e.a, -e.b, -e.c)):
+        check_triple(image, n)  # bc = a^2 - n, primitivity, c != 0
+        a, b, c = image
+        assert b * c == a ** 2 - n
 
 
 @given(
@@ -145,7 +160,8 @@ def test_value_approx_respects_x(a, c, n):
     except NotPrimitive:
         return
     v = value_approx(e)
-    assert value_approx(apply_x(e)) == pytest.approx(-1.0 / v, rel=1e-9)
+    xe = Element.from_triple(x_triple(e.triple), n)
+    assert value_approx(xe) == pytest.approx(-1.0 / v, rel=1e-9)
 
 
 def test_approx_values_equal_value_approx():

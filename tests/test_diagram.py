@@ -7,23 +7,23 @@ import pytest
 from ambigraph.core import Element, make_element
 from ambigraph.diagram import (
     StepType,
+    _closure,
     closed_path,
     export_dot,
-    orbit_members,
     partition_graph,
-    successor,
+    successor_triple,
 )
 from ambigraph.enumeration import enumerate_ambiguous
 from ambigraph.errors import UnknownOrbit
 
 
 def test_successor_examples():
-    e, tag = successor(Element(0, -5, 1, 5))
-    assert e.triple == (1, -4, 1) and tag is StepType.YX
-    e, tag = successor(make_element(1, 2, 5))
-    assert e.triple == (-1, -2, 2) and tag is StepType.YYX
-    e, tag = successor(make_element(11, 2, 125))
-    assert e.triple == (9, -2, 22) and tag is StepType.YYX
+    t, tag = successor_triple(Element(0, -5, 1, 5).triple, 5)
+    assert t == (1, -4, 1) and tag is StepType.YX
+    t, tag = successor_triple(make_element(1, 2, 5).triple, 5)
+    assert t == (-1, -2, 2) and tag is StepType.YYX
+    t, tag = successor_triple(make_element(11, 2, 125).triple, 125)
+    assert t == (9, -2, 22) and tag is StepType.YYX
 
 
 def test_closed_path_sqrt5():
@@ -59,8 +59,8 @@ def test_closed_path_125_runs():
 def test_orbit_members_counts():
     p8 = closed_path(make_element(0, 1, 5))
     p2 = closed_path(make_element(1, 2, 5))
-    assert len(orbit_members(p8)) == 16
-    assert len(orbit_members(p2)) == 4
+    assert len(_closure(p8)) == 16
+    assert len(_closure(p2)) == 4
     assert 16 + 4 == len(enumerate_ambiguous(5))
 
 
@@ -85,7 +85,7 @@ def test_partition_lengths_sum():
 def test_successor_is_bijective_on_path():
     path = closed_path(make_element(0, 1, 243))
     vertices = {v.triple for v in path.vertices}
-    images = {successor(v)[0].triple for v in path.vertices}
+    images = {successor_triple(v.triple, 243)[0] for v in path.vertices}
     assert images == vertices
 
 

@@ -3,29 +3,31 @@ from math import gcd, isqrt as _isqrt
 
 import pytest
 
-from ambigraph.core import apply_x, apply_y, conjugate, is_ambiguous
-from ambigraph.enumeration import (
-    divisors_signed,
-    enumerate_ambiguous,
-    isqrt,
-)
-from ambigraph.errors import LimitExceeded, NegativeInput, SquareN, ZeroInput
+from ambigraph.core import Element, is_ambiguous, x_triple, y_triple
+from ambigraph.enumeration import ambiguous_triples, enumerate_ambiguous
+from ambigraph.errors import LimitExceeded, SquareN
 
 
 def test_isqrt():
-    assert isqrt(0) == 0
-    assert isqrt(125) == 11
-    assert isqrt(243) == 15
-    with pytest.raises(NegativeInput):
-        isqrt(-1)
+    # the enumeration's a runs over [-isqrt(n), isqrt(n)]
+    for n, s in ((2, 1), (125, 11), (243, 15)):
+        assert max(a for a, _, _ in ambiguous_triples(n)) == s
+        assert min(a for a, _, _ in ambiguous_triples(n)) == -s
+
+
+def divisors_signed(m):
+    """All divisors of m != 0, positive and negative, sorted ascending, by
+    trial division: the reference for the sieve's divisors."""
+    m = abs(m)
+    pos = [d for d in range(1, _isqrt(m) + 1) if m % d == 0]
+    pos = sorted(set(pos + [m // d for d in pos]))
+    return [-d for d in reversed(pos)] + pos
 
 
 def test_divisors_signed():
     assert divisors_signed(4) == [-4, -2, -1, 1, 2, 4]
     assert divisors_signed(-7) == [-7, -1, 1, 7]
     assert divisors_signed(1) == [-1, 1]
-    with pytest.raises(ZeroInput):
-        divisors_signed(0)
 
 
 def brute_ambiguous(n):
@@ -46,12 +48,12 @@ def test_counts_against_oracle(n, count):
     oracle = brute_ambiguous(n)
     assert len(oracle) == count
     got = enumerate_ambiguous(n)
-    assert set(got.triples()) == oracle
+    assert {e.triple for e in got} == oracle
     assert len(got) == count
 
 
 def test_membership():
-    assert (1, -62, 2) in enumerate_ambiguous(125).triples()
+    assert Element(1, -62, 2, 125) in enumerate_ambiguous(125)
 
 
 def test_errors():
@@ -67,12 +69,12 @@ NONSQUARES_500 = [n for n in range(2, 501) if _isqrt(n) ** 2 != n]
 @pytest.mark.parametrize("n", NONSQUARES_500[::13] + [5, 8, 125])
 def test_closure_properties(n):
     amb = enumerate_ambiguous(n)
-    triples = set(amb.triples())
+    triples = {e.triple for e in amb}
     for e in amb:
         assert is_ambiguous(e)
-        assert apply_x(e).triple in triples
-        assert conjugate(e).triple in triples
-        ye = apply_y(e)
+        assert x_triple(e.triple) in triples
+        assert (-e.a, -e.b, -e.c) in triples  # the conjugate
+        ye = Element.from_triple(y_triple(e.triple), n)
         if is_ambiguous(ye):
             assert ye.triple in triples
     # elements pair off under x
@@ -80,19 +82,19 @@ def test_closure_properties(n):
 
 
 def test_ordering_and_determinism():
-    a = enumerate_ambiguous(125)
-    b = enumerate_ambiguous(125)
-    assert a.triples() == b.triples()
-    assert a.triples() == sorted(a.triples(), key=lambda t: (t[0], t[2]))
+    a = [e.triple for e in enumerate_ambiguous(125)]
+    b = [e.triple for e in enumerate_ambiguous(125)]
+    assert a == b
+    assert a == sorted(a, key=lambda t: (t[0], t[2]))
 
 
 def test_triples_are_memoised_and_checked():
-    from ambigraph.enumeration import ambiguous_triples, checked_triples
+    from ambigraph.enumeration import checked_triples
     from ambigraph.errors import NonPositiveN
 
     assert checked_triples(125) is ambiguous_triples(125)
     assert isinstance(ambiguous_triples(125), tuple)
-    assert enumerate_ambiguous(125).triples() == list(checked_triples(125))
+    assert tuple(e.triple for e in enumerate_ambiguous(125)) == checked_triples(125)
     with pytest.raises(NonPositiveN):
         checked_triples(0)
     with pytest.raises(SquareN):
@@ -124,8 +126,6 @@ def _sieve_cases():
 
 
 def test_sieve_matches_trial_division_up_to_1500():
-    from ambigraph.enumeration import ambiguous_triples
-
     for n in range(2, 1501):
         if _isqrt(n) ** 2 != n:
             assert ambiguous_triples(n) == trial_division_triples(n), n
@@ -133,8 +133,6 @@ def test_sieve_matches_trial_division_up_to_1500():
 
 @pytest.mark.parametrize("n", _sieve_cases())
 def test_sieve_matches_trial_division_at_large_n(n):
-    from ambigraph.enumeration import ambiguous_triples
-
     assert ambiguous_triples(n) == trial_division_triples(n)
 
 

@@ -29,6 +29,25 @@ def test_make_case_validation():
         make_case("2.9", 3, None, 3)  # missing k
 
 
+def test_make_case_refuses_only_cases_past_the_cap():
+    from ambigraph.enumeration import DEFAULT_MAX_N
+    from ambigraph.errors import LimitExceeded
+
+    for p in (3, 5, 7, 11, 13, 17, 31, 127):
+        for k in (3, 5, 7):
+            for l in (3, 4, 5, 8):
+                n = 2 ** l * p ** k
+                for cap in (n - 1, n, n + 1, 2 * n - 1, 2 * n, None):
+                    try:
+                        assert make_case("2.9", p, k, l, max_n=cap).n == n
+                    except LimitExceeded:
+                        assert n > (DEFAULT_MAX_N if cap is None else cap)
+    with pytest.raises(LimitExceeded):
+        make_case("2.9", 3, 3, 10 ** 12)
+    with pytest.raises(LimitExceeded):
+        make_case("2.3", 3, 10 ** 12 + 1, max_n=10 ** 9)
+
+
 def test_predict():
     reps = predict(make_case("2.1", 5, 3))
     assert [(r.a, r.c) for r in reps] == [(0, 1), (1, 2)]
@@ -45,9 +64,9 @@ def test_resolve_rep():
 
     res = resolve_rep(RepSpec(1, 3, ClassifierKind.MOD_8, 3), 216)
     assert res.substituted and res.note
-    from ambigraph.classify import class_mod8
+    from ambigraph.classify import classifier_for
 
-    assert class_mod8(res.element).value == 3
+    assert classifier_for(ClassifierKind.MOD_8, 216)(res.element.triple) == 3
 
     res = resolve_rep(RepSpec(0, 1, ClassifierKind.MOD_8, 1), 216)
     assert res.element.triple == (0, -216, 1) and not res.substituted

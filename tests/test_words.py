@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambigraph.core import make_element
+from ambigraph.core import (Element, check_triple, make_element, x_triple,
+                            y_triple, yy_triple)
 from ambigraph.diagram import StepType, closed_path
 from ambigraph.enumeration import enumerate_ambiguous
 from ambigraph.errors import OddBlockCount, ParseError
@@ -13,7 +14,6 @@ from ambigraph.words import (
     MAT_X,
     Mat2,
     Word,
-    apply_word_stepwise,
     canonical_circuit,
     check_word_fixes,
     circuit_from_path,
@@ -26,6 +26,21 @@ from ambigraph.words import (
 )
 
 MAT_Y = Mat2(1, -1, 1, 0)  # y: alpha -> (alpha - 1)/alpha
+
+
+def apply_word_stepwise(w, e):
+    """Reference evaluation of w on e by single generator steps, first block
+    first: x, then y for a (yx) step or y^2 for a (y^2x) step, each image
+    checked as a triple of n."""
+    t = e.triple
+    for step, m in w.blocks:
+        g = y_triple if step is StepType.YX else yy_triple
+        for _ in range(m):
+            t = x_triple(t)
+            check_triple(t, e.n)
+            t = g(t)
+            check_triple(t, e.n)
+    return Element.from_triple(t, e.n)
 
 
 def test_parse_word():
@@ -116,7 +131,7 @@ def words(draw):
 @settings(max_examples=200)
 def test_matrix_agrees_with_stepwise(w, idx):
     corpus = enumerate_ambiguous(125)
-    e = corpus.elements[idx % len(corpus)]
+    e = corpus[idx % len(corpus)]
     M = word_to_matrix(w)
     assert M.det == 1
     assert mobius_apply(M, e) == apply_word_stepwise(w, e)
