@@ -4,9 +4,9 @@ The successor of an ambiguous element e is defined as the unique ambiguous
 element among y(x(e)) and y^2(x(e)).  Iterating the successor from any
 ambiguous anchor returns to it, tracing the unique closed path of its orbit;
 the orbit's ambiguous members are the path vertices together with their
-x-images.  A union-find over the whole ambiguous set with generator edges
-gives the same partition independently of the traversal, and the two are
-cross-checked against each other.
+x-images.  x reverses the successor (s(x(s(t))) = x(t)), so an orbit is one
+successor cycle or two, and one walk over the whole ambiguous set gives the
+partition and every orbit's closed path; the CF partition cross-checks it.
 """
 
 import enum
@@ -133,8 +133,8 @@ def partition_from_groups(n, groups) -> OrbitPartition:
     """Orbit partition from groups of member triples.
 
     Members, and groups by first member, come in enumeration ((a, c)) order,
-    as partition_graph and cf.cf_groups give them.  Each group must equal the
-    closed path of its first member together with its vertices' x-images.
+    as cf.cf_groups gives them.  Each group must equal the closed path of
+    its first member together with its vertices' x-images.
     """
     records = []
     for members in groups:
@@ -148,54 +148,49 @@ def partition_from_groups(n, groups) -> OrbitPartition:
     return OrbitPartition(n, tuple(records))
 
 
-def _components(triples, n):
-    """The orbits of the sorted ambiguous triples of n, by union-find over
-    generator edges, each a list in enumeration order.
+def partition_graph(n: int, max_n: int = None) -> OrbitPartition:
+    """Partition the ambiguous set into orbits by one successor walk.
 
-    Triples are named by their index in the sorted enumeration; parent[i]
-    is an index, find halves the path, and the smaller index becomes the
-    root of a union.  y^2 = y^-1, so x and y edges suffice.  x is an
-    involution of the ambiguous set, taken from the end with a > 0 (or a = 0,
-    c > 0); y(t) = (b-a, b', b), b' = b-2a+c, only if ambiguous: b*b' < 0.
+    Each cycle, walked from its least triple, joins the orbit of its start's
+    x-image if that was walked, else opens an orbit with the cycle as its
+    closed path.  A set closed under the successor and x is closed under
+    y and y^2: an ambiguous y or y^2 image of t is the successor of x(t).
     """
-    index = {t: i for i, t in enumerate(triples)}
-    parent = list(range(len(triples)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri < rj:
-            parent[rj] = ri
-        elif rj < ri:
-            parent[ri] = rj
-
+    triples = checked_triples(n, max_n)
+    orbit = dict.fromkeys(triples)  # triple -> orbit number, None unwalked
+    paths = []
     try:
-        for i, (a, b, c) in enumerate(triples):
-            if a > 0 or (a == 0 and c > 0):
-                union(i, index[(-a, c, b)])
-            d = b - 2 * a + c
-            if b * d < 0:
-                union(i, index[(b - a, d, b)])
+        for start in triples:
+            if orbit[start] is not None:
+                continue
+            k = orbit[x_triple(start)]
+            if new := k is None:
+                k = len(paths)
+            t, walk, tags = start, [], []
+            while orbit[t] is None:
+                orbit[t] = k
+                u, tag = successor_triple(t, n)
+                if new:  # only an orbit's first cycle is kept, as its path
+                    walk.append(t)
+                    tags.append(tag)
+                t = u
+            if t != start:
+                raise InternalInconsistency(f"walk from {start} revisits {t} (n={n})")
+            if new:
+                paths.append(ClosedPath(n, tuple(walk), tuple(tags)))
+        groups = [[] for _ in paths]
+        for t in triples:
+            if orbit[x_triple(t)] != orbit[t]:
+                raise InternalInconsistency(f"x-image of {t} is in another orbit (n={n})")
+            groups[orbit[t]].append(t)
     except KeyError as exc:
         raise InternalInconsistency(
-            f"ambiguous image {exc.args[0]} of {(a, b, c)} is missing from "
-            f"the enumeration (n={n})"
+            f"ambiguous image {exc.args[0]} is missing from the enumeration (n={n})"
         ) from None
-    components = {}
-    for i, t in enumerate(triples):
-        components.setdefault(find(i), []).append(t)
-    return components.values()
-
-
-def partition_graph(n: int, max_n: int = None) -> OrbitPartition:
-    """Partition the ambiguous set into orbits by union-find over generator
-    edges; the union-find's tables are garbage before the paths are walked."""
-    return partition_from_groups(n, _components(checked_triples(n, max_n), n))
+    return OrbitPartition(n, tuple(
+        OrbitRecord(Element.from_triple(path.triples[0], n), tuple(g), path)
+        for path, g in zip(paths, groups)
+    ))
 
 
 def export_dot(partition: OrbitPartition, rep_a: int, rep_c: int) -> str:
@@ -218,13 +213,10 @@ def export_dot(partition: OrbitPartition, rep_a: int, rep_c: int) -> str:
     lines = ["digraph orbit {"]
     for t in members:
         lines.append(f'  "{t[0]},{t[1]},{t[2]}";')
-    succ_edges = []
-    for t in members:
+    for t in members:  # distinct and sorted, so the edges come sorted
         s, tag = successor_triple(t, partition.n)
-        succ_edges.append((t, s, tag.value))
-    for t, s, lab in sorted(succ_edges):
         lines.append(
-            f'  "{t[0]},{t[1]},{t[2]}" -> "{s[0]},{s[1]},{s[2]}" [label="{lab}"];'
+            f'  "{t[0]},{t[1]},{t[2]}" -> "{s[0]},{s[1]},{s[2]}" [label="{tag.value}"];'
         )
     x_edges = set()
     for t in members:

@@ -37,6 +37,12 @@ class TheoremCase:
     exploratory: bool
 
 
+def _beyond_cap(p, k, l, cap):
+    """Whether n = 2^l p^k exceeds cap, decided without building n: a
+    nonzero n has more than l + k(bits(p) - 1) bits."""
+    return (p != 0 or k == 0) and l + k * (p.bit_length() - 1) >= cap.bit_length()
+
+
 def make_case(theorem: str, p: int, k: int, l: int = None,
               max_n: int = None) -> TheoremCase:
     if p is None or k is None:
@@ -61,8 +67,7 @@ def make_case(theorem: str, p: int, k: int, l: int = None,
     if k < 3 or k % 2 == 0:
         raise ValueError("k must be odd and >= 3")
     cap = DEFAULT_MAX_N if max_n is None else max_n
-    # n = 2^l p^k has more than l + k(bits(p) - 1) bits: refuse it unbuilt
-    if l + k * (p.bit_length() - 1) >= cap.bit_length():
+    if _beyond_cap(p, k, l, cap):
         raise LimitExceeded(f"n=2^{l}*{p}^{k} exceeds configured cap {cap}")
     n = 2 ** l * p ** k
     expected = 4 if theorem == "2.9" else 2
@@ -411,8 +416,9 @@ def sweep(ps, ks, ls, max_n: int) -> tuple:
     for p in ps:
         for k in ks:
             for l in ls:
-                n = 2 ** l * p ** k
-                if n > max_n:
+                big = _beyond_cap(p, k, l, max_n)
+                n = -1 if big else p ** k << l  # p^k first: 0 << l costs nothing
+                if big or n > max_n:
                     rows.append(SweepRow(p, k, l, n, "", "skipped", -1, -1,
                                          f"n exceeds cap {max_n}"))
                     continue

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 
@@ -390,6 +391,14 @@ def test_sweep_rejects_negative_exponents(run_cli, capsys):
         code, out = run_cli("sweep", "--p", "3", "--k", k, "--l", l)
         assert code == 1 and out == ""
         assert capsys.readouterr().err.startswith("error: k and l must be >= 0")
+
+
+def test_sweep_skips_an_exponent_far_past_the_cap_unbuilt(run_cli):
+    start = time.perf_counter()
+    code, out = run_cli("sweep", "--p", "3", "--k", "1000000000000", "--l", "0")
+    assert code == 0 and time.perf_counter() - start < 1
+    (row,) = json.loads(out)["rows"]
+    assert row["status"] == "skipped" and row["n"] == -1
 
 
 def test_output_to_a_missing_directory_is_a_usage_error(run_cli, tmp_path, capsys):

@@ -164,19 +164,25 @@ def test_orbit_of_outside_partition():
 
 
 def test_orbits_json_walks_each_closed_path_once(monkeypatch, run_cli):
+    """One successor step per ambiguous triple: no closed path is walked
+    twice, whether as a cycle of the partition or as a record's path."""
     from ambigraph import diagram
+    from ambigraph.enumeration import ambiguous_triples
 
-    original = diagram.closed_path
-    anchors = []
+    original = diagram.successor_triple
+    steps = []
 
-    def spy(e):
-        anchors.append(e.triple)
-        return original(e)
+    def spy(t, n=None):
+        steps.append(t)
+        return original(t, n)
 
-    _rebind(monkeypatch, "closed_path", original, spy)
-    code, out = run_cli("orbits", "216", "--json")
-    assert code == 0
-    assert len(anchors) == len(set(anchors)) == json.loads(out)["orbit_count"] == 4
+    _rebind(monkeypatch, "successor_triple", original, spy)
+    for n, want in ((216, 232), (125, 180)):
+        steps.clear()
+        code, out = run_cli("orbits", str(n), "--json")
+        assert code == 0 and json.loads(out)["n"] == n
+        assert len(steps) == len(set(steps)) == want
+        assert set(steps) == set(ambiguous_triples(n))
 
 
 def test_orbit_records_hold_triples():
@@ -195,23 +201,66 @@ def test_orbit_records_hold_triples():
                 )
 
 
-def test_union_find_matches_cf_groups_up_to_300():
-    from math import isqrt
+def _components(triples):
+    """The former partition engine: the orbits of the sorted ambiguous
+    triples by union-find over generator edges, each a list in enumeration
+    order.
 
-    from ambigraph.cf import cf_groups
+    Triples are named by their index in the sorted enumeration; parent[i]
+    is an index, find halves the path, and the smaller index becomes the
+    root of a union.  y^2 = y^-1, so x and y edges suffice.  x is an
+    involution of the ambiguous set, taken from the end with a > 0 (or a = 0,
+    c > 0); y(t) = (b-a, b', b), b' = b-2a+c, only if ambiguous: b*b' < 0.
+    """
+    index = {t: i for i, t in enumerate(triples)}
+    parent = list(range(len(triples)))
 
-    for n in range(2, 301):
-        if isqrt(n) ** 2 != n:
-            want = frozenset(frozenset(g) for g in cf_groups(n))
-            assert partition_graph(n).member_sets() == want, n
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i, j):
+        ri, rj = find(i), find(j)
+        if ri < rj:
+            parent[rj] = ri
+        elif rj < ri:
+            parent[ri] = rj
+
+    for i, (a, b, c) in enumerate(triples):
+        if a > 0 or (a == 0 and c > 0):
+            union(i, index[(-a, c, b)])
+        d = b - 2 * a + c
+        if b * d < 0:
+            union(i, index[(b - a, d, b)])
+    components = {}
+    for i, t in enumerate(triples):
+        components.setdefault(find(i), []).append(t)
+    return list(components.values())
 
 
 NONSQUARES_1500 = [n for n in range(2, 1501) if isqrt(n) ** 2 != n]
 
 
+def test_union_find_matches_cf_groups_up_to_1500():
+    from ambigraph.cf import cf_groups
+    from ambigraph.enumeration import ambiguous_triples
+
+    for n in NONSQUARES_1500:
+        reference = _components(ambiguous_triples(n))
+        records = partition_graph(n).orbits
+        assert reference == [list(rec.triples) for rec in records], n
+        assert set(map(frozenset, reference)) == set(map(frozenset, cf_groups(n))), n
+        for rec in records:
+            assert rec.path == closed_path(rec.representative), (n, rec.path)
+
+
 def test_generators_on_the_ambiguous_set_up_to_1500():
-    """What the union-find relies on: x maps the ambiguous set onto itself,
-    y has order 3, and every ambiguous y image is enumerated."""
+    """What partition_graph's closure argument relies on: x maps the
+    ambiguous set onto itself, y has order 3 (so y^2 adds no edge), and an
+    ambiguous y image is enumerated and is the successor of x(t), so sets
+    closed under the successor and x are closed under the generators."""
     from ambigraph.core import x_triple, y_triple
     from ambigraph.enumeration import ambiguous_triples
 
@@ -222,7 +271,9 @@ def test_generators_on_the_ambiguous_set_up_to_1500():
         for t in triples:
             y = y_triple(t)
             assert y_triple(y_triple(y)) == t, (n, t)
-            assert y[1] * y[2] > 0 or y in members, (n, t)
+            if y[1] * y[2] < 0:
+                assert y in members, (n, t)
+                assert successor_triple(x_triple(t), n)[0] == y, (n, t)
 
 
 def test_partition_graph_names_a_missing_image(monkeypatch):
@@ -237,6 +288,42 @@ def test_partition_graph_names_a_missing_image(monkeypatch):
     with pytest.raises(InternalInconsistency) as info:
         partition_graph(125)
     assert "n=125" in str(info.value) and str(gone) in str(info.value)
+
+
+def test_partition_graph_names_a_revisit(monkeypatch):
+    from ambigraph import diagram
+    from ambigraph.errors import InternalInconsistency
+
+    original = diagram.successor_triple
+    first = diagram.checked_triples(5)[0]
+    second = original(first, 5)[0]
+    third = original(second, 5)[0]
+
+    def merged(t, n=None):  # third steps back onto second, as first does
+        return (second, StepType.YX) if t == third else original(t, n)
+
+    monkeypatch.setattr(diagram, "successor_triple", merged)
+    with pytest.raises(InternalInconsistency) as info:
+        partition_graph(5)
+    message = str(info.value)
+    assert "revisits" in message and "n=5" in message and str(second) in message
+
+
+def test_partition_graph_names_an_x_image_in_another_orbit(monkeypatch):
+    from ambigraph import diagram
+    from ambigraph.errors import InternalInconsistency
+
+    one, other = partition_graph(5).orbits
+    moved = one.path.triples[1]  # walked inside a cycle, never a walk's start
+    original = diagram.x_triple
+    monkeypatch.setattr(
+        diagram, "x_triple",
+        lambda t: other.triples[0] if t == moved else original(t),
+    )
+    with pytest.raises(InternalInconsistency) as info:
+        partition_graph(5)
+    message = str(info.value)
+    assert "another orbit" in message and "n=5" in message and str(moved) in message
 
 
 def test_dichotomy_violation_in_a_walk_names_n(monkeypatch):
