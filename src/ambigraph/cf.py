@@ -1,7 +1,8 @@
 """Exact continued fractions on quadratic irrationals and the equivalence oracle.
 
-This module is the independent second route to the orbit partition.  Two real
-quadratic irrationals lie in the same PSL(2,Z)-orbit iff their continued
+This module is the independent second route to the orbit partition, and
+partition_cf checks the successor walk against it.  Two real quadratic
+irrationals lie in the same PSL(2,Z)-orbit iff their continued
 fraction expansions reach the same periodic state cycle, refined by a parity
 condition: one CF shift is a determinant -1 move, so when the cycle length is
 even the parity of the entry index matters, and when it is odd a determinant
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .core import Element
-from .diagram import OrbitPartition, partition_from_groups
+from .diagram import OrbitPartition, partition_graph
 from .enumeration import checked_triples
-from .errors import CycleLimitExceeded, MismatchedN
+from .errors import CycleLimitExceeded, InternalInconsistency, MismatchedN
 
 
 def _step(t, s):
@@ -69,10 +70,6 @@ class Expansion:
     cycle: tuple
     cycle_triples: tuple  # aligned with cycle
     entry_index: int
-
-    @property
-    def quotients(self):
-        return self.preperiod + self.cycle
 
     @property
     def cycle_states(self):
@@ -158,5 +155,17 @@ def cf_groups(n: int, max_n: int = None):
 
 
 def partition_cf(n: int, max_n: int = None) -> OrbitPartition:
-    """Orbit partition of the ambiguous set via CF equivalence keys."""
-    return partition_from_groups(n, cf_groups(n, max_n))
+    """The successor walk's partition, checked against the CF groups: both
+    engines must give the same member lists in enumeration order, else
+    InternalInconsistency names n and a counterexample."""
+    pg = partition_graph(n, max_n=max_n)
+    graph = [rec.triples for rec in pg.orbits]
+    cf = sorted(map(tuple, cf_groups(n, max_n)), key=lambda g: (g[0][0], g[0][2]))
+    if graph != cf:
+        diff = frozenset(map(frozenset, graph)) ^ frozenset(map(frozenset, cf))
+        example = sorted(min(diff, key=len))[:4]
+        raise InternalInconsistency(
+            f"graph and CF partitions disagree for n={n}; "
+            f"counterexample members {example}"
+        )
+    return pg

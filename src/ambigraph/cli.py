@@ -8,13 +8,14 @@ invariant broke).  All output is deterministic for fixed inputs.
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import io
 import json
 import sys
 
 from . import __version__
-from .cf import cf_expand, partition_cf, psl_equivalent
+from .cf import cf_expand, psl_equivalent
 from .classify import (
     ClassifierKind,
     class_occupancy,
@@ -27,6 +28,7 @@ from .diagram import closed_path, export_dot, partition_graph
 from .enumeration import DEFAULT_MAX_N, check_cap, checked_triples
 from .errors import AmbigraphError, InternalInconsistency
 from .harness import (
+    SweepRow,
     check_paper_examples,
     cross_checked_partition,
     make_case,
@@ -50,17 +52,18 @@ def _int(v):
     return str(v) if abs(v) > _I64 else v
 
 
-def _classes_of(e):
-    classes = {}
-    for p in odd_prime_divisors(e.n):
-        classify = classifier_for(ClassifierKind.MOD_P, e.n, p)
-        classes[f"mod_p[{p}]"] = classify(e.triple)
-    if e.n % 8 == 0:
-        classes["mod8"] = classifier_for(ClassifierKind.MOD_8, e.n)(e.triple)
-    return classes
+def _classifiers(n):
+    """JSON name -> classifier, for every class invariant that n has."""
+    classifiers = {
+        f"mod_p[{p}]": classifier_for(ClassifierKind.MOD_P, n, p)
+        for p in odd_prime_divisors(n)
+    }
+    if n % 8 == 0:
+        classifiers["mod8"] = classifier_for(ClassifierKind.MOD_8, n)
+    return classifiers
 
 
-def _orbit_dict(rec, n):
+def _orbit_dict(rec, n, classifiers):
     word = path_word(rec.path)
     circuit = circuit_from_word(word)
     return {
@@ -72,7 +75,8 @@ def _orbit_dict(rec, n):
             "start": circuit.start.value,
         },
         "word": str(word),
-        "classes": _classes_of(rec.representative),
+        "classes": {name: f(rec.representative.triple)
+                    for name, f in classifiers.items()},
         "length": rec.ambiguous_length,
     }
 
@@ -123,23 +127,25 @@ def _cmd_ambiguous(args, out):
 
 
 def _partition_for(n, method, max_n):
+    """graph runs the successor walk alone; cf and both run it checked
+    against the CF groups."""
     if method == "graph":
         return partition_graph(n, max_n=max_n)
-    if method == "cf":
-        return partition_cf(n, max_n=max_n)
     return cross_checked_partition(n, max_n=max_n)
 
 
 def _cmd_orbits(args, out):
     partition = _partition_for(args.n, args.method, args.max_n)
     if args.json:
+        classifiers = _classifiers(args.n)
         _emit(
             {
                 "schema": SCHEMA_VERSION,
                 "n": _int(args.n),
                 "method": args.method,
                 "orbit_count": len(partition),
-                "orbits": [_orbit_dict(o, args.n) for o in partition.orbits],
+                "orbits": [_orbit_dict(o, args.n, classifiers)
+                           for o in partition.orbits],
             },
             out,
         )
@@ -170,6 +176,7 @@ def _cmd_classify(args, out):
     if args.audit_depth < 0:
         raise AmbigraphError(f"--audit-depth must be >= 0, got {args.audit_depth}")
     partition = cross_checked_partition(args.n, max_n=args.max_n)
+    classifiers = classifiers or _classifiers(args.n)
     doc = {
         "schema": SCHEMA_VERSION,
         "n": _int(args.n),
@@ -177,11 +184,9 @@ def _cmd_classify(args, out):
         "audits": [],
     }
     for o in partition.orbits:
-        rep = o.representative
-        classes = {name: f(rep.triple) for name, f in classifiers.items()}
-        doc["orbits"].append(
-            {"rep": str(rep), "classes": classes or _classes_of(rep)}
-        )
+        classes = {name: f(o.representative.triple)
+                   for name, f in classifiers.items()}
+        doc["orbits"].append({"rep": str(o.representative), "classes": classes})
     for name, (kind, p) in kinds.items():
         rpt = invariance_audit(args.n, kind, p=p, depth=args.audit_depth,
                                seed=args.seed, max_n=args.max_n)
@@ -346,18 +351,10 @@ def _cmd_sweep(args, out):
     ks = [int(v) for v in args.k.split(",") if v]
     ls = [int(v) for v in args.l.split(",") if v]
     rows = sweep(ps, ks, ls, args.max_n)
+    records = [{**dataclasses.asdict(r), "n": _int(r.n)} for r in rows]
     doc = {
         "schema": SCHEMA_VERSION,
-        "rows": [
-            {
-                "p": r.p, "k": r.k, "l": r.l, "n": _int(r.n),
-                "theorem": r.theorem, "status": r.status,
-                "computed_count": r.computed_count,
-                "expected_count": r.expected_count,
-                "detail": r.detail,
-            }
-            for r in rows
-        ],
+        "rows": records,
         "totals": {
             status: sum(1 for r in rows if r.status == status)
             for status in sorted({r.status for r in rows})
@@ -366,11 +363,8 @@ def _cmd_sweep(args, out):
     if args.csv:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["p", "k", "l", "n", "theorem", "status",
-                    "computed_count", "expected_count", "detail"])
-        for r in rows:
-            w.writerow([r.p, r.k, r.l, r.n, r.theorem, r.status,
-                        r.computed_count, r.expected_count, r.detail])
+        w.writerow(f.name for f in dataclasses.fields(SweepRow))
+        w.writerows(rec.values() for rec in records)
         text = buf.getvalue()
     else:
         text = json.dumps(doc, indent=2) + "\n"

@@ -12,7 +12,6 @@ alpha -> -1/(alpha - 1)) below.
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -133,26 +132,20 @@ def is_ambiguous(e: Element) -> bool:
     return e.b * e.c < 0
 
 
-def _scaled_sqrt(n, digits=None):
-    """(10^digits, sqrt(n) * 10^digits rounded down)."""
-    if digits is None:
-        digits = max(30, n.bit_length())
-    scale = 10 ** digits
+def _scaled_sqrt(n):
+    """(10^d, sqrt(n) * 10^d rounded down), with d = max(30, bits(n))."""
+    scale = 10 ** max(30, n.bit_length())
     return scale, isqrt(n * scale * scale)
 
 
-def value_approx(e: Element, digits: int = None) -> float:
-    """Floating approximation of (a + sqrt(n))/c, for display and sorting only.
-
-    sqrt(n) is computed by scaled integer square root so the Fraction
-    intermediate carries enough precision regardless of the size of n.
-    """
-    scale, root = _scaled_sqrt(e.n, digits)
-    return float(Fraction(e.a * scale + root, e.c * scale))
+def value_approx(e: Element) -> float:
+    """Floating approximation of (a + sqrt(n))/c, for display and sorting only."""
+    return approx_values((e.triple,), e.n)[0]
 
 
 def approx_values(triples, n):
-    """value_approx of each triple of n, with no Element or Fraction: int
-    true division is correctly rounded, as float(Fraction) is."""
+    """value_approx of each triple of n: sqrt(n) by scaled integer square
+    root, so the quotient carries enough precision whatever the size of n,
+    and int true division is correctly rounded."""
     scale, root = _scaled_sqrt(n)
     return [(a * scale + root) / (c * scale) for a, _, c in triples]

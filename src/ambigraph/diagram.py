@@ -84,11 +84,6 @@ def closed_path(e: Element) -> ClosedPath:
         seen[t] = None
 
 
-def _closure(path: ClosedPath):
-    """The member triples of an orbit: path vertices plus their x-images."""
-    return set(path.triples) | {x_triple(t) for t in path.triples}
-
-
 @dataclass(frozen=True)
 class OrbitRecord:
     representative: Element
@@ -127,25 +122,6 @@ class OrbitPartition:
 
     def orbit_of(self, e: Element):
         return self._orbit_index.get(e.triple)
-
-
-def partition_from_groups(n, groups) -> OrbitPartition:
-    """Orbit partition from groups of member triples.
-
-    Members, and groups by first member, come in enumeration ((a, c)) order,
-    as cf.cf_groups gives them.  Each group must equal the closed path of
-    its first member together with its vertices' x-images.
-    """
-    records = []
-    for members in groups:
-        rep = Element.from_triple(members[0], n)
-        path = closed_path(rep)
-        if _closure(path) != set(members):
-            raise InternalInconsistency(
-                f"component of {rep} != path-plus-x-images closure"
-            )
-        records.append(OrbitRecord(rep, tuple(members), path))
-    return OrbitPartition(n, tuple(records))
 
 
 def partition_graph(n: int, max_n: int = None) -> OrbitPartition:

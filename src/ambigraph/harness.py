@@ -14,10 +14,10 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .classify import ClassifierKind, classifier_for
+from .classify import ClassifierKind, classifier_for, odd_prime_divisors
 from .core import Element, is_ambiguous, make_element
-from .diagram import OrbitPartition, closed_path, partition_graph
-from .cf import cf_groups
+from .diagram import closed_path
+from .cf import partition_cf as cross_checked_partition
 from .enumeration import DEFAULT_MAX_N, checked_triples
 from .errors import AmbigraphError, InternalInconsistency, LimitExceeded
 from .words import check_word_fixes, circuit_from_word, parse_word, path_word
@@ -62,13 +62,13 @@ def make_case(theorem: str, p: int, k: int, l: int = None,
             raise ValueError(
                 f"theorem {theorem} requires p = {_P_MOD4[theorem]} (mod 4)"
             )
-    if p % 2 == 0:
-        raise ValueError("p must be an odd prime")
     if k < 3 or k % 2 == 0:
         raise ValueError("k must be odd and >= 3")
     cap = DEFAULT_MAX_N if max_n is None else max_n
     if _beyond_cap(p, k, l, cap):
         raise LimitExceeded(f"n=2^{l}*{p}^{k} exceeds configured cap {cap}")
+    if p < 3 or odd_prime_divisors(p) != [p]:  # after the cap, which bounds p
+        raise ValueError("p must be an odd prime")
     n = 2 ** l * p ** k
     expected = 4 if theorem == "2.9" else 2
     exploratory = theorem in ("2.1", "2.5", "2.7") and p % 8 == 1
@@ -175,22 +175,6 @@ class VerdictReport:
     @property
     def has_errata(self):
         return bool(self.errata_notes)
-
-
-def cross_checked_partition(n: int, max_n: int = None) -> OrbitPartition:
-    """Graph and CF partitions, verified identical as lists of member
-    triples in enumeration order; CF is the trusted oracle."""
-    pg = partition_graph(n, max_n=max_n)
-    graph = [rec.triples for rec in pg.orbits]
-    cf = sorted(map(tuple, cf_groups(n, max_n)), key=lambda g: (g[0][0], g[0][2]))
-    if graph != cf:
-        diff = frozenset(map(frozenset, graph)) ^ frozenset(map(frozenset, cf))
-        example = sorted(min(diff, key=len))[:4]
-        raise InternalInconsistency(
-            f"graph and CF partitions disagree for n={n}; "
-            f"counterexample members {example}"
-        )
-    return pg
 
 
 def verify_case(case: TheoremCase, max_n: int = None) -> VerdictReport:
@@ -399,13 +383,10 @@ class SweepRow:
 
 
 def _theorem_for(p, l):
-    if l == 0:
-        return "2.1" if p % 4 == 1 else "2.3"
-    if l == 1:
-        return "2.5" if p % 4 == 1 else "2.6"
-    if l == 2:
-        return "2.7" if p % 4 == 1 else "2.8"
-    return "2.9"
+    """The theorem whose l and p (mod 4) fit; p not 1 (mod 4) reads as 3."""
+    mod4 = 1 if p % 4 == 1 else 3
+    return next((t for t, want in THEOREM_L.items()
+                 if want == l and _P_MOD4[t] == mod4), "2.9")
 
 
 def sweep(ps, ks, ls, max_n: int) -> tuple:
@@ -438,14 +419,14 @@ def sweep(ps, ks, ls, max_n: int) -> tuple:
                     report = verify_case(case, max_n=max_n)
                 except InternalInconsistency:
                     raise
-                except AmbigraphError as exc:
+                except (AmbigraphError, ValueError) as exc:  # ValueError: make_case
                     rows.append(SweepRow(p, k, l, n, theorem, "error",
                                          -1, -1, str(exc)))
                     continue
                 if case.exploratory:
                     status = "exploratory"
                 else:
-                    status = "pass" if report.passed and report.count_match else "fail"
+                    status = "pass" if report.passed else "fail"
                 rows.append(
                     SweepRow(p, k, l, n, theorem, status,
                              report.computed_count, case.expected_count,

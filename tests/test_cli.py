@@ -43,12 +43,14 @@ def test_orbits_json(run_cli, golden):
 
 
 def test_orbits_methods_agree(run_cli):
-    _, graph = run_cli("orbits", "216", "--method", "graph", "--json")
-    _, cf = run_cli("orbits", "216", "--method", "cf", "--json")
-    import json
-
-    dg, dc = json.loads(graph), json.loads(cf)
-    assert [o["members"] for o in dg["orbits"]] == [o["members"] for o in dc["orbits"]]
+    for n in (125, 216, 1944):
+        docs = {}
+        for method in ("graph", "cf", "both"):
+            code, out = run_cli("orbits", str(n), "--method", method, "--json")
+            assert code == 0
+            docs[method] = json.loads(out)
+            assert docs[method].pop("method") == method
+        assert docs["graph"] == docs["cf"] == docs["both"], n
 
 
 def test_orbits_human(run_cli, golden):
@@ -409,6 +411,48 @@ def test_output_to_a_missing_directory_is_a_usage_error(run_cli, tmp_path, capsy
         assert code == 1 and out == ""
         assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, classes",
+    [
+        (("orbits", "216", "--json"), 2),  # mod_p[3] and mod8, for 4 orbits
+        (("orbits", "69984", "--json"), 2),  # the same, for 12 orbits
+        (("classify", "1125"), 2),  # mod_p[3] and mod_p[5]
+    ],
+)
+def test_classifiers_are_built_once_per_command(monkeypatch, run_cli, argv, classes):
+    from ambigraph import cli
+
+    built = []
+    original = cli.classifier_for
+
+    def spy(kind, n, p=None):
+        built.append((kind, p))
+        return original(kind, n, p)
+
+    monkeypatch.setattr(cli, "classifier_for", spy)
+    code, _ = run_cli(*argv)
+    assert code == 0 and len(built) == classes, built
+
+
+@pytest.mark.parametrize("p", ["9", "15"])
+def test_verify_refuses_a_composite_p_before_enumerating(run_cli, monkeypatch,
+                                                         capsys, p):
+    from test_diagram import _forbid_enumeration
+
+    _forbid_enumeration(monkeypatch)
+    theorem = "2.1" if p == "9" else "2.3"
+    code, out = run_cli("verify", "--theorem", theorem, "--p", p, "--k", "3")
+    assert code == 1 and out == ""
+    assert "p must be an odd prime" in capsys.readouterr().err
+
+
+def test_sweep_turns_a_bad_p_into_an_error_row(run_cli):
+    code, out = run_cli("sweep", "--p", "2,3", "--k", "3", "--l", "0", "--json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [(r["p"], r["status"]) for r in rows] == [(2, "error"), (3, "pass")]
 
 
 def test_classify_checks_p_divides_n_before_testing_p_prime(run_cli, capsys):

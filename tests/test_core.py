@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import gcd, isqrt
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -164,6 +167,13 @@ def test_value_approx_respects_x(a, c, n):
     assert value_approx(xe) == pytest.approx(-1.0 / v, rel=1e-9)
 
 
+def _fraction_value(t, n):
+    """The reference value: float of the exact Fraction (a*s + root)/(c*s)
+    with s = 10^max(30, bits(n)) and root = isqrt(n*s*s)."""
+    scale = 10 ** max(30, n.bit_length())
+    return float(Fraction(t[0] * scale + isqrt(n * scale * scale), t[2] * scale))
+
+
 def test_approx_values_equal_value_approx():
     from ambigraph.core import approx_values
     from ambigraph.enumeration import ambiguous_triples
@@ -173,8 +183,23 @@ def test_approx_values_equal_value_approx():
     ]:
         triples = ambiguous_triples(n)
         assert approx_values(triples, n) == [
-            value_approx(Element.from_triple(t, n)) for t in triples
+            _fraction_value(t, n) for t in triples
         ], n
+
+
+@given(
+    a=st.integers(-10 ** 40, 10 ** 40),
+    b=st.integers(1, 10 ** 40),
+    c=st.integers(1, 10 ** 40),
+    flip=st.booleans(),
+)
+@settings(max_examples=300)
+def test_value_approx_matches_the_fraction_reference_for_big_n(a, b, c, flip):
+    b, c = (b, -c) if flip else (-b, c)  # bc < 0, so n = a^2 - bc > 0
+    n = a * a - b * c
+    if isqrt(n) ** 2 == n or gcd(gcd(a, b), c) != 1:
+        return
+    assert value_approx(Element(a, b, c, n)) == _fraction_value((a, b, c), n)
 
 
 def _outcome(check, *args):

@@ -4,10 +4,9 @@ from math import isqrt
 
 import pytest
 
-from ambigraph.core import Element, make_element
+from ambigraph.core import Element, make_element, x_triple
 from ambigraph.diagram import (
     StepType,
-    _closure,
     closed_path,
     export_dot,
     partition_graph,
@@ -54,6 +53,12 @@ def test_closed_path_125_runs():
         else:
             runs.append([t, 1])
     assert [(t.value, m) for t, m in runs] == [("yx", 5), ("y2x", 11), ("yx", 6)]
+
+
+def _closure(path):
+    """The member triples of an orbit as the paper reads them off its coset
+    diagram: the closed path's vertices plus their x-images."""
+    return set(path.triples) | {x_triple(t) for t in path.triples}
 
 
 def test_orbit_members_counts():
@@ -254,6 +259,7 @@ def test_union_find_matches_cf_groups_up_to_1500():
         assert set(map(frozenset, reference)) == set(map(frozenset, cf_groups(n))), n
         for rec in records:
             assert rec.path == closed_path(rec.representative), (n, rec.path)
+            assert set(rec.triples) == _closure(rec.path), (n, rec.path)
 
 
 def test_generators_on_the_ambiguous_set_up_to_1500():

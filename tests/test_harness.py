@@ -27,6 +27,10 @@ def test_make_case_validation():
         make_case("2.1", None, 3)  # missing p
     with pytest.raises(ValueError):
         make_case("2.9", 3, None, 3)  # missing k
+    for theorem, p, l in (("2.1", 9, 0), ("2.3", 15, 0), ("2.9", 25, 3),
+                          ("2.9", 1, 3), ("2.9", -3, 3), ("2.9", 0, 3)):
+        with pytest.raises(ValueError, match="p must be an odd prime"):
+            make_case(theorem, p, 3, l)
 
 
 def test_make_case_refuses_only_cases_past_the_cap():
@@ -128,6 +132,12 @@ def test_sweep():
 
     assert sweep([], [], [], max_n=100) == ()
 
+    # a p that make_case refuses is an error row, not an abort of the grid
+    rows = sweep([2, 3, 9], [3], [0], max_n=10 ** 6)
+    assert [r.status for r in rows] == ["error", "pass", "error"]
+    assert rows[0].detail == "theorem 2.3 requires p = 3 (mod 4)"
+    assert rows[2].detail == "p must be an odd prime"
+
     rows = sweep([5], [3], [0], max_n=100)
     assert rows[0].status == "skipped"
 
@@ -182,24 +192,49 @@ def test_verify_case_passes_its_cap_to_resolve_rep(monkeypatch):
     assert seen == [10 ** 6] * 4
 
 
+def test_cross_check_is_partition_cf():
+    from ambigraph import cf, harness
+
+    assert harness.cross_checked_partition is cf.partition_cf
+
+
 def test_cross_check_compares_partitions_not_group_order(monkeypatch, run_cli):
-    from ambigraph import harness
-    from ambigraph.cf import cf_groups
+    from ambigraph import cf, harness
     from ambigraph.diagram import partition_graph
     from ambigraph.errors import InternalInconsistency
 
-    groups = [list(g) for g in cf_groups(216)]
+    groups = [list(g) for g in cf.cf_groups(216)]
     assert len(groups) == 4
-    monkeypatch.setattr(harness, "cf_groups", lambda n, max_n=None: groups[::-1])
+    monkeypatch.setattr(cf, "cf_groups", lambda n, max_n=None: groups[::-1])
     partition = harness.cross_checked_partition(216)
     assert partition.member_sets() == partition_graph(216).member_sets()
 
     merged = sorted(groups[0] + groups[1], key=lambda t: (t[0], t[2]))
     monkeypatch.setattr(
-        harness, "cf_groups", lambda n, max_n=None: [merged] + groups[2:]
+        cf, "cf_groups", lambda n, max_n=None: [merged] + groups[2:]
     )
     with pytest.raises(InternalInconsistency) as info:
         harness.cross_checked_partition(216)
     assert "n=216" in str(info.value)
-    code, out = run_cli("orbits", "216")
-    assert code == 3 and out == ""
+    for method in ("both", "cf"):
+        code, out = run_cli("orbits", "216", "--method", method)
+        assert code == 3 and out == "", method
+    code, out = run_cli("orbits", "216", "--method", "graph")
+    assert code == 0 and out.startswith("4 orbits")
+
+
+def test_theorem_for_reads_the_theorem_tables():
+    from ambigraph.harness import _theorem_for
+
+    def former(p, l):  # the rule spelled out before it read the tables
+        if l == 0:
+            return "2.1" if p % 4 == 1 else "2.3"
+        if l == 1:
+            return "2.5" if p % 4 == 1 else "2.6"
+        if l == 2:
+            return "2.7" if p % 4 == 1 else "2.8"
+        return "2.9"
+
+    for p in range(-9, 60):
+        for l in range(8):
+            assert _theorem_for(p, l) == former(p, l), (p, l)
