@@ -85,6 +85,19 @@ def _emit(doc, out):
     out.write(json.dumps(doc, indent=2) + "\n")
 
 
+def _emit_streamed(doc, items, out):
+    """_emit of doc with its last value, an empty list, filled from items,
+    writing one item at a time: at depth 1 each item is indented by four
+    spaces, and a newline occurs in its JSON text only between lines."""
+    head = json.dumps(doc, indent=2)
+    out.write(head[:-len("]\n}")])  # up to the empty list's "["
+    sep = "\n    "
+    for item in items:
+        out.write(sep + json.dumps(item, indent=2).replace("\n", "\n    "))
+        sep = ",\n    "
+    out.write("]\n}\n" if sep == "\n    " else "\n  ]\n}\n")
+
+
 def _write(text, path, out):
     """Write text to the file at path, or to out when no path is given."""
     if not path:
@@ -138,15 +151,15 @@ def _cmd_orbits(args, out):
     partition = _partition_for(args.n, args.method, args.max_n)
     if args.json:
         classifiers = _classifiers(args.n)
-        _emit(
+        _emit_streamed(
             {
                 "schema": SCHEMA_VERSION,
                 "n": _int(args.n),
                 "method": args.method,
                 "orbit_count": len(partition),
-                "orbits": [_orbit_dict(o, args.n, classifiers)
-                           for o in partition.orbits],
+                "orbits": [],
             },
+            (_orbit_dict(o, args.n, classifiers) for o in partition.orbits),
             out,
         )
     else:

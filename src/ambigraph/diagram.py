@@ -10,8 +10,9 @@ partition and every orbit's closed path; the CF partition cross-checks it.
 """
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from operator import itemgetter
 
 from .core import Element, is_ambiguous, x_triple
 from .enumeration import checked_triples
@@ -84,6 +85,9 @@ def closed_path(e: Element) -> ClosedPath:
         seen[t] = None
 
 
+_ac = itemgetter(0, 2)  # the (a, c) sort key of a triple
+
+
 @dataclass(frozen=True)
 class OrbitRecord:
     representative: Element
@@ -116,12 +120,15 @@ class OrbitPartition:
         """Frozenset-of-frozensets view for partition comparisons."""
         return frozenset(frozenset(o.triples) for o in self.orbits)
 
-    @cached_property
-    def _orbit_index(self):
-        return {t: i for i, o in enumerate(self.orbits) for t in o.triples}
-
     def orbit_of(self, e: Element):
-        return self._orbit_index.get(e.triple)
+        """Index of the orbit holding e, or None: a bisection on each
+        orbit's members, which are sorted by (a, c)."""
+        t = e.triple
+        for i, o in enumerate(self.orbits):
+            j = bisect_left(o.triples, (t[0], t[2]), key=_ac)
+            if j < len(o.triples) and o.triples[j] == t:
+                return i
+        return None
 
 
 def partition_graph(n: int, max_n: int = None) -> OrbitPartition:
@@ -133,23 +140,24 @@ def partition_graph(n: int, max_n: int = None) -> OrbitPartition:
     y and y^2: an ambiguous y or y^2 image of t is the successor of x(t).
     """
     triples = checked_triples(n, max_n)
-    orbit = dict.fromkeys(triples)  # triple -> orbit number, None unwalked
+    # triple -> its own enumerated tuple until walked, then its orbit number,
+    # so a path holds the enumeration's tuples, not the successor's copies
+    orbit = dict(zip(triples, triples))
     paths = []
     try:
         for start in triples:
-            if orbit[start] is not None:
+            if type(orbit[start]) is int:
                 continue
             k = orbit[x_triple(start)]
-            if new := k is None:
+            if new := type(k) is not int:
                 k = len(paths)
             t, walk, tags = start, [], []
-            while orbit[t] is None:
+            while type(v := orbit[t]) is not int:
                 orbit[t] = k
-                u, tag = successor_triple(t, n)
+                t, tag = successor_triple(v, n)
                 if new:  # only an orbit's first cycle is kept, as its path
-                    walk.append(t)
+                    walk.append(v)
                     tags.append(tag)
-                t = u
             if t != start:
                 raise InternalInconsistency(f"walk from {start} revisits {t} (n={n})")
             if new:

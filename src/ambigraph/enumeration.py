@@ -1,7 +1,6 @@
 """Enumeration of the finite set of ambiguous numbers of Q*(sqrt(n))."""
 
 import math
-from functools import lru_cache
 
 from .core import Element, _is_square
 from .errors import LimitExceeded, NonPositiveN, SquareN
@@ -48,19 +47,33 @@ def _sqrt_mod(n: int, p: int):
     return (r, p - r)
 
 
-@lru_cache(maxsize=1)
+_memo = {}  # the last n enumerated -> its triples; at most one entry
+
+
 def ambiguous_triples(n: int):
     """Sorted tuple of primitive triples (a,b,c) with a^2 < n and c | a^2-n.
+
+    Memoised for the last n, so every consumer within one command shares
+    a single enumeration.  A new n releases the previous n's set before it
+    is built, so at most one set is held at a time.
+    """
+    triples = _memo.get(n)
+    if triples is None:
+        _memo.clear()
+        triples = _memo[n] = _sieve_triples(n)
+    return triples
+
+
+def _sieve_triples(n: int):
+    """The unmemoised enumeration behind ambiguous_triples.
 
     The values m = n - a^2 for a in [0, isqrt(n)] are factored by a sieve,
     as in the quadratic sieve: for each prime p <= sqrt(n), p | m exactly
     when a is a root of a^2 = n (mod p), so stepping a through those roots
     finds every a whose m has p as a factor.  After the primes up to sqrt(n)
     are divided out, what is left of m is 1 or a prime.  The divisors c of
-    m then give the triples of a and of -a alike, in (a, c) order.
-
-    Memoised for the last n, so every consumer within one command shares
-    a single enumeration.
+    m then give the triples of a and of -a alike, in (a, c) order; the two
+    rows share their b and c ints, and each row of -a shares one -a int.
     """
     s = math.isqrt(n)
     rest = [n - a * a for a in range(s + 1)]
@@ -89,7 +102,10 @@ def ambiguous_triples(n: int):
             divs = [d for d in divs if math.gcd(g, d, m // d) == 1]
         rows.append([(m // d, -d) for d in reversed(divs)]
                     + [(-m // d, d) for d in divs])
-    out = [(-a, b, c) for a in range(s, 0, -1) for b, c in rows[a]]
+    out = []
+    for a in range(s, 0, -1):
+        na = -a
+        out += [(na, b, c) for b, c in rows[a]]
     out += [(a, b, c) for a in range(s + 1) for b, c in rows[a]]
     return tuple(out)
 

@@ -194,8 +194,23 @@ def canonical_circuit(exponents, start: StepType) -> Circuit:
     if k == 0 or k % 2 != 0:
         raise OddBlockCount(f"circuit needs a positive even block count, got {k}")
     exponents = tuple(exponents)
-    best = min(exponents[i:] + exponents[:i] for i in range(0, k, 2))
-    return Circuit(best, start)
+    # least rotation of the block pairs by a linear two-pointer scan: every
+    # rotation below j but i is ruled out, and i, j agree on their first m
+    pairs = list(zip(exponents[::2], exponents[1::2]))
+    h = len(pairs)
+    pairs += pairs
+    i, j, m = 0, 1, 0
+    while j < h and m < h:
+        u, v = pairs[i + m], pairs[j + m]
+        if u == v:
+            m += 1
+            continue
+        if u > v:  # no rotation in i..i+m is least
+            i, j = j, max(j, i + m) + 1
+        else:  # no rotation in j..j+m is least
+            j += m + 1
+        m = 0
+    return Circuit(exponents[2 * i:] + exponents[:2 * i], start)
 
 
 def path_word(path: ClosedPath) -> Word:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -278,12 +279,16 @@ def test_negative_literals(run_cli):
         ("classify", "216", "--mod8"),
     ],
 )
-def test_one_enumeration_per_command(run_cli, argv):
-    from ambigraph.enumeration import ambiguous_triples
+def test_one_enumeration_per_command(monkeypatch, run_cli, argv):
+    from ambigraph import enumeration
 
-    ambiguous_triples.cache_clear()
-    run_cli(*argv)
-    assert ambiguous_triples.cache_info().misses == 1
+    builds = []
+    build = enumeration._sieve_triples
+    monkeypatch.setattr(enumeration, "_memo", {})
+    monkeypatch.setattr(enumeration, "_sieve_triples",
+                        lambda n: builds.append(n) or build(n))
+    code, _ = run_cli(*argv)
+    assert code in (0, 2) and len(builds) == 1
 
 
 @pytest.mark.parametrize(
@@ -377,7 +382,7 @@ def test_ambiguous_builds_no_element_per_triple(monkeypatch, run_cli, form):
 
 @pytest.mark.slow
 def test_verify_at_3_to_the_17_above_the_default_cap(run_cli):
-    # n = 129140163 exceeds DEFAULT_MAX_N; about 6 s and 200 MB peak RSS
+    # n = 129140163 exceeds DEFAULT_MAX_N; about 2 s and 113 MB peak RSS
     code, out = run_cli(
         "--max-n", "200000000", "verify", "--theorem", "2.3", "--p", "3",
         "--k", "17",
@@ -460,3 +465,55 @@ def test_classify_checks_p_divides_n_before_testing_p_prime(run_cli, capsys):
     code, out = run_cli("classify", "125", "--mod-p", str(2 ** 61 - 1))
     assert code == 1 and out == ""
     assert "does not divide n=125" in capsys.readouterr().err
+
+
+NONSQUARES_400 = [n for n in range(2, 401) if math.isqrt(n) ** 2 != n]
+
+
+@pytest.mark.parametrize("method", ["graph", "both"])
+def test_streamed_orbits_json_equals_the_whole_document(run_cli, method):
+    from ambigraph import cli
+    from ambigraph.diagram import partition_graph
+
+    for n in NONSQUARES_400:
+        classifiers = cli._classifiers(n)
+        orbits = partition_graph(n).orbits
+        doc = {"schema": cli.SCHEMA_VERSION, "n": n, "method": method,
+               "orbit_count": len(orbits),
+               "orbits": [cli._orbit_dict(o, n, classifiers) for o in orbits]}
+        code, out = run_cli("orbits", str(n), "--json", "--method", method)
+        assert code == 0 and out == json.dumps(doc, indent=2) + "\n", n
+
+
+def test_streamed_json_of_an_empty_list():
+    import io
+
+    from ambigraph.cli import _emit_streamed
+
+    for doc in ({"xs": []}, {"n": 5, "s": "a\nb", "xs": []}):
+        out = io.StringIO()
+        _emit_streamed(doc, iter(()), out)
+        assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+def test_orbits_json_writes_nothing_when_the_engines_disagree(monkeypatch,
+                                                               run_cli):
+    from ambigraph import cf
+
+    groups = [list(g) for g in cf.cf_groups(216)]
+    merged = sorted(groups[0] + groups[1], key=lambda t: (t[0], t[2]))
+    monkeypatch.setattr(cf, "cf_groups",
+                        lambda n, max_n=None: [merged] + groups[2:])
+    for method in ("both", "cf"):
+        code, out = run_cli("orbits", "216", "--json", "--method", method)
+        assert code == 3 and out == "", method
+
+
+def test_orbits_216_json_golden(run_cli, golden):
+    code, out = run_cli("orbits", "216", "--json")
+    assert code == 0
+    golden("orbits_216.json", out)
+    doc = json.loads(out)
+    assert doc["orbit_count"] == 4
+    assert {name for o in doc["orbits"] for name in o["classes"]} == {
+        "mod_p[3]", "mod8"}

@@ -168,6 +168,32 @@ def test_orbit_of_outside_partition():
     assert partition.orbit_of(make_element(1, 2, 125)) is None
 
 
+def test_orbit_of_agrees_with_an_index_up_to_300():
+    for n in range(2, 301):
+        if isqrt(n) ** 2 == n:
+            continue
+        partition = partition_graph(n)
+        index = {t: i for i, o in enumerate(partition.orbits) for t in o.triples}
+        for t, i in index.items():
+            assert partition.orbit_of(Element(*t, n)) == i, (n, t)
+        s = isqrt(n)  # a = s + 1 is past every ambiguous triple of n
+        outside = make_element(s + 1, 1, n)
+        assert outside.triple not in index
+        assert partition.orbit_of(outside) is None, n
+
+
+def test_path_vertices_are_the_enumerations_tuples():
+    from ambigraph.enumeration import ambiguous_triples
+
+    for n in [n for n in range(2, 401) if isqrt(n) ** 2 != n] + [69984]:
+        own = {t: t for t in ambiguous_triples(n)}
+        for rec in partition_graph(n).orbits:
+            for t in rec.path.triples:
+                assert t is own[t], (n, t)
+            for t in rec.triples:
+                assert t is own[t], (n, t)
+
+
 def test_orbits_json_walks_each_closed_path_once(monkeypatch, run_cli):
     """One successor step per ambiguous triple: no closed path is walked
     twice, whether as a cycle of the partition or as a record's path."""

@@ -103,6 +103,35 @@ def test_triples_are_memoised_and_checked():
         checked_triples(1009, max_n=1000)
 
 
+def test_previous_set_is_released_before_the_next_is_built(monkeypatch):
+    from ambigraph import enumeration
+
+    build, seen = enumeration._sieve_triples, []
+
+    def spy(n):
+        seen.append((n, dict(enumeration._memo)))
+        return build(n)
+
+    monkeypatch.setattr(enumeration, "_memo", {})
+    monkeypatch.setattr(enumeration, "_sieve_triples", spy)
+    for n in (125, 216, 216, 125):
+        assert ambiguous_triples(n) == trial_division_triples(n)
+    assert seen == [(125, {}), (216, {}), (125, {})]
+    assert list(enumeration._memo) == [125]
+
+
+def test_rows_of_a_and_minus_a_share_their_ints():
+    triples = ambiguous_triples(300007)  # rows up to a = 547, past cached ints
+    rows = {}
+    for t in triples:
+        rows.setdefault(t[0], []).append(t)
+    for a in range(300, _isqrt(300007) + 1):
+        neg, pos = rows.get(-a, []), rows.get(a, [])
+        assert len({id(t[0]) for t in neg}) <= 1
+        assert [(id(t[1]), id(t[2])) for t in neg] == [
+            (id(t[1]), id(t[2])) for t in pos]
+
+
 def trial_division_triples(n):
     """Reference enumeration: the signed divisors of every a^2 - n by trial
     division, gcd-filtered and sorted by (a, c)."""
