@@ -125,7 +125,7 @@ class OrbitPartition:
         orbit's members, which are sorted by (a, c)."""
         t = e.triple
         for i, o in enumerate(self.orbits):
-            j = bisect_left(o.triples, (t[0], t[2]), key=_ac)
+            j = bisect_left(o.triples, _ac(t), key=_ac)
             if j < len(o.triples) and o.triples[j] == t:
                 return i
         return None
@@ -142,17 +142,17 @@ def partition_graph(n: int, max_n: int = None) -> OrbitPartition:
     triples = checked_triples(n, max_n)
     # triple -> its own enumerated tuple until walked, then its orbit number,
     # so a path holds the enumeration's tuples, not the successor's copies
-    orbit = dict(zip(triples, triples))
+    orbit = {t: t for t in triples}
     paths = []
     try:
         for start in triples:
-            if type(orbit[start]) is int:
+            if orbit[start].__class__ is not tuple:  # walked
                 continue
             k = orbit[x_triple(start)]
-            if new := type(k) is not int:
+            if new := k.__class__ is tuple:
                 k = len(paths)
             t, walk, tags = start, [], []
-            while type(v := orbit[t]) is not int:
+            while (v := orbit[t]).__class__ is tuple:
                 orbit[t] = k
                 t, tag = successor_triple(v, n)
                 if new:  # only an orbit's first cycle is kept, as its path
