@@ -119,10 +119,12 @@ def invariance_audit(
 ) -> AuditReport:
     """Check class(g.e) == class(e) for g in {x, y, y^2} over the whole
     ambiguous set and along depth random generator extensions of each element.
-    Each round of a walk builds the three images once and steps onto one of
-    them, drawn as randrange(3) draws it: getrandbits(2), redrawn on 3.  The
-    walk's images are then validated as triples of n, in order, and
-    classified.  Elements are built only for the violations.
+    Each round of a walk steps onto one of the three images of its state,
+    drawn as randrange(3) draws it: getrandbits(2), redrawn on 3.  Since
+    x^2 = y^3 = 1 a walk keeps stepping back, so it builds, validates as
+    triples of n and then classifies a state's images on the state's first
+    visit only; a revisit repeats that state's violations, if any.  Elements
+    are built only for the violations.
     """
     if depth < 0:
         raise ValueError(f"audit depth must be >= 0, got {depth}")
@@ -130,27 +132,32 @@ def invariance_audit(
     names = ("x", "y", "y2")
     getrandbits = random.Random(seed).getrandbits
     violations = []
-    checked = 0
-    for t in checked_triples(n, max_n):
+    triples = checked_triples(n, max_n)
+    for t in triples:
+        expected = classify(t)
+        steps = {}  # state of this walk -> its three images
+        wrong = {}  # state -> indices of its images whose class differs
         cur = t
-        states, images = [], []
         for _ in range(depth + 1):
-            step = (x_triple(cur), y_triple(cur), yy_triple(cur))
-            states.append(cur)
-            images += step
+            step = steps.get(cur)
+            if step is None:
+                step = steps[cur] = (x_triple(cur), y_triple(cur), yy_triple(cur))
+                check_triples(step, n)
+                u, v, w = step
+                cu, cv, cw = classify(u), classify(v), classify(w)
+                if cu != expected or cv != expected or cw != expected:
+                    wrong[cur] = [i for i, c in enumerate((cu, cv, cw))
+                                  if c != expected]
+            if wrong and cur in wrong:
+                e = Element.from_triple(cur, n)
+                violations += [(e, names[i], Element.from_triple(step[i], n))
+                               for i in wrong[cur]]
             r = getrandbits(2)
             while r == 3:
                 r = getrandbits(2)
             cur = step[r]
-        check_triples(images, n)
-        expected = classify(t)
-        for i, image in enumerate(images):
-            if classify(image) != expected:
-                violations.append((Element.from_triple(states[i // 3], n),
-                                   names[i % 3], Element.from_triple(image, n)))
-        checked += len(images)
     return AuditReport(
-        n, kind, p or 0, depth, checked, tuple(violations)
+        n, kind, p or 0, depth, 3 * (depth + 1) * len(triples), tuple(violations)
     )
 
 

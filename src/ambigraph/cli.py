@@ -91,9 +91,10 @@ def _emit_streamed(doc, items, out):
     spaces, and a newline occurs in its JSON text only between lines."""
     head = json.dumps(doc, indent=2)
     out.write(head[:-len("]\n}")])  # up to the empty list's "["
+    encode = json.JSONEncoder(indent=2).encode  # json.dumps(item, indent=2)
     sep = "\n    "
     for item in items:
-        out.write(sep + json.dumps(item, indent=2).replace("\n", "\n    "))
+        out.write(sep + encode(item).replace("\n", "\n    "))
         sep = ",\n    "
     out.write("]\n}\n" if sep == "\n    " else "\n  ]\n}\n")
 
@@ -119,13 +120,14 @@ def _cmd_ambiguous(args, out):
         out.write(f"{len(triples)}\n")
         return EXIT_OK
     if args.json:
-        _emit(
+        _emit_streamed(
             {
                 "schema": SCHEMA_VERSION,
                 "n": _int(n),
                 "count": len(triples),
-                "elements": [triple_str(t, n) for t in triples],
+                "elements": [],
             },
+            (triple_str(t, n) for t in triples),
             out,
         )
     elif args.csv:

@@ -167,8 +167,9 @@ def test_audit_validates_every_image(monkeypatch):
         return (a, b + 1, c)
 
     monkeypatch.setattr(classify, "y_triple", broken_y)
-    with pytest.raises(NotDivisible):
-        invariance_audit(216, ClassifierKind.MOD_8, depth=0)
+    for depth in (0, 20):
+        with pytest.raises(NotDivisible):
+            invariance_audit(216, ClassifierKind.MOD_8, depth=depth)
 
 
 def test_mod_p_classifier_checks_p_once(monkeypatch):
@@ -242,7 +243,7 @@ def _reference_walk(n, depth, seed):
     return images
 
 
-@pytest.mark.parametrize("depth", [0, 1, 5])
+@pytest.mark.parametrize("depth", [0, 1, 5, 20])
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("n,kind,p", [(216, ClassifierKind.MOD_8, None),
                                       (1125, ClassifierKind.MOD_P, 5)])
@@ -250,7 +251,7 @@ def test_audit_walk_is_pinned(monkeypatch, n, kind, p, depth, seed):
     from ambigraph import classify
 
     # with the triple itself as its class, every image but the start is a
-    # violation, so the violations spell out the whole walk
+    # violation, so the violations spell out the whole walk, revisits and all
     monkeypatch.setattr(classify, "classifier_for", lambda kind, n, p=None: tuple)
     report = invariance_audit(n, kind, p=p, depth=depth, seed=seed)
     walk = _reference_walk(n, depth, seed)
@@ -258,3 +259,49 @@ def test_audit_walk_is_pinned(monkeypatch, n, kind, p, depth, seed):
     assert [(e.triple, name, image.triple) for e, name, image in report.violations] == [
         (cur, name, image) for t, cur, name, image in walk if image != t
     ]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("n,kind,p", [(216, ClassifierKind.MOD_8, None),
+                                      (1125, ClassifierKind.MOD_P, 5)])
+def test_audit_checks_each_state_of_a_walk_once(monkeypatch, n, kind, p, seed):
+    from ambigraph import classify
+
+    depth = 20
+    calls = []  # ("class", triple) and ("check", images), in call order
+    real_classifier_for, real_check = classify.classifier_for, classify.check_triples
+
+    def counting_classifier_for(kind, n, p=None):
+        f = real_classifier_for(kind, n, p)
+
+        def spy(t):
+            calls.append(("class", t))
+            return f(t)
+        return spy
+
+    def counting_check(ts, n):
+        calls.append(("check", tuple(ts)))
+        return real_check(ts, n)
+
+    monkeypatch.setattr(classify, "classifier_for", counting_classifier_for)
+    monkeypatch.setattr(classify, "check_triples", counting_check)
+    report = invariance_audit(n, kind, p=p, depth=depth, seed=seed)
+    walk = _reference_walk(n, depth, seed)
+    triples = ambiguous_triples(n)
+    assert report.ok and report.checked == len(walk) == 3 * (depth + 1) * len(triples)
+
+    # per walk: the start is classified, then each distinct state, on its
+    # first visit, has its three images checked and classified once
+    states = {}  # start -> the distinct states of its walk, in visit order
+    for t, cur, _, _ in walk:
+        states.setdefault(t, {})[cur] = None
+    expected = []
+    for t in triples:
+        expected.append(("class", t))
+        assert len(states[t]) <= depth + 1
+        for cur in states[t]:
+            images = (x_triple(cur), y_triple(cur), yy_triple(cur))
+            expected += [("check", images)] + [("class", u) for u in images]
+    assert calls == expected
+    classified = sum(what == "class" for what, _ in calls)
+    assert classified < (1 + 3 * (depth + 1)) * len(triples)

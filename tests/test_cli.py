@@ -485,6 +485,19 @@ def test_streamed_orbits_json_equals_the_whole_document(run_cli, method):
         assert code == 0 and out == json.dumps(doc, indent=2) + "\n", n
 
 
+def test_streamed_ambiguous_json_equals_the_whole_document(run_cli):
+    from ambigraph.cli import SCHEMA_VERSION
+    from ambigraph.core import triple_str
+    from ambigraph.enumeration import ambiguous_triples
+
+    for n in NONSQUARES_400 + [69984]:
+        triples = ambiguous_triples(n)
+        doc = {"schema": SCHEMA_VERSION, "n": n, "count": len(triples),
+               "elements": [triple_str(t, n) for t in triples]}
+        code, out = run_cli("ambiguous", str(n), "--json")
+        assert code == 0 and out == json.dumps(doc, indent=2) + "\n", n
+
+
 def test_streamed_json_of_an_empty_list():
     import io
 
