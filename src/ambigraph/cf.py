@@ -102,55 +102,54 @@ def psl_equivalent(e1: Element, e2: Element) -> bool:
     if e1.n != e2.n:
         raise MismatchedN(f"cannot compare n={e1.n} with n={e2.n}")
     n = e1.n
-    s, limit, cache = isqrt(n), _default_limit(n), {}
-    return _cf_key(e1.triple, n, s, cache, limit) == _cf_key(
-        e2.triple, n, s, cache, limit
-    )
+    k1, k2 = _cf_keys((e1.triple, e2.triple), n, isqrt(n), {}, _default_limit(n))
+    return k1 == k2
 
 
-def _cf_key(t, n, s, cache, limit):
-    """Orbit key of a triple: (least cycle state, entry parity when even length).
+def _cf_keys(triples, n, s, cache, limit):
+    """Yield the orbit key of each triple: (least cycle state, entry parity
+    when the cycle length is even).
 
     The CF step is a function, so distinct cycles share no state and the
     least state names the cycle.  The walk from t reaches its cycle at its
     first reduced state, within three steps when t is ambiguous.  cache is
     shared across all elements of one n and maps each cycle state already
-    walked to its key; it holds no other state.
+    walked to its (even-steps, odd-steps) key pair, so the key of a walk of
+    that many steps is one indexing; it holds no other state.
     """
-    a, b, c = t
-    steps = 0
-    while not 0 <= s - a < c <= s + a:  # not reduced, as in _reduced
-        if steps > limit:
-            raise CycleLimitExceeded(f"no period within {limit} CF steps of {t}|{n}")
-        q = (a + s) // c if c > 0 else (-a - s - 1) // (-c)  # as in _step
-        a, b, c = q * c - a, -c, 2 * a * q - q * q * c - b
-        steps += 1
-    cur = (a, b, c)
-    key = cache.get(cur)
-    if key is None:
-        cyc, _ = _cycle(cur, s, limit, f"{t}|{n}")
-        least = min(cyc)
-        ai = cyc.index(least)
-        if len(cyc) % 2:
-            keys = ((least, None),) * 2
-        else:
-            keys = ((least, ai % 2), (least, 1 - ai % 2))
-        for j, state in enumerate(cyc):
-            cache[state] = keys[j % 2]
-        key = keys[0]
-    least, par = key
-    if steps % 2 and par is not None:
-        return least, par ^ 1
-    return key
+    for t in triples:
+        a, b, c = t
+        steps = 0
+        while not 0 <= s - a < c <= s + a:  # not reduced, as in _reduced
+            if steps > limit:
+                raise CycleLimitExceeded(f"no period within {limit} CF steps of {t}|{n}")
+            q = (a + s) // c if c > 0 else (-a - s - 1) // (-c)  # as in _step
+            a, b, c = q * c - a, -c, 2 * a * q - q * q * c - b
+            steps += 1
+        cur = (a, b, c)
+        pair = cache.get(cur)
+        if pair is None:
+            cyc, _ = _cycle(cur, s, limit, f"{t}|{n}")
+            least = min(cyc)
+            if len(cyc) % 2:
+                keys = ((least, None),) * 2
+            else:
+                ai = cyc.index(least)
+                keys = ((least, ai % 2), (least, 1 - ai % 2))
+            pairs = keys, keys[::-1]
+            for j, state in enumerate(cyc):
+                cache[state] = pairs[j % 2]
+            pair = pairs[0]
+        yield pair[steps & 1]
 
 
 def cf_groups(n: int, max_n: int = None):
     """The ambiguous triples of n grouped by CF orbit key."""
     triples = checked_triples(n, max_n)
-    s, limit, cache = isqrt(n), _default_limit(n), {}
     groups = {}
-    for t in triples:
-        groups.setdefault(_cf_key(t, n, s, cache, limit), []).append(t)
+    for key, t in zip(_cf_keys(triples, n, isqrt(n), {}, _default_limit(n)),
+                      triples):
+        groups.setdefault(key, []).append(t)
     return groups.values()
 
 

@@ -23,7 +23,7 @@ from .classify import (
     invariance_audit,
     odd_prime_divisors,
 )
-from .core import approx_values, make_element, triple_str
+from .core import approx_values, make_element, triples_str
 from .diagram import closed_path, export_dot, partition_graph
 from .enumeration import DEFAULT_MAX_N, check_cap, checked_triples
 from .errors import AmbigraphError, InternalInconsistency
@@ -40,6 +40,8 @@ from .words import (check_word_fixes, circuit_from_path, circuit_from_word,
 
 SCHEMA_VERSION = 1
 _I64 = 2 ** 63 - 1
+_CHUNK = 1 << 16  # characters per write of a streamed document
+_RUN = 1024  # triples formatted per batch by ambiguous
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,13 +65,16 @@ def _classifiers(n):
     return classifiers
 
 
-def _orbit_dict(rec, n, classifiers):
+def _orbit_json(rec, n, classifiers):
+    """The JSON text of one orbit's record, as json.dumps(record, indent=2).
+    Its members are wire strings, which hold only digits, "-", "," and "|"
+    and so need no escaping: their array is laid out with one join."""
     word = path_word(rec.path)
     circuit = circuit_from_word(word)
-    return {
+    head, _, tail = json.dumps({
         "n": _int(n),
         "rep": str(rec.representative),
-        "members": [triple_str(t, n) for t in rec.triples],
+        "members": [],
         "circuit": {
             "exponents": [_int(m) for m in circuit.exponents],
             "start": circuit.start.value,
@@ -78,25 +83,32 @@ def _orbit_dict(rec, n, classifiers):
         "classes": {name: f(rec.representative.triple)
                     for name, f in classifiers.items()},
         "length": rec.ambiguous_length,
-    }
+    }, indent=2).partition('"members": []')
+    members = '",\n    "'.join(triples_str(rec.triples, n))
+    return f'{head}"members": [\n    "{members}"\n  ]{tail}'
 
 
 def _emit(doc, out):
     out.write(json.dumps(doc, indent=2) + "\n")
 
 
-def _emit_streamed(doc, items, out):
-    """_emit of doc with its last value, an empty list, filled from items,
-    writing one item at a time: at depth 1 each item is indented by four
-    spaces, and a newline occurs in its JSON text only between lines."""
+def _emit_streamed(doc, parts, out):
+    """_emit of doc with its last value, an empty list, filled from parts.
+    Each part is the JSON text of one or more of the list's values as laid
+    out at depth 1: indented by four spaces and, when several, separated by
+    ",\\n    ".  Parts are joined into chunks of about _CHUNK characters, one
+    write each, so a chunk and a part are all that is held."""
     head = json.dumps(doc, indent=2)
-    out.write(head[:-len("]\n}")])  # up to the empty list's "["
-    encode = json.JSONEncoder(indent=2).encode  # json.dumps(item, indent=2)
-    sep = "\n    "
-    for item in items:
-        out.write(sep + encode(item).replace("\n", "\n    "))
+    chunk, size, sep = [head[:-len("]\n}")]], 0, "\n    "
+    for part in parts:
+        chunk += sep, part
+        size += len(part)
+        if size >= _CHUNK:
+            out.write("".join(chunk))
+            chunk, size = [], 0
         sep = ",\n    "
-    out.write("]\n}\n" if sep == "\n    " else "\n  ]\n}\n")
+    chunk.append("]\n}\n" if sep == "\n    " else "\n  ]\n}\n")
+    out.write("".join(chunk))
 
 
 def _write(text, path, out):
@@ -119,6 +131,7 @@ def _cmd_ambiguous(args, out):
     if args.count_only:
         out.write(f"{len(triples)}\n")
         return EXIT_OK
+    runs = (triples[i:i + _RUN] for i in range(0, len(triples), _RUN))
     if args.json:
         _emit_streamed(
             {
@@ -127,7 +140,7 @@ def _cmd_ambiguous(args, out):
                 "count": len(triples),
                 "elements": [],
             },
-            (triple_str(t, n) for t in triples),
+            ('"' + '",\n    "'.join(triples_str(run, n)) + '"' for run in runs),
             out,
         )
     elif args.csv:
@@ -136,8 +149,11 @@ def _cmd_ambiguous(args, out):
         w.writerows((a, b, c, n) for a, b, c in triples)
     else:
         out.write(f"{len(triples)} ambiguous numbers in Q*(sqrt({n}))\n")
-        for t, value in zip(triples, approx_values(triples, n)):
-            out.write(f"  {triple_str(t, n)}  ~ {value:.6f}\n")
+        for run in runs:
+            out.write("".join(
+                f"  {text}  ~ {value:.6f}\n"
+                for text, value in zip(triples_str(run, n), approx_values(run, n))
+            ))
     return EXIT_OK
 
 
@@ -161,7 +177,8 @@ def _cmd_orbits(args, out):
                 "orbit_count": len(partition),
                 "orbits": [],
             },
-            (_orbit_dict(o, args.n, classifiers) for o in partition.orbits),
+            (_orbit_json(o, args.n, classifiers).replace("\n", "\n    ")
+             for o in partition.orbits),
             out,
         )
     else:
@@ -228,7 +245,7 @@ def _cmd_cf(args, out):
     x = cf_expand(e)
     out.write(f"preperiod {list(x.preperiod)}\n")
     out.write(f"cycle {list(x.cycle)}\n")
-    out.write(f"cycle states {[triple_str(t, e.n) for t in x.cycle_triples]}\n")
+    out.write(f"cycle states {triples_str(x.cycle_triples, e.n)}\n")
     return EXIT_OK
 
 
@@ -252,8 +269,7 @@ def _cmd_circuit(args, out):
     circuit = circuit_from_word(word)
     verdict = check_word_fixes(word, e)
     out.write(f"path length {len(path)}\n")
-    out.write("vertices " + " ".join(triple_str(t, e.n) for t in path.triples)
-              + "\n")
+    out.write(f"vertices {' '.join(triples_str(path.triples, e.n))}\n")
     out.write(f"circuit {circuit} starting {circuit.start}\n")
     out.write(f"word {word}\n")
     out.write(f"word fixes anchor: {verdict.fixes}\n")

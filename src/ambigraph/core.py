@@ -71,10 +71,16 @@ def check_triples(ts, n):
             check_triple(t, n)
 
 
+def triples_str(ts, n) -> list:
+    """The wire forms "a,b,c|n" of the triples ts of n, as a list; the "|n"
+    suffix is formatted once for all of them."""
+    tail = f"|{n}"
+    return [f"{a},{b},{c}{tail}" for a, b, c in ts]
+
+
 def triple_str(t, n) -> str:
     """The wire form "a,b,c|n" of the triple t of n."""
-    a, b, c = t
-    return f"{a},{b},{c}|{n}"
+    return triples_str((t,), n)[0]
 
 
 @dataclass(frozen=True, order=False)

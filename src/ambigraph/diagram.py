@@ -27,6 +27,9 @@ class StepType(enum.Enum):
         return self.value
 
 
+_YX, _YYX = StepType.YX, StepType.YYX
+
+
 def successor_triple(t, n=None):
     """Triple-level successor; returns ((a,b,c), StepType).  With d = b+2a+c,
     y(x(t)) = (c+a, d, c), y^2(x(t)) = (b+a, b, d); n names n in errors."""
@@ -141,7 +144,7 @@ def partition_graph(n: int, max_n: int = None) -> OrbitPartition:
     """
     triples = checked_triples(n, max_n)
     # triple -> its own enumerated tuple until walked, then its orbit number,
-    # so a path holds the enumeration's tuples, not the successor's copies
+    # so a path holds the enumeration's tuples, not fresh copies of them
     orbit = {t: t for t in triples}
     paths = []
     try:
@@ -149,24 +152,48 @@ def partition_graph(n: int, max_n: int = None) -> OrbitPartition:
             if orbit[start].__class__ is not tuple:  # walked
                 continue
             k = orbit[x_triple(start)]
-            if new := k.__class__ is tuple:
+            # two loops, so a cycle that is not kept records nothing per step
+            if k.__class__ is not tuple:  # a further cycle of orbit k
+                t = start
+                while (v := orbit[t]).__class__ is tuple:
+                    orbit[t] = k
+                    a, b, c = v  # successor_triple, inline
+                    d = b + 2 * a + c
+                    if d * c < 0:
+                        if b * d < 0:
+                            successor_triple(v, n)  # raises DichotomyViolation
+                        t = (c + a, d, c)
+                    elif b * d < 0:
+                        t = (b + a, b, d)
+                    else:
+                        successor_triple(v, n)
+            else:  # an orbit's first cycle, kept as its closed path
                 k = len(paths)
-            t, walk, tags = start, [], []
-            while (v := orbit[t]).__class__ is tuple:
-                orbit[t] = k
-                t, tag = successor_triple(v, n)
-                if new:  # only an orbit's first cycle is kept, as its path
+                t, walk, tags = start, [], []
+                while (v := orbit[t]).__class__ is tuple:
+                    orbit[t] = k
                     walk.append(v)
-                    tags.append(tag)
+                    a, b, c = v  # successor_triple, inline
+                    d = b + 2 * a + c
+                    if d * c < 0:
+                        if b * d < 0:
+                            successor_triple(v, n)
+                        t = (c + a, d, c)
+                        tags.append(_YX)
+                    elif b * d < 0:
+                        t = (b + a, b, d)
+                        tags.append(_YYX)
+                    else:
+                        successor_triple(v, n)
+                paths.append(ClosedPath(n, tuple(walk), tuple(tags)))
             if t != start:
                 raise InternalInconsistency(f"walk from {start} revisits {t} (n={n})")
-            if new:
-                paths.append(ClosedPath(n, tuple(walk), tuple(tags)))
         groups = [[] for _ in paths]
         for t in triples:
-            if orbit[x_triple(t)] != orbit[t]:
+            k = orbit[t]
+            if orbit[x_triple(t)] != k:
                 raise InternalInconsistency(f"x-image of {t} is in another orbit (n={n})")
-            groups[orbit[t]].append(t)
+            groups[k].append(t)
     except KeyError as exc:
         raise InternalInconsistency(
             f"ambiguous image {exc.args[0]} is missing from the enumeration (n={n})"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ambigraph.cf import (
-    _cf_key,
+    _cf_keys,
     _default_limit,
     _reduced,
     _step,
@@ -108,7 +108,7 @@ def test_psl_equivalent_matches_partition():
 
 
 def test_cf_key_limit_leaves_no_position_markers():
-    from ambigraph.cf import _cf_key, _default_limit
+    from ambigraph.cf import _default_limit
     from ambigraph.enumeration import ambiguous_triples
     from ambigraph.errors import CycleLimitExceeded
 
@@ -118,21 +118,24 @@ def test_cf_key_limit_leaves_no_position_markers():
     failed = 0
     for t in ambiguous_triples(n):
         try:
-            _cf_key(t, n, s, cache, 1)
+            next(_cf_keys((t,), n, s, cache, 1))
         except CycleLimitExceeded as exc:
             failed += 1
             assert f"{t}|{n}" in str(exc)
         assert all(type(v) is tuple for v in cache.values())
     assert 0 < failed < len(ambiguous_triples(n))  # the cache holds both
     for t in ambiguous_triples(n):
-        assert _cf_key(t, n, s, cache, limit) == _cf_key(t, n, s, {}, limit)
+        assert [*_cf_keys((t,), n, s, cache, limit)] == [
+            *_cf_keys((t,), n, s, {}, limit)]
+    assert [*_cf_keys(ambiguous_triples(n), n, s, cache, limit)] == [
+        *_cf_keys(ambiguous_triples(n), n, s, {}, limit)]
 
 
 # --- reduced cycles (Galois) against the revisit-based references ---------
 
 
 def _revisit_cf_key(t, n, s, cache, limit):
-    """The former _cf_key: walks until a state repeats, holding each open
+    """The former CF keyer: walks until a state repeats, holding each open
     walk's states in cache as their positions on it."""
     key = cache.get(t)
     if key is not None:
@@ -164,6 +167,16 @@ def _revisit_cf_key(t, n, s, cache, limit):
             par ^= 1
         cache[state] = key = (least, par)
     return key
+
+
+def test_cf_keys_equal_revisit_keys():
+    """Each key, read from its cycle state's (even-steps, odd-steps) pair,
+    is the key the revisit reference gives the triple."""
+    for n in (5, 125, 243, 1000, 69984, 1194127):
+        s, limit, reference = isqrt(n), _default_limit(n), {}
+        triples = ambiguous_triples(n)
+        assert [*_cf_keys(triples, n, s, {}, limit)] == [
+            _revisit_cf_key(t, n, s, reference, limit) for t in triples], n
 
 
 def _revisit_groups(n):
@@ -230,8 +243,8 @@ def test_cf_cache_holds_exactly_the_reduced_triples():
     for n in (5, 125, 243, 1000, 69984):
         s, limit, cache = isqrt(n), _default_limit(n), {}
         triples = ambiguous_triples(n)
-        for t in triples:
-            _cf_key(t, n, s, cache, limit)
+        for _ in _cf_keys(triples, n, s, cache, limit):
+            pass
         assert set(cache) == {t for t in triples if _reduced(t, s)}, n
         assert all(type(v) is tuple for v in cache.values())
 

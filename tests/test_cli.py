@@ -473,14 +473,29 @@ NONSQUARES_400 = [n for n in range(2, 401) if math.isqrt(n) ** 2 != n]
 @pytest.mark.parametrize("method", ["graph", "both"])
 def test_streamed_orbits_json_equals_the_whole_document(run_cli, method):
     from ambigraph import cli
+    from ambigraph.core import triple_str
     from ambigraph.diagram import partition_graph
+    from ambigraph.words import circuit_from_word, path_word
 
-    for n in NONSQUARES_400:
+    for n in NONSQUARES_400 + [1105, 69984]:
         classifiers = cli._classifiers(n)
-        orbits = partition_graph(n).orbits
+        orbits = []
+        for rec in partition_graph(n).orbits:
+            word = path_word(rec.path)
+            circuit = circuit_from_word(word)
+            rep = rec.representative
+            orbits.append({
+                "n": n,
+                "rep": str(rep),
+                "members": [triple_str(t, n) for t in rec.triples],
+                "circuit": {"exponents": list(circuit.exponents),
+                            "start": circuit.start.value},
+                "word": str(word),
+                "classes": {name: f(rep.triple) for name, f in classifiers.items()},
+                "length": len(rec.triples),
+            })
         doc = {"schema": cli.SCHEMA_VERSION, "n": n, "method": method,
-               "orbit_count": len(orbits),
-               "orbits": [cli._orbit_dict(o, n, classifiers) for o in orbits]}
+               "orbit_count": len(orbits), "orbits": orbits}
         code, out = run_cli("orbits", str(n), "--json", "--method", method)
         assert code == 0 and out == json.dumps(doc, indent=2) + "\n", n
 
@@ -496,6 +511,29 @@ def test_streamed_ambiguous_json_equals_the_whole_document(run_cli):
                "elements": [triple_str(t, n) for t in triples]}
         code, out = run_cli("ambiguous", str(n), "--json")
         assert code == 0 and out == json.dumps(doc, indent=2) + "\n", n
+
+
+class _CountingStream:
+    """A text stream that records the length of each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(len(text))
+        return len(text)
+
+
+@pytest.mark.parametrize("argv", [["ambiguous", "69984", "--json"],
+                                  ["orbits", "69984", "--json"]])
+def test_streamed_json_is_written_in_chunks(argv):
+    from ambigraph.cli import _CHUNK, dispatch
+
+    out = _CountingStream()
+    assert dispatch(argv, out) == 0
+    size = sum(out.writes)
+    assert size > 2 * _CHUNK
+    assert len(out.writes) <= size // _CHUNK + 4, (len(out.writes), size)
 
 
 def test_streamed_json_of_an_empty_list():
@@ -520,6 +558,16 @@ def test_orbits_json_writes_nothing_when_the_engines_disagree(monkeypatch,
     for method in ("both", "cf"):
         code, out = run_cli("orbits", "216", "--json", "--method", method)
         assert code == 3 and out == "", method
+
+
+def test_orbits_1105_json_golden(run_cli, golden):
+    code, out = run_cli("orbits", "1105", "--json")
+    assert code == 0
+    golden("orbits_1105.json", out)
+    doc = json.loads(out)
+    assert doc["orbit_count"] == 8
+    assert {name for o in doc["orbits"] for name in o["classes"]} == {
+        "mod_p[5]", "mod_p[13]", "mod_p[17]"}
 
 
 def test_orbits_216_json_golden(run_cli, golden):

@@ -11,6 +11,8 @@ from ambigraph.core import (
     check_triples,
     is_ambiguous,
     make_element,
+    triple_str,
+    triples_str,
     value_approx,
     x_triple,
     y_triple,
@@ -230,3 +232,19 @@ def test_check_triples_is_check_triple_on_each(case):
     triples, n = case
     first_failure = next(filter(None, (_outcome(check_triple, t, n) for t in triples)), None)
     assert _outcome(check_triples, triples, n) == first_failure
+
+
+def test_triples_str_is_the_wire_form_of_each_triple():
+    from ambigraph.enumeration import ambiguous_triples
+
+    cases = [(ambiguous_triples(n), n) for n in range(2, 401)
+             if isqrt(n) ** 2 != n]
+    big = 2 ** 64 + 1  # past 64 bits, nonsquare
+    cases.append(([(a, a * a - big, 1) for a in (-3, 0, 2 ** 40)]
+                  + [(-(2 ** 32), 1, -1)], big))
+    for triples, n in cases:
+        want = [f"{a},{b},{c}|{n}" for a, b, c in triples]
+        assert triples_str(triples, n) == want, n
+        assert [triple_str(t, n) for t in triples] == want, n
+        assert [str(Element(*t, n)) for t in triples[:3]] == want[:3], n
+    assert triples_str((), 5) == []

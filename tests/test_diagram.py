@@ -195,25 +195,31 @@ def test_path_vertices_are_the_enumerations_tuples():
 
 
 def test_orbits_json_walks_each_closed_path_once(monkeypatch, run_cli):
-    """One successor step per ambiguous triple: no closed path is walked
-    twice, whether as a cycle of the partition or as a record's path."""
+    """One successor step per ambiguous triple, inline in the walk: orbits
+    --json calls neither successor_triple nor closed_path, no closed path is
+    walked twice, and each record's path is its representative's closed
+    path."""
     from ambigraph import diagram
     from ambigraph.enumeration import ambiguous_triples
 
-    original = diagram.successor_triple
-    steps = []
-
-    def spy(t, n=None):
-        steps.append(t)
-        return original(t, n)
-
-    _rebind(monkeypatch, "successor_triple", original, spy)
+    calls, records = [], {}
+    for name in ("successor_triple", "closed_path"):
+        _rebind(monkeypatch, name, getattr(diagram, name),
+                lambda *args, name=name: calls.append(name))
     for n, want in ((216, 232), (125, 180)):
-        steps.clear()
         code, out = run_cli("orbits", str(n), "--json")
         assert code == 0 and json.loads(out)["n"] == n
-        assert len(steps) == len(set(steps)) == want
-        assert set(steps) == set(ambiguous_triples(n))
+        records[n] = partition_graph(n).orbits
+        assert calls == []
+        walked = [t for rec in records[n] for t in rec.path.triples]
+        assert len(walked) == len(set(walked))
+        members = [t for rec in records[n] for t in rec.triples]
+        assert len(members) == len(set(members)) == want
+        assert set(members) == set(ambiguous_triples(n))
+    monkeypatch.undo()
+    for n, recs in records.items():
+        for rec in recs:
+            assert rec.path == closed_path(rec.representative), (n, rec.path)
 
 
 def test_orbit_records_hold_triples():
@@ -322,23 +328,61 @@ def test_partition_graph_names_a_missing_image(monkeypatch):
     assert "n=125" in str(info.value) and str(gone) in str(info.value)
 
 
+def _walk_table(monkeypatch, table):
+    """Make partition_graph walk table in place of the enumeration."""
+    from ambigraph import diagram
+
+    monkeypatch.setattr(diagram, "checked_triples", lambda n, max_n=None: table)
+
+
 def test_partition_graph_names_a_revisit(monkeypatch):
+    """A mid-cycle vertex marked walked in the table (a value that is not a
+    plain tuple counts as walked): the first walk of n = 5 stops there before
+    it returns to its start."""
     from ambigraph import diagram
     from ambigraph.errors import InternalInconsistency
 
-    original = diagram.successor_triple
-    first = diagram.checked_triples(5)[0]
-    second = original(first, 5)[0]
-    third = original(second, 5)[0]
+    class Walked(tuple):
+        pass
 
-    def merged(t, n=None):  # third steps back onto second, as first does
-        return (second, StepType.YX) if t == third else original(t, n)
-
-    monkeypatch.setattr(diagram, "successor_triple", merged)
+    triples = diagram.checked_triples(5)
+    first = triples[0]
+    second = successor_triple(successor_triple(first, 5)[0], 5)[0]
+    _walk_table(monkeypatch,
+                tuple(Walked(t) if t == second else t for t in triples))
     with pytest.raises(InternalInconsistency) as info:
         partition_graph(5)
     message = str(info.value)
+    assert message == "walk from (-2, 1, -1) revisits (0, 1, -5) (n=5)"
     assert "revisits" in message and "n=5" in message and str(second) in message
+
+
+@pytest.mark.parametrize("bad", [(-3, 1, 4), (3, 4, 1)])
+@pytest.mark.parametrize("first_cycle", [True, False])
+def test_partition_graph_names_a_dichotomy_violation(monkeypatch, bad,
+                                                      first_cycle):
+    """A non-ambiguous triple of n = 5 in the table: both successor
+    candidates of (-3, 1, 4) are ambiguous and neither of (3, 4, 1)'s is.
+    It is walked as an orbit's first cycle (its x-image, the other of the
+    two, is not yet walked) or as a further cycle of an orbit already open
+    (its x-image taken to be a walked triple)."""
+    from ambigraph import diagram
+    from ambigraph.errors import DichotomyViolation
+
+    triples = diagram.checked_triples(5)
+    if first_cycle:
+        table = (bad, x_triple(bad)) + triples
+    else:
+        table = triples + (bad,)
+        monkeypatch.setattr(
+            diagram, "x_triple",
+            lambda t: triples[0] if t == bad else x_triple(t),
+        )
+    _walk_table(monkeypatch, table)
+    with pytest.raises(DichotomyViolation) as info:
+        partition_graph(5)
+    assert info.value.n == 5 and info.value.element == bad
+    assert "n=5" in str(info.value) and str(bad) in str(info.value)
 
 
 def test_partition_graph_names_an_x_image_in_another_orbit(monkeypatch):
