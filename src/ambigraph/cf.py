@@ -6,7 +6,9 @@ irrationals lie in the same PSL(2,Z)-orbit iff their continued
 fraction expansions reach the same periodic state cycle, refined by a parity
 condition: one CF shift is a determinant -1 move, so when the cycle length is
 even the parity of the entry index matters, and when it is odd a determinant
-flip can be absorbed by going once more around the cycle.
+flip can be absorbed by going once more around the cycle.  The cycle states
+are the reduced triples (Galois), so the CF partition walks one cycle from
+each reduced triple and never steps from the rest of the ambiguous set.
 
 All arithmetic is exact on (a, b, c) triples; floors come from integer
 square roots, never floating point.
@@ -76,17 +78,22 @@ class Expansion:
         return tuple(Element.from_triple(t, self.n) for t in self.cycle_triples)
 
 
-def cf_expand(e: Element, limit: int = None) -> Expansion:
-    n = e.n
-    s = isqrt(n)
-    if limit is None:
-        limit = _default_limit(n)
-    preperiod, t = [], e.triple
+def _preperiod(t, s, limit, origin):
+    """The quotients of the CF walk from t up to its first reduced state,
+    and that state; origin names the walk's start in the limit error."""
+    preperiod = []
     while not _reduced(t, s):
         if len(preperiod) > limit:
-            raise CycleLimitExceeded(f"no period within {limit} CF steps of {e}")
+            raise CycleLimitExceeded(f"no period within {limit} CF steps of {origin}")
         q, t = _step(t, s)
         preperiod.append(q)
+    return preperiod, t
+
+
+def cf_expand(e: Element, limit: int = None) -> Expansion:
+    n, s = e.n, isqrt(e.n)
+    limit = _default_limit(n) if limit is None else limit
+    preperiod, t = _preperiod(e.triple, s, limit, e)
     states, cycle = _cycle(t, s, limit, e)
     return Expansion(
         n=n,
@@ -98,73 +105,57 @@ def cf_expand(e: Element, limit: int = None) -> Expansion:
 
 
 def psl_equivalent(e1: Element, e2: Element) -> bool:
-    """True iff e1 and e2 lie in the same PSL(2,Z)-orbit."""
+    """True iff e1 and e2 lie in the same PSL(2,Z)-orbit: e2's CF walk
+    reaches a state of e1's cycle, by a number of steps of the same parity
+    as e1's walk to that state when the cycle length is even."""
     if e1.n != e2.n:
         raise MismatchedN(f"cannot compare n={e1.n} with n={e2.n}")
-    n = e1.n
-    k1, k2 = _cf_keys((e1.triple, e2.triple), n, isqrt(n), {}, _default_limit(n))
-    return k1 == k2
+    x = cf_expand(e1)
+    preperiod, t = _preperiod(e2.triple, isqrt(e1.n), _default_limit(e1.n), e2)
+    if t not in x.cycle_triples:
+        return False
+    steps = x.entry_index + x.cycle_triples.index(t) - len(preperiod)
+    return len(x.cycle) % 2 == 1 or steps % 2 == 0
 
 
-def _cf_keys(triples, n, s, cache, limit):
-    """Yield the orbit key of each triple: (least cycle state, entry parity
-    when the cycle length is even).
+def _cf_classes(n, max_n):
+    """Yield the reduced triples of each CF orbit with its ambiguous length.
 
-    The CF step is a function, so distinct cycles share no state and the
-    least state names the cycle.  The walk from t reaches its cycle at its
-    first reduced state, within three steps when t is ambiguous.  cache is
-    shared across all elements of one n and maps each cycle state already
-    walked to its (even-steps, odd-steps) key pair, so the key of a walk of
-    that many steps is one indexing; it holds no other state.
+    Each reduced triple not yet met starts one walk of its CF cycle.  One CF
+    step is a determinant -1 move, so an even cycle holds two orbits, its
+    states of even and of odd index, and an odd cycle one.  With Q the sum of
+    the cycle's partial quotients, an even cycle's orbits have 2Q ambiguous
+    members each, and an odd cycle's orbit 4Q.
     """
-    for t in triples:
-        a, b, c = t
-        steps = 0
-        while not 0 <= s - a < c <= s + a:  # not reduced, as in _reduced
-            if steps > limit:
-                raise CycleLimitExceeded(f"no period within {limit} CF steps of {t}|{n}")
-            q = (a + s) // c if c > 0 else (-a - s - 1) // (-c)  # as in _step
-            a, b, c = q * c - a, -c, 2 * a * q - q * q * c - b
-            steps += 1
-        cur = (a, b, c)
-        pair = cache.get(cur)
-        if pair is None:
-            cyc, _ = _cycle(cur, s, limit, f"{t}|{n}")
-            least = min(cyc)
-            if len(cyc) % 2:
-                keys = ((least, None),) * 2
-            else:
-                ai = cyc.index(least)
-                keys = ((least, ai % 2), (least, 1 - ai % 2))
-            pairs = keys, keys[::-1]
-            for j, state in enumerate(cyc):
-                cache[state] = pairs[j % 2]
-            pair = pairs[0]
-        yield pair[steps & 1]
-
-
-def cf_groups(n: int, max_n: int = None):
-    """The ambiguous triples of n grouped by CF orbit key."""
-    triples = checked_triples(n, max_n)
-    groups = {}
-    for key, t in zip(_cf_keys(triples, n, isqrt(n), {}, _default_limit(n)),
-                      triples):
-        groups.setdefault(key, []).append(t)
-    return groups.values()
+    s, limit, met = isqrt(n), _default_limit(n), set()
+    for t in checked_triples(n, max_n):
+        if not _reduced(t, s) or t in met:
+            continue
+        states, quotients = _cycle(t, s, limit, f"{t}|{n}")
+        met.update(states)
+        q = sum(quotients)
+        if len(states) % 2:
+            yield states, 4 * q
+        else:
+            yield states[0::2], 2 * q
+            yield states[1::2], 2 * q
 
 
 def partition_cf(n: int, max_n: int = None) -> OrbitPartition:
-    """The successor walk's partition, checked against the CF groups: both
-    engines must give the same member lists in enumeration order, else
-    InternalInconsistency names n and a counterexample."""
+    """The successor walk's partition, checked against the CF cycles: each
+    CF class must be exactly one graph orbit's reduced triples, with that
+    orbit's length, else InternalInconsistency names n and a class.  Each
+    orbit's walk starts at a reduced triple, which some class holds, so
+    every orbit is matched or the check fails."""
     pg = partition_graph(n, max_n=max_n)
-    graph = [rec.triples for rec in pg.orbits]
-    cf = sorted(map(tuple, cf_groups(n, max_n)), key=lambda g: (g[0][0], g[0][2]))
-    if graph != cf:
-        diff = frozenset(map(frozenset, graph)) ^ frozenset(map(frozenset, cf))
-        example = sorted(min(diff, key=len))[:4]
-        raise InternalInconsistency(
-            f"graph and CF partitions disagree for n={n}; "
-            f"counterexample members {example}"
-        )
+    graph = {}  # orbit index -> its reduced triples
+    for t, i in pg.reduced.items():
+        graph.setdefault(i, set()).add(t)
+    for states, length in _cf_classes(n, max_n):
+        i = pg.reduced.get(states[0])
+        if graph.pop(i, None) != set(states) or pg.orbits[i].ambiguous_length != length:
+            raise InternalInconsistency(
+                f"graph and CF partitions disagree for n={n} at the CF class "
+                f"of {states[0]}, {len(states)} reduced triples of length {length}"
+            )
     return pg

@@ -41,7 +41,7 @@ from .words import (check_word_fixes, circuit_from_path, circuit_from_word,
 SCHEMA_VERSION = 1
 _I64 = 2 ** 63 - 1
 _CHUNK = 1 << 16  # characters per write of a streamed document
-_RUN = 1024  # triples formatted per batch by ambiguous
+_RUN = 1024  # triples formatted per batch by ambiguous and orbits --json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -68,7 +68,8 @@ def _classifiers(n):
 def _orbit_json(rec, n, classifiers):
     """The JSON text of one orbit's record, as json.dumps(record, indent=2).
     Its members are wire strings, which hold only digits, "-", "," and "|"
-    and so need no escaping: their array is laid out with one join."""
+    and so need no escaping: their array is laid out by joins of _RUN
+    strings at a time, so no list of one string per member is held."""
     word = path_word(rec.path)
     circuit = circuit_from_word(word)
     head, _, tail = json.dumps({
@@ -84,7 +85,9 @@ def _orbit_json(rec, n, classifiers):
                     for name, f in classifiers.items()},
         "length": rec.ambiguous_length,
     }, indent=2).partition('"members": []')
-    members = '",\n    "'.join(triples_str(rec.triples, n))
+    ts, sep = rec.triples, '",\n    "'
+    members = sep.join(sep.join(triples_str(ts[i:i + _RUN], n))
+                       for i in range(0, len(ts), _RUN))
     return f'{head}"members": [\n    "{members}"\n  ]{tail}'
 
 

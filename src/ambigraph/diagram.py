@@ -5,13 +5,15 @@ element among y(x(e)) and y^2(x(e)).  Iterating the successor from any
 ambiguous anchor returns to it, tracing the unique closed path of its orbit;
 the orbit's ambiguous members are the path vertices together with their
 x-images.  x reverses the successor (s(x(s(t))) = x(t)), so an orbit is one
-successor cycle or two, and one walk over the whole ambiguous set gives the
-partition and every orbit's closed path; the CF partition cross-checks it.
+successor cycle or two.  Every orbit holds reduced triples
+0 <= s - a < c <= s + a (s = isqrt(n)), the CF cycle states (Galois), so
+partition_graph walks the cycle of each reduced triple not yet placed; the
+CF partition cross-checks it.
 """
 
 import enum
-from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import isqrt
 from operator import itemgetter
 
 from .core import Element, is_ambiguous, x_triple
@@ -41,21 +43,63 @@ def successor_triple(t, n=None):
     return ((c + a, d, c), StepType.YX) if ay else ((b + a, b, d), StepType.YYX)
 
 
+def _walk(t, n):
+    """Yield (vertex, step type) along the successor cycle through t, from t
+    on, until the walk returns to t.  The step is successor_triple's closed
+    form, inline; successor_triple raises the DichotomyViolation of a vertex
+    whose candidates are both or neither ambiguous.  A vertex met twice
+    before t means the successor is not a bijection: InternalInconsistency.
+    """
+    start, seen = t, set()
+    while True:
+        a, b, c = t
+        d = b + 2 * a + c
+        if d * c < 0:
+            if b * d < 0:
+                break
+            yield t, _YX
+            t = (c + a, d, c)
+        elif b * d < 0:
+            yield t, _YYX
+            t = (b + a, b, d)
+        else:
+            break
+        if t == start:
+            return
+        if t in seen:
+            raise InternalInconsistency(f"walk from {start} revisits {t} (n={n})")
+        seen.add(t)
+    successor_triple(t, n)
+
+
+_vertex, _tag = itemgetter(0), itemgetter(1)
+
+
 @dataclass(frozen=True)
 class ClosedPath:
     """The closed successor cycle through an ambiguous anchor.
 
-    triples are the vertices in walk order, anchor first; step_types[i] is
-    the step from triples[i] to the next vertex, the last one back to the
-    anchor.
+    step_types[i] is the step from the i-th vertex to the next, the last one
+    back to the anchor; the vertices are replayed from them on access.
     """
 
     n: int
-    triples: tuple
+    anchor: tuple
     step_types: tuple
 
     def __len__(self):
         return len(self.step_types)
+
+    @property
+    def triples(self):
+        """The vertices in walk order, anchor first."""
+        t, out = self.anchor, []
+        for tag in self.step_types:
+            out.append(t)
+            a, b, c = t
+            d = b + 2 * a + c
+            t = (c + a, d, c) if tag is _YX else (b + a, b, d)
+        return tuple(out)
 
     @property
     def vertices(self):
@@ -66,36 +110,34 @@ class ClosedPath:
 def closed_path(e: Element) -> ClosedPath:
     """Walk the successor from an ambiguous anchor until it returns.
 
-    Every step lands in the finite ambiguous set (successor_triple raises
-    DichotomyViolation otherwise), so the walk ends; a vertex revisited
-    before the anchor means the successor is not a bijection.
+    Every step lands in the finite ambiguous set (the walk raises
+    DichotomyViolation otherwise), so the walk ends.
     """
     if not is_ambiguous(e):
         raise ValueError(f"closed_path requires an ambiguous element, got {e}")
-    anchor = t = e.triple
-    seen = {anchor: None}  # insertion-ordered: the vertices in walk order
-    tags = []
-    while True:
-        t, tag = successor_triple(t, e.n)
-        tags.append(tag)
-        if t == anchor:
-            return ClosedPath(e.n, tuple(seen), tuple(tags))
-        if t in seen:
-            raise InternalInconsistency(
-                f"successor walk from {anchor} revisits {t} before returning "
-                f"to the anchor (n={e.n})"
-            )
-        seen[t] = None
+    return ClosedPath(e.n, e.triple, tuple(map(_tag, _walk(e.triple, e.n))))
 
 
 _ac = itemgetter(0, 2)  # the (a, c) sort key of a triple
+_a, _c = itemgetter(0), itemgetter(2)
 
 
 @dataclass(frozen=True)
 class OrbitRecord:
-    representative: Element
-    triples: tuple  # member triples, sorted by (a, c)
-    path: ClosedPath
+    representative: Element  # the least member by (a, c)
+    path: ClosedPath  # walked from the representative
+    ambiguous_length: int  # the number of members
+
+    @property
+    def triples(self):
+        """Member triples, sorted by (a, c): the path's vertices and, when x
+        maps the path onto another cycle, their x-images."""
+        vs = list(self.path.triples)
+        if len(vs) < self.ambiguous_length:
+            vs += [(-a, c, b) for a, b, c in vs]
+        vs.sort(key=_c)  # then stably by a: by (a, c), with no key tuples
+        vs.sort(key=_a)
+        return tuple(vs)
 
     @property
     def members(self):
@@ -103,105 +145,72 @@ class OrbitRecord:
         n = self.representative.n
         return tuple(Element.from_triple(t, n) for t in self.triples)
 
-    @property
-    def ambiguous_length(self):
-        return len(self.triples)
-
 
 @dataclass(frozen=True)
 class OrbitPartition:
     n: int
     orbits: tuple  # OrbitRecord, sorted by representative (a, c)
+    reduced: dict = field(repr=False, compare=False)  # reduced triple -> orbit index
 
     def __len__(self):
         return len(self.orbits)
 
     def sizes(self):
-        return sorted(len(o.triples) for o in self.orbits)
+        return sorted(o.ambiguous_length for o in self.orbits)
 
     def member_sets(self):
         """Frozenset-of-frozensets view for partition comparisons."""
         return frozenset(frozenset(o.triples) for o in self.orbits)
 
     def orbit_of(self, e: Element):
-        """Index of the orbit holding e, or None: a bisection on each
-        orbit's members, which are sorted by (a, c)."""
-        t = e.triple
-        for i, o in enumerate(self.orbits):
-            j = bisect_left(o.triples, _ac(t), key=_ac)
-            if j < len(o.triples) and o.triples[j] == t:
+        """Index of the orbit holding e, or None: the orbit of the first
+        vertex or x-image on e's closed path that is a reduced triple."""
+        if e.n != self.n or not is_ambiguous(e):
+            return None
+        for (a, b, c), _ in _walk(e.triple, e.n):
+            i = self.reduced.get((a, b, c), self.reduced.get((-a, c, b)))
+            if i is not None:
                 return i
         return None
 
 
 def partition_graph(n: int, max_n: int = None) -> OrbitPartition:
-    """Partition the ambiguous set into orbits by one successor walk.
+    """Partition the ambiguous set into orbits, two successor walks per orbit.
 
-    Each cycle, walked from its least triple, joins the orbit of its start's
-    x-image if that was walked, else opens an orbit with the cycle as its
-    closed path.  A set closed under the successor and x is closed under
-    y and y^2: an ambiguous y or y^2 image of t is the successor of x(t).
+    The walk of the cycle C of each reduced triple not yet placed places the
+    reduced vertices and x-images on it.  The orbit is C and x(C), so its
+    length is twice the steps, or the steps when x maps C onto itself; its
+    least member by (a, c) is the representative, and the closed path is
+    walked from it.  A triple placed in two orbits, or lengths that do not
+    add up to the enumeration's count, raise InternalInconsistency.
     """
     triples = checked_triples(n, max_n)
-    # triple -> its own enumerated tuple until walked, then its orbit number,
-    # so a path holds the enumeration's tuples, not fresh copies of them
-    orbit = {t: t for t in triples}
-    paths = []
-    try:
-        for start in triples:
-            if orbit[start].__class__ is not tuple:  # walked
-                continue
-            k = orbit[x_triple(start)]
-            # two loops, so a cycle that is not kept records nothing per step
-            if k.__class__ is not tuple:  # a further cycle of orbit k
-                t = start
-                while (v := orbit[t]).__class__ is tuple:
-                    orbit[t] = k
-                    a, b, c = v  # successor_triple, inline
-                    d = b + 2 * a + c
-                    if d * c < 0:
-                        if b * d < 0:
-                            successor_triple(v, n)  # raises DichotomyViolation
-                        t = (c + a, d, c)
-                    elif b * d < 0:
-                        t = (b + a, b, d)
-                    else:
-                        successor_triple(v, n)
-            else:  # an orbit's first cycle, kept as its closed path
-                k = len(paths)
-                t, walk, tags = start, [], []
-                while (v := orbit[t]).__class__ is tuple:
-                    orbit[t] = k
-                    walk.append(v)
-                    a, b, c = v  # successor_triple, inline
-                    d = b + 2 * a + c
-                    if d * c < 0:
-                        if b * d < 0:
-                            successor_triple(v, n)
-                        t = (c + a, d, c)
-                        tags.append(_YX)
-                    elif b * d < 0:
-                        t = (b + a, b, d)
-                        tags.append(_YYX)
-                    else:
-                        successor_triple(v, n)
-                paths.append(ClosedPath(n, tuple(walk), tuple(tags)))
-            if t != start:
-                raise InternalInconsistency(f"walk from {start} revisits {t} (n={n})")
-        groups = [[] for _ in paths]
-        for t in triples:
-            k = orbit[t]
-            if orbit[x_triple(t)] != k:
-                raise InternalInconsistency(f"x-image of {t} is in another orbit (n={n})")
-            groups[k].append(t)
-    except KeyError as exc:
+    s = isqrt(n)
+    placed, records = {}, []  # reduced triple -> its orbit's number
+    for seed in [t for t in triples if 0 <= s - t[0] < t[2] <= s + t[0]]:
+        if seed in placed:
+            continue
+        k = len(records)
+        cycle = list(map(_vertex, _walk(seed, n)))
+        rep = min(min(cycle, key=_ac), min(map(x_triple, cycle), key=_ac), key=_ac)
+        rx = [(-a, c, b) for a, b, c in cycle if 0 <= s + a < b <= s - a]
+        length = len(cycle) * (1 if seed in rx else 2)  # 1: x maps C onto itself
+        for r in [t for t in cycle if 0 <= s - t[0] < t[2] <= s + t[0]] + rx:
+            if placed.setdefault(r, k) != k:
+                raise InternalInconsistency(
+                    f"{r} lies on the walk of another orbit (n={n})")
+        path = ClosedPath(n, rep, tuple(map(_tag, _walk(rep, n))))
+        records.append(OrbitRecord(Element.from_triple(rep, n), path, length))
+    total = sum(rec.ambiguous_length for rec in records)
+    if total != len(triples):
+        odd = {t for rec in records for t in rec.triples}.symmetric_difference(triples)
         raise InternalInconsistency(
-            f"ambiguous image {exc.args[0]} is missing from the enumeration (n={n})"
-        ) from None
-    return OrbitPartition(n, tuple(
-        OrbitRecord(Element.from_triple(path.triples[0], n), tuple(g), path)
-        for path, g in zip(paths, groups)
-    ))
+            f"orbits hold {total} triples, the enumeration {len(triples)}; "
+            f"first difference {sorted(odd, key=_ac)[:1]} (n={n})")
+    order = sorted(range(len(records)), key=lambda k: _ac(records[k].path.anchor))
+    rank = {k: i for i, k in enumerate(order)}
+    return OrbitPartition(n, tuple(records[k] for k in order),
+                          {r: rank[k] for r, k in placed.items()})
 
 
 def export_dot(partition: OrbitPartition, rep_a: int, rep_c: int) -> str:
@@ -211,11 +220,8 @@ def export_dot(partition: OrbitPartition, rep_a: int, rep_c: int) -> str:
     undirected dashed edges.  Node order and edge order are sorted so the
     output is byte-reproducible.
     """
-    record = None
-    for o in partition.orbits:
-        if any(t[0] == rep_a and t[2] == rep_c for t in o.triples):
-            record = o
-            break
+    record = next((o for o in partition.orbits
+                   if any(t[0] == rep_a and t[2] == rep_c for t in o.triples)), None)
     if record is None:
         raise UnknownOrbit(
             f"no orbit of n={partition.n} contains a={rep_a}, c={rep_c}"
@@ -229,10 +235,7 @@ def export_dot(partition: OrbitPartition, rep_a: int, rep_c: int) -> str:
         lines.append(
             f'  "{t[0]},{t[1]},{t[2]}" -> "{s[0]},{s[1]},{s[2]}" [label="{tag.value}"];'
         )
-    x_edges = set()
-    for t in members:
-        xt = x_triple(t)
-        x_edges.add(tuple(sorted((t, xt))))
+    x_edges = {tuple(sorted((t, x_triple(t)))) for t in members}
     for t, s in sorted(x_edges):
         lines.append(
             f'  "{t[0]},{t[1]},{t[2]}" -> "{s[0]},{s[1]},{s[2]}"'

@@ -70,8 +70,17 @@ class CycleLimitExceeded(AmbigraphError):
 
 # --- structural surprises ----------------------------------------------
 
-class DichotomyViolation(AmbigraphError):
-    """Neither or both of y(x(e)), y^2(x(e)) is ambiguous.
+class OddBlockCount(AmbigraphError):
+    pass
+
+
+class InternalInconsistency(AmbigraphError):
+    pass
+
+
+class DichotomyViolation(InternalInconsistency):
+    """Neither or both of y(x(e)), y^2(x(e)) is ambiguous: a broken engine
+    invariant, so an InternalInconsistency.
 
     Carries both candidate triples so a counterexample can be reported
     verbatim instead of vanishing into a stack trace.
@@ -87,11 +96,3 @@ class DichotomyViolation(AmbigraphError):
             f"dichotomy violated at {element}{where}: "
             f"y-branch {candidate_y}, y2-branch {candidate_yy}"
         )
-
-
-class OddBlockCount(AmbigraphError):
-    pass
-
-
-class InternalInconsistency(AmbigraphError):
-    pass

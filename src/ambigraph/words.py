@@ -37,7 +37,7 @@ class Word:
     def __str__(self):
         if not self.blocks:
             return "1"
-        return "".join(f"({t})^{m}" for t, m in self.blocks)
+        return "".join(f"({t.value})^{m}" for t, m in self.blocks)
 
     def __len__(self):
         return sum(m for _, m in self.blocks)

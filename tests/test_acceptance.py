@@ -199,11 +199,12 @@ def test_criterion_08_example_2_4_circuit():
              "orbits, which stay distinct", ok)
 
 
-def test_criterion_09_cross_oracle():
+def test_criterion_09_cross_oracle(per_n):
     t0 = time.perf_counter()
     ok = True
     for n in NONSQUARES_1500:
-        if partition_graph(n).member_sets() != partition_cf(n).member_sets():
+        ref = per_n(n)  # records equal: the same members, paths and lengths
+        if ref.graph.orbits != ref.cf.orbits:
             ok = False
             print(f"  disagreement at n={n}")
             break
@@ -229,10 +230,10 @@ def test_criterion_10_invariance_audits():
               "{125,243,250,54,216,1000}", ok)
 
 
-def test_criterion_11_stabilizer_soundness():
+def test_criterion_11_stabilizer_soundness(per_n):
     ok = True
     for n in NONSQUARES_1500:
-        for orbit in partition_graph(n).orbits:
+        for orbit in per_n(n).graph.orbits:
             rep = orbit.representative
             verdict = check_word_fixes(stabilizer_word(rep), rep)
             if not (verdict.fixes and verdict.proportional):

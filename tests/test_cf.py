@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ambigraph.cf import (
-    _cf_keys,
+    _cf_classes,
     _default_limit,
     _reduced,
     _step,
     cf_expand,
-    cf_groups,
     partition_cf,
     psl_equivalent,
 )
@@ -107,10 +106,13 @@ def test_psl_equivalent_matches_partition():
                 ), (rep, e)
 
 
-def test_cf_key_limit_leaves_no_position_markers():
-    from ambigraph.cf import _default_limit
+def test_cf_key_limit_leaves_no_position_markers(monkeypatch):
+    """The revisit reference, cut short by a step limit of 1, leaves only
+    finished keys in its cache, and keys read from that cache still give the
+    CF partition; the CF side's own cycle walk names the triple and n when
+    the limit cuts it short."""
+    from ambigraph import cf
     from ambigraph.enumeration import ambiguous_triples
-    from ambigraph.errors import CycleLimitExceeded
 
     n = 125
     s, limit = isqrt(n), _default_limit(n)
@@ -118,17 +120,20 @@ def test_cf_key_limit_leaves_no_position_markers():
     failed = 0
     for t in ambiguous_triples(n):
         try:
-            next(_cf_keys((t,), n, s, cache, 1))
+            _revisit_cf_key(t, n, s, cache, 1)
         except CycleLimitExceeded as exc:
             failed += 1
             assert f"{t}|{n}" in str(exc)
         assert all(type(v) is tuple for v in cache.values())
     assert 0 < failed < len(ambiguous_triples(n))  # the cache holds both
+    groups = {}
     for t in ambiguous_triples(n):
-        assert [*_cf_keys((t,), n, s, cache, limit)] == [
-            *_cf_keys((t,), n, s, {}, limit)]
-    assert [*_cf_keys(ambiguous_triples(n), n, s, cache, limit)] == [
-        *_cf_keys(ambiguous_triples(n), n, s, {}, limit)]
+        groups.setdefault(_revisit_cf_key(t, n, s, cache, limit), set()).add(t)
+    assert set(map(frozenset, groups.values())) == partition_cf(n).member_sets()
+    monkeypatch.setattr(cf, "_default_limit", lambda n: 1)
+    with pytest.raises(CycleLimitExceeded) as info:
+        partition_cf(n)
+    assert f"|{n}" in str(info.value)
 
 
 # --- reduced cycles (Galois) against the revisit-based references ---------
@@ -170,13 +175,14 @@ def _revisit_cf_key(t, n, s, cache, limit):
 
 
 def test_cf_keys_equal_revisit_keys():
-    """Each key, read from its cycle state's (even-steps, odd-steps) pair,
-    is the key the revisit reference gives the triple."""
+    """Triples share a revisit-reference key exactly when they share an
+    orbit of the cross-checked partition."""
     for n in (5, 125, 243, 1000, 69984, 1194127):
         s, limit, reference = isqrt(n), _default_limit(n), {}
-        triples = ambiguous_triples(n)
-        assert [*_cf_keys(triples, n, s, {}, limit)] == [
-            _revisit_cf_key(t, n, s, reference, limit) for t in triples], n
+        keys = {}
+        for t in ambiguous_triples(n):
+            keys.setdefault(_revisit_cf_key(t, n, s, reference, limit), set()).add(t)
+        assert set(map(frozenset, keys.values())) == partition_cf(n).member_sets(), n
 
 
 def _revisit_groups(n):
@@ -203,9 +209,12 @@ def _revisit_expand(t, n):
 _NONSQUARE_1500 = [n for n in range(2, 1501) if isqrt(n) ** 2 != n]
 
 
-def test_cf_groups_equal_revisit_reference():
-    for n in _NONSQUARE_1500 + [1194127]:
-        assert [list(g) for g in cf_groups(n)] == _revisit_groups(n), n
+def test_cf_groups_equal_revisit_reference(per_n):
+    """The revisit reference's groups, in order of first member, are the
+    cross-checked partition's member lists."""
+    for n in _NONSQUARE_1500 + [69984, 1194127]:
+        ref = per_n(n)
+        assert ref.members == ref.get(_revisit_groups), n
 
 
 def _cycle_distances(n):
@@ -240,13 +249,13 @@ def test_cycle_states_are_the_reduced_triples_within_three_steps():
 
 
 def test_cf_cache_holds_exactly_the_reduced_triples():
+    """The CF side's classes hold each reduced triple once and no other
+    triple."""
     for n in (5, 125, 243, 1000, 69984):
-        s, limit, cache = isqrt(n), _default_limit(n), {}
-        triples = ambiguous_triples(n)
-        for _ in _cf_keys(triples, n, s, cache, limit):
-            pass
-        assert set(cache) == {t for t in triples if _reduced(t, s)}, n
-        assert all(type(v) is tuple for v in cache.values())
+        s = isqrt(n)
+        states = [t for states, _ in _cf_classes(n, None) for t in states]
+        assert len(states) == len(set(states)), n
+        assert set(states) == {t for t in ambiguous_triples(n) if _reduced(t, s)}, n
 
 
 @st.composite

@@ -549,12 +549,17 @@ def test_streamed_json_of_an_empty_list():
 
 def test_orbits_json_writes_nothing_when_the_engines_disagree(monkeypatch,
                                                                run_cli):
+    """The CF cycles of n = 216 are both even; swapping the first two states
+    of each mixes its two parity classes, so no CF class is a graph orbit's."""
     from ambigraph import cf
 
-    groups = [list(g) for g in cf.cf_groups(216)]
-    merged = sorted(groups[0] + groups[1], key=lambda t: (t[0], t[2]))
-    monkeypatch.setattr(cf, "cf_groups",
-                        lambda n, max_n=None: [merged] + groups[2:])
+    cycle = cf._cycle
+
+    def swapped(t, s, limit, origin):
+        states, quotients = cycle(t, s, limit, origin)
+        return [states[1], states[0], *states[2:]], quotients
+
+    monkeypatch.setattr(cf, "_cycle", swapped)
     for method in ("both", "cf"):
         code, out = run_cli("orbits", "216", "--json", "--method", method)
         assert code == 3 and out == "", method
@@ -568,6 +573,52 @@ def test_orbits_1105_json_golden(run_cli, golden):
     assert doc["orbit_count"] == 8
     assert {name for o in doc["orbits"] for name in o["classes"]} == {
         "mod_p[5]", "mod_p[13]", "mod_p[17]"}
+
+
+def test_orbits_69984_text_golden(run_cli, golden):
+    """The errata case of Example 2.10: twelve orbits, not the four claimed."""
+    code, out = run_cli("orbits", "69984")
+    assert code == 0
+    golden("orbits_69984.txt", out)
+    assert out.startswith("12 orbits of ambiguous numbers for n=69984")
+
+
+def _run_mutant(tmp_path, module, old, new, *argv):
+    """Run the CLI from a copy of the package in which old, which must occur
+    once in module, reads new: (exit code, stdout, stderr)."""
+    import shutil
+
+    import ambigraph
+
+    package = tmp_path / "ambigraph"
+    shutil.copytree(os.path.dirname(ambigraph.__file__), package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = package / module
+    text = path.read_text()
+    assert text.count(old) == 1, (module, old)
+    path.write_text(text.replace(old, new))
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    done = subprocess.run([sys.executable, "-m", "ambigraph.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("module, old, new, message", [
+    # a wrong successor branch: the y2x candidate where y(x(t)) is ambiguous
+    ("diagram.py", "yield t, _YX\n            t = (c + a, d, c)",
+     "yield t, _YX\n            t = (b + a, b, d)", "dichotomy violated"),
+    # a CF quotient off by one
+    ("cf.py", "quotients.append(q)", "quotients.append(q + 1)",
+     "graph and CF partitions disagree"),
+    # a dropped reduced triple: the last one enumerated, (s, -1, n - s^2)
+    ("enumeration.py", "return tuple(out)", "return tuple(out[:-1])",
+     "orbits hold 232 triples, the enumeration 231"),
+], ids=["successor-branch", "cf-quotient", "dropped-reduced"])
+def test_engine_mutations_exit_3(tmp_path, module, old, new, message):
+    code, out, err = _run_mutant(tmp_path, module, old, new, "orbits", "216")
+    assert code == 3 and out == "", (code, out)
+    assert err.startswith("internal inconsistency:") and message in err, err
+    assert "n=216" in err
 
 
 def test_orbits_216_json_golden(run_cli, golden):

@@ -147,18 +147,28 @@ def test_closed_path_and_circuit_never_enumerate(monkeypatch, run_cli, golden):
     golden("circuit_125.txt", out)
 
 
+class _Unequal(tuple):
+    """A triple that equals no other tuple, itself included: a walk started
+    from it never sees its start again, as if the successor were not a
+    bijection."""
+
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return False
+
+
 def test_closed_path_revisit_names_n_and_triple(monkeypatch):
     from ambigraph import diagram
     from ambigraph.errors import InternalInconsistency
 
-    anchor, a, b = (0, -5, 1), (1, -4, 1), (2, -1, 1)
-    loop = {anchor: a, a: b, b: a}  # a cycle that never returns to the anchor
-    monkeypatch.setattr(
-        diagram, "successor_triple", lambda t, n=None: (loop[t], StepType.YX)
-    )
+    walk = diagram._walk
+    monkeypatch.setattr(diagram, "_walk", lambda t, n: walk(_Unequal(t), n))
     with pytest.raises(InternalInconsistency) as info:
-        closed_path(Element(*anchor, 5))
-    assert "n=5" in str(info.value) and str(a) in str(info.value)
+        closed_path(Element(0, -5, 1, 5))
+    message = str(info.value)
+    assert message == "walk from (0, -5, 1) revisits (1, -4, 1) (n=5)"
+    assert "n=5" in message and str((1, -4, 1)) in message
 
 
 def test_orbit_of_outside_partition():
@@ -182,23 +192,10 @@ def test_orbit_of_agrees_with_an_index_up_to_300():
         assert partition.orbit_of(outside) is None, n
 
 
-def test_path_vertices_are_the_enumerations_tuples():
-    from ambigraph.enumeration import ambiguous_triples
-
-    for n in [n for n in range(2, 401) if isqrt(n) ** 2 != n] + [69984]:
-        own = {t: t for t in ambiguous_triples(n)}
-        for rec in partition_graph(n).orbits:
-            for t in rec.path.triples:
-                assert t is own[t], (n, t)
-            for t in rec.triples:
-                assert t is own[t], (n, t)
-
-
 def test_orbits_json_walks_each_closed_path_once(monkeypatch, run_cli):
-    """One successor step per ambiguous triple, inline in the walk: orbits
-    --json calls neither successor_triple nor closed_path, no closed path is
-    walked twice, and each record's path is its representative's closed
-    path."""
+    """The successor step is inline in the walk: orbits --json calls neither
+    successor_triple nor closed_path, no closed path is walked twice, and
+    each record's path is its representative's closed path."""
     from ambigraph import diagram
     from ambigraph.enumeration import ambiguous_triples
 
@@ -280,18 +277,41 @@ def _components(triples):
 NONSQUARES_1500 = [n for n in range(2, 1501) if isqrt(n) ** 2 != n]
 
 
-def test_union_find_matches_cf_groups_up_to_1500():
-    from ambigraph.cf import cf_groups
+def _components_of(n):
     from ambigraph.enumeration import ambiguous_triples
 
-    for n in NONSQUARES_1500:
-        reference = _components(ambiguous_triples(n))
-        records = partition_graph(n).orbits
-        assert reference == [list(rec.triples) for rec in records], n
-        assert set(map(frozenset, reference)) == set(map(frozenset, cf_groups(n))), n
-        for rec in records:
-            assert rec.path == closed_path(rec.representative), (n, rec.path)
-            assert set(rec.triples) == _closure(rec.path), (n, rec.path)
+    return _components(ambiguous_triples(n))
+
+
+def _cf_length(rep):
+    """The CF length law: with Q the sum of the partial quotients of the
+    rep's CF cycle, an orbit has 2Q ambiguous members when the cycle length
+    is even and 4Q when it is odd."""
+    from ambigraph.cf import cf_expand
+
+    cycle = cf_expand(rep).cycle
+    return sum(cycle) * (2 if len(cycle) % 2 == 0 else 4)
+
+
+def test_union_find_matches_cf_groups_up_to_1500(per_n):
+    """The union-find reference gives the cross-checked partition's members
+    (test_cf ties the CF revisit-key reference to the same records); each
+    record's path is its representative's closed path, its members are the
+    path and the path's x-images, and its length follows the CF length law
+    and is the path length, doubled unless x maps the path onto itself."""
+    for n in NONSQUARES_1500 + [69984, 1194127]:
+        ref = per_n(n)
+        assert ref.get(_components_of) == ref.members, n
+        for rec, members in zip(ref.cf.orbits, ref.members):
+            path = closed_path(rec.representative)
+            assert rec.path == path, (n, rec.path)
+            vertices = set(path.triples)
+            closure = vertices | {x_triple(t) for t in vertices}
+            assert set(members) == closure, (n, rec.path)
+            assert rec.ambiguous_length == len(closure) == _cf_length(
+                rec.representative), (n, rec.path)
+            assert rec.ambiguous_length == len(path) * (
+                1 if x_triple(path.anchor) in vertices else 2), n
 
 
 def test_generators_on_the_ambiguous_set_up_to_1500():
@@ -315,11 +335,13 @@ def test_generators_on_the_ambiguous_set_up_to_1500():
 
 
 def test_partition_graph_names_a_missing_image(monkeypatch):
+    """A triple missing from the enumeration: the orbits' lengths add up to
+    one more than the enumeration holds, and the error names the triple."""
     from ambigraph import diagram
     from ambigraph.errors import InternalInconsistency
 
     triples = diagram.checked_triples(125)
-    gone = triples[0]  # a < 0, so it is the x image looked up from x(gone)
+    gone = triples[0]  # a < 0, so never a walk's seed
     monkeypatch.setattr(
         diagram, "checked_triples", lambda n, max_n=None: triples[1:]
     )
@@ -328,92 +350,115 @@ def test_partition_graph_names_a_missing_image(monkeypatch):
     assert "n=125" in str(info.value) and str(gone) in str(info.value)
 
 
-def _walk_table(monkeypatch, table):
-    """Make partition_graph walk table in place of the enumeration."""
-    from ambigraph import diagram
-
-    monkeypatch.setattr(diagram, "checked_triples", lambda n, max_n=None: table)
-
-
 def test_partition_graph_names_a_revisit(monkeypatch):
-    """A mid-cycle vertex marked walked in the table (a value that is not a
-    plain tuple counts as walked): the first walk of n = 5 stops there before
-    it returns to its start."""
+    """The first walk of n = 5, from its reduced triple (1, -2, 2), is
+    started from a tuple that equals nothing, so it passes its start and
+    stops at the first vertex it meets again."""
     from ambigraph import diagram
     from ambigraph.errors import InternalInconsistency
 
-    class Walked(tuple):
-        pass
-
-    triples = diagram.checked_triples(5)
-    first = triples[0]
-    second = successor_triple(successor_triple(first, 5)[0], 5)[0]
-    _walk_table(monkeypatch,
-                tuple(Walked(t) if t == second else t for t in triples))
+    walk = diagram._walk
+    monkeypatch.setattr(diagram, "_walk", lambda t, n: walk(_Unequal(t), n))
     with pytest.raises(InternalInconsistency) as info:
         partition_graph(5)
     message = str(info.value)
-    assert message == "walk from (-2, 1, -1) revisits (0, 1, -5) (n=5)"
-    assert "revisits" in message and "n=5" in message and str(second) in message
+    assert message == "walk from (1, -2, 2) revisits (-1, -2, 2) (n=5)"
+    assert "revisits" in message and "n=5" in message
+
+
+def _walks_reaching(monkeypatch, bad, first):
+    """Make partition_graph's first walk (first) or a later one (not first)
+    start from the triple bad instead."""
+    from ambigraph import diagram
+
+    walk, calls = diagram._walk, []
+
+    def patched(t, n):
+        calls.append(t)
+        return walk(bad if (len(calls) == 1) == first else t, n)
+
+    monkeypatch.setattr(diagram, "_walk", patched)
 
 
 @pytest.mark.parametrize("bad", [(-3, 1, 4), (3, 4, 1)])
 @pytest.mark.parametrize("first_cycle", [True, False])
 def test_partition_graph_names_a_dichotomy_violation(monkeypatch, bad,
                                                       first_cycle):
-    """A non-ambiguous triple of n = 5 in the table: both successor
-    candidates of (-3, 1, 4) are ambiguous and neither of (3, 4, 1)'s is.
-    It is walked as an orbit's first cycle (its x-image, the other of the
-    two, is not yet walked) or as a further cycle of an orbit already open
-    (its x-image taken to be a walked triple)."""
+    """A non-ambiguous triple of n = 5 walked by partition_graph: both
+    successor candidates of (-3, 1, 4) are ambiguous and neither of
+    (3, 4, 1)'s is.  It is the start of the first walk (a seed's) or of a
+    later one."""
     from ambigraph import diagram
-    from ambigraph.errors import DichotomyViolation
+    from ambigraph.errors import DichotomyViolation, InternalInconsistency
 
-    triples = diagram.checked_triples(5)
-    if first_cycle:
-        table = (bad, x_triple(bad)) + triples
-    else:
-        table = triples + (bad,)
-        monkeypatch.setattr(
-            diagram, "x_triple",
-            lambda t: triples[0] if t == bad else x_triple(t),
-        )
-    _walk_table(monkeypatch, table)
+    with pytest.raises(DichotomyViolation) as info:
+        list(diagram._walk(bad, 5))
+    assert info.value.n == 5 and info.value.element == bad
+    _walks_reaching(monkeypatch, bad, first_cycle)
     with pytest.raises(DichotomyViolation) as info:
         partition_graph(5)
+    assert isinstance(info.value, InternalInconsistency)
     assert info.value.n == 5 and info.value.element == bad
     assert "n=5" in str(info.value) and str(bad) in str(info.value)
 
 
 def test_partition_graph_names_an_x_image_in_another_orbit(monkeypatch):
+    """The second seed's walk of n = 5 (the third walk, after the first
+    orbit's seed and representative) is made to walk the first seed's cycle
+    again, so its reduced triple would be placed in two orbits."""
     from ambigraph import diagram
     from ambigraph.errors import InternalInconsistency
 
-    one, other = partition_graph(5).orbits
-    moved = one.path.triples[1]  # walked inside a cycle, never a walk's start
-    original = diagram.x_triple
-    monkeypatch.setattr(
-        diagram, "x_triple",
-        lambda t: other.triples[0] if t == moved else original(t),
-    )
+    walk, calls = diagram._walk, []
+
+    def patched(t, n):
+        calls.append(t)
+        return walk(calls[0] if len(calls) == 3 else t, n)
+
+    monkeypatch.setattr(diagram, "_walk", patched)
     with pytest.raises(InternalInconsistency) as info:
         partition_graph(5)
     message = str(info.value)
-    assert "another orbit" in message and "n=5" in message and str(moved) in message
+    assert message == "(1, -2, 2) lies on the walk of another orbit (n=5)"
+    assert calls[0] == (1, -2, 2) and calls[2] == (2, -1, 1)
 
 
 def test_dichotomy_violation_in_a_walk_names_n(monkeypatch):
     from ambigraph import diagram
     from ambigraph.errors import DichotomyViolation
 
-    original = diagram.successor_triple
-
-    def broken(t, n=None):
-        # (1, -1, -1) has d = b + 2a + c = 0: neither candidate is ambiguous
-        return original((1, -1, -1), n)
-
-    monkeypatch.setattr(diagram, "successor_triple", broken)
+    walk = diagram._walk
+    # (1, -1, -1) has d = b + 2a + c = 0: neither candidate is ambiguous
+    monkeypatch.setattr(diagram, "_walk", lambda t, n: walk((1, -1, -1), n))
     with pytest.raises(DichotomyViolation) as info:
         closed_path(Element(1, -62, 2, 125))
     assert info.value.n == 125 and info.value.element == (1, -1, -1)
     assert "n=125" in str(info.value) and "(1, -1, -1)" in str(info.value)
+
+
+def test_each_engine_takes_no_step_of_the_other(monkeypatch):
+    """Spies on the CF step and on the successor walk: partition_graph takes
+    no CF step, and the CF side takes no successor step."""
+    from ambigraph import cf, diagram
+
+    steps = {"_step": 0, "_walk": 0}
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            steps[name] += 1
+            return original(*args)
+
+        _rebind(monkeypatch, name, original, counted)
+
+    spy(cf, "_step")
+    spy(diagram, "_walk")
+    for n in (5, 216, 69984):
+        partition_graph(n)
+        assert steps["_step"] == 0 and steps["_walk"] > 0, n
+        steps["_walk"] = 0
+        for _ in cf._cf_classes(n, None):
+            pass
+        assert steps["_walk"] == 0 and steps["_step"] > 0, n
+        steps["_step"] = 0

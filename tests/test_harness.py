@@ -199,20 +199,31 @@ def test_cross_check_is_partition_cf():
 
 
 def test_cross_check_compares_partitions_not_group_order(monkeypatch, run_cli):
+    """CF cycles walked from another state come out in another order, with
+    their parity classes swapped, and still match; a cycle whose first two
+    states are swapped mixes two orbits and does not."""
     from ambigraph import cf, harness
     from ambigraph.diagram import partition_graph
     from ambigraph.errors import InternalInconsistency
 
-    groups = [list(g) for g in cf.cf_groups(216)]
-    assert len(groups) == 4
-    monkeypatch.setattr(cf, "cf_groups", lambda n, max_n=None: groups[::-1])
+    cycle = cf._cycle
+
+    def rotated(t, s, limit, origin):
+        states, quotients = cycle(t, s, limit, origin)
+        return states[1:] + states[:1], quotients[1:] + quotients[:1]
+
+    def swapped(t, s, limit, origin):
+        states, quotients = cycle(t, s, limit, origin)
+        return [states[1], states[0], *states[2:]], quotients
+
+    plain = [set(states) for states, _ in cf._cf_classes(216, None)]
+    monkeypatch.setattr(cf, "_cycle", rotated)
+    assert [set(states) for states, _ in cf._cf_classes(216, None)] == [
+        plain[1], plain[0], plain[3], plain[2]]
     partition = harness.cross_checked_partition(216)
     assert partition.member_sets() == partition_graph(216).member_sets()
 
-    merged = sorted(groups[0] + groups[1], key=lambda t: (t[0], t[2]))
-    monkeypatch.setattr(
-        cf, "cf_groups", lambda n, max_n=None: [merged] + groups[2:]
-    )
+    monkeypatch.setattr(cf, "_cycle", swapped)
     with pytest.raises(InternalInconsistency) as info:
         harness.cross_checked_partition(216)
     assert "n=216" in str(info.value)
