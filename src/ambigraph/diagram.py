@@ -199,6 +199,7 @@ def partition_graph(n: int, max_n: int = None) -> OrbitPartition:
             if placed.setdefault(r, k) != k:
                 raise InternalInconsistency(
                     f"{r} lies on the walk of another orbit (n={n})")
+        del cycle  # before the next walk, which holds a cycle of its own
         path = ClosedPath(n, rep, tuple(map(_tag, _walk(rep, n))))
         records.append(OrbitRecord(Element.from_triple(rep, n), path, length))
     total = sum(rec.ambiguous_length for rec in records)
