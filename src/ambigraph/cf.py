@@ -8,7 +8,8 @@ condition: one CF shift is a determinant -1 move, so when the cycle length is
 even the parity of the entry index matters, and when it is odd a determinant
 flip can be absorbed by going once more around the cycle.  The cycle states
 are the reduced triples (Galois), so the CF partition walks one cycle from
-each reduced triple and never steps from the rest of the ambiguous set.
+each of the sieve's reduced triples and never meets the rest of the
+ambiguous set.
 
 All arithmetic is exact on (a, b, c) triples; floors come from integer
 square roots, never floating point.
@@ -19,7 +20,7 @@ from math import isqrt
 
 from .core import Element
 from .diagram import OrbitPartition, partition_graph
-from .enumeration import checked_triples
+from .enumeration import reduced_triples
 from .errors import CycleLimitExceeded, InternalInconsistency, MismatchedN
 
 
@@ -128,8 +129,8 @@ def _cf_classes(n, max_n):
     members each, and an odd cycle's orbit 4Q.
     """
     s, limit, met = isqrt(n), _default_limit(n), set()
-    for t in checked_triples(n, max_n):
-        if not _reduced(t, s) or t in met:
+    for t in reduced_triples(n, max_n)[0]:
+        if t in met:
             continue
         states, quotients = _cycle(t, s, limit, f"{t}|{n}")
         met.update(states)

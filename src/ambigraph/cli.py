@@ -66,29 +66,25 @@ def _classifiers(n):
 
 
 def _orbit_json(rec, n, classifiers):
-    """The JSON text of one orbit's record, as json.dumps(record, indent=2).
-    Its members are wire strings, which hold only digits, "-", "," and "|"
-    and so need no escaping: their array is laid out by joins of _RUN
-    strings at a time, so no list of one string per member is held."""
+    """The JSON text of one orbit's record, as json.dumps(record, indent=2),
+    laid out directly: its strings (wire strings, the word, the step type
+    and class names) need no escaping, and its other values are ints.  The
+    members' array is laid out by joins of _RUN strings at a time, so no
+    list of one string per member is held."""
     word = path_word(rec.path)
     circuit = circuit_from_word(word)
-    head, _, tail = json.dumps({
-        "n": _int(n),
-        "rep": str(rec.representative),
-        "members": [],
-        "circuit": {
-            "exponents": [_int(m) for m in circuit.exponents],
-            "start": circuit.start.value,
-        },
-        "word": str(word),
-        "classes": {name: f(rec.representative.triple)
-                    for name, f in classifiers.items()},
-        "length": rec.ambiguous_length,
-    }, indent=2).partition('"members": []')
+    exponents = ",\n      ".join(map(str, circuit.exponents))
+    t = rec.representative.triple
+    classes = ",\n    ".join(f'"{name}": {f(t)}' for name, f in classifiers.items())
+    classes = "{\n    " + classes + "\n  }" if classes else "{}"
     ts, sep = rec.triples, '",\n    "'
     members = sep.join(sep.join(triples_str(ts[i:i + _RUN], n))
                        for i in range(0, len(ts), _RUN))
-    return f'{head}"members": [\n    "{members}"\n  ]{tail}'
+    return (f'{{\n  "n": {json.dumps(_int(n))},\n  "rep": "{rec.representative}",\n'
+            f'  "members": [\n    "{members}"\n  ],\n  "circuit": {{\n'
+            f'    "exponents": [\n      {exponents}\n    ],\n'
+            f'    "start": "{circuit.start.value}"\n  }},\n  "word": "{word}",\n'
+            f'  "classes": {classes},\n  "length": {rec.ambiguous_length}\n}}')
 
 
 def _emit(doc, out):

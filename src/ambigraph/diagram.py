@@ -7,17 +7,19 @@ the orbit's ambiguous members are the path vertices together with their
 x-images.  x reverses the successor (s(x(s(t))) = x(t)), so an orbit is one
 successor cycle or two.  Every orbit holds reduced triples
 0 <= s - a < c <= s + a (s = isqrt(n)), the CF cycle states (Galois), so
-partition_graph walks the cycle of each reduced triple not yet placed; the
-CF partition cross-checks it.
+partition_graph walks the cycle of each reduced triple not yet placed, once,
+and checks the orbits against the sieve's reduced triples and count T(n)
+with no table of the ambiguous set; the CF partition cross-checks it.
 """
 
 import enum
 from dataclasses import dataclass, field
+from itertools import compress
 from math import isqrt
 from operator import itemgetter
 
 from .core import Element, is_ambiguous, x_triple
-from .enumeration import checked_triples
+from .enumeration import ambiguous_triples, reduced_triples
 from .errors import DichotomyViolation, InternalInconsistency, UnknownOrbit
 
 
@@ -44,35 +46,37 @@ def successor_triple(t, n=None):
 
 
 def _walk(t, n):
-    """Yield (vertex, step type) along the successor cycle through t, from t
-    on, until the walk returns to t.  The step is successor_triple's closed
-    form, inline; successor_triple raises the DichotomyViolation of a vertex
-    whose candidates are both or neither ambiguous.  A vertex met twice
-    before t means the successor is not a bijection: InternalInconsistency.
+    """Lists of the vertices, from t on, and step types of the successor
+    cycle through t.  The step is successor_triple's closed form, inline;
+    successor_triple raises the DichotomyViolation of a vertex whose
+    candidates are both or neither ambiguous.  A vertex met twice before t
+    means the successor is not a bijection: InternalInconsistency.
     """
-    start, seen = t, set()
+    start, seen, vertices, tags = t, set(), [], []
+    vertex, tag = vertices.append, tags.append
     while True:
+        vertex(t)
         a, b, c = t
         d = b + 2 * a + c
         if d * c < 0:
             if b * d < 0:
                 break
-            yield t, _YX
+            tag(_YX)
             t = (c + a, d, c)
         elif b * d < 0:
-            yield t, _YYX
+            tag(_YYX)
             t = (b + a, b, d)
         else:
             break
         if t == start:
-            return
+            return vertices, tags
         if t in seen:
             raise InternalInconsistency(f"walk from {start} revisits {t} (n={n})")
         seen.add(t)
     successor_triple(t, n)
 
 
-_vertex, _tag = itemgetter(0), itemgetter(1)
+_swap = {_YX: _YYX, _YYX: _YX}.__getitem__
 
 
 @dataclass(frozen=True)
@@ -115,11 +119,11 @@ def closed_path(e: Element) -> ClosedPath:
     """
     if not is_ambiguous(e):
         raise ValueError(f"closed_path requires an ambiguous element, got {e}")
-    return ClosedPath(e.n, e.triple, tuple(map(_tag, _walk(e.triple, e.n))))
+    return ClosedPath(e.n, e.triple, tuple(_walk(e.triple, e.n)[1]))
 
 
 _ac = itemgetter(0, 2)  # the (a, c) sort key of a triple
-_a, _c = itemgetter(0), itemgetter(2)
+_a, _b, _c = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
 @dataclass(frozen=True)
@@ -167,7 +171,7 @@ class OrbitPartition:
         vertex or x-image on e's closed path that is a reduced triple."""
         if e.n != self.n or not is_ambiguous(e):
             return None
-        for (a, b, c), _ in _walk(e.triple, e.n):
+        for a, b, c in _walk(e.triple, e.n)[0]:
             i = self.reduced.get((a, b, c), self.reduced.get((-a, c, b)))
             if i is not None:
                 return i
@@ -175,39 +179,51 @@ class OrbitPartition:
 
 
 def partition_graph(n: int, max_n: int = None) -> OrbitPartition:
-    """Partition the ambiguous set into orbits, two successor walks per orbit.
+    """Partition the ambiguous set into orbits, one successor walk per orbit.
 
     The walk of the cycle C of each reduced triple not yet placed places the
     reduced vertices and x-images on it.  The orbit is C and x(C), so its
-    length is twice the steps, or the steps when x maps C onto itself; its
-    least member by (a, c) is the representative, and the closed path is
-    walked from it.  A triple placed in two orbits, or lengths that do not
-    add up to the enumeration's count, raise InternalInconsistency.
+    length is twice the steps, or the steps when x maps C onto itself.  Its
+    least member by (a, c) is the representative; its closed path is C's
+    step types rotated to start there or, on x(C), reversed with YX and Y2X
+    swapped: a YX step t -> t' is a Y2X step x(t') -> x(t).  A triple placed
+    in two orbits, or placed reduced triples or lengths that differ from the
+    sieve's, raise InternalInconsistency, which alone builds the table.
     """
-    triples = checked_triples(n, max_n)
+    reduced, count = reduced_triples(n, max_n)
     s = isqrt(n)
     placed, records = {}, []  # reduced triple -> its orbit's number
-    for seed in [t for t in triples if 0 <= s - t[0] < t[2] <= s + t[0]]:
+    for seed in reduced:
         if seed in placed:
             continue
         k = len(records)
-        cycle = list(map(_vertex, _walk(seed, n)))
-        rep = min(min(cycle, key=_ac), min(map(x_triple, cycle), key=_ac), key=_ac)
+        cycle, tags = _walk(seed, n)
+        lo, hi = min(map(_a, cycle)), max(map(_a, cycle))
+        v = min(compress(cycle, map(lo.__eq__, map(_a, cycle))), key=_c)
+        w = min(compress(cycle, map(hi.__eq__, map(_a, cycle))), key=_b)
+        if (-hi, w[1]) < (lo, v[2]):  # the least member is x(w), on x(C)
+            rep, j = (-hi, w[2], w[1]), cycle.index(w)
+            steps = tuple(map(_swap, tags[j - 1::-1] + tags[:j - 1:-1]))
+        else:
+            rep, j = v, cycle.index(v)
+            steps = tuple(tags[j:] + tags[:j])
         rx = [(-a, c, b) for a, b, c in cycle if 0 <= s + a < b <= s - a]
         length = len(cycle) * (1 if seed in rx else 2)  # 1: x maps C onto itself
         for r in [t for t in cycle if 0 <= s - t[0] < t[2] <= s + t[0]] + rx:
             if placed.setdefault(r, k) != k:
                 raise InternalInconsistency(
                     f"{r} lies on the walk of another orbit (n={n})")
-        del cycle  # before the next walk, which holds a cycle of its own
-        path = ClosedPath(n, rep, tuple(map(_tag, _walk(rep, n))))
-        records.append(OrbitRecord(Element.from_triple(rep, n), path, length))
+        del cycle, tags  # before the next walk, which holds lists of its own
+        records.append(OrbitRecord(Element.from_triple(rep, n),
+                                   ClosedPath(n, rep, steps), length))
     total = sum(rec.ambiguous_length for rec in records)
-    if total != len(triples):
-        odd = {t for rec in records for t in rec.triples}.symmetric_difference(triples)
+    if total != count or len(placed) != len(reduced):  # each seed is placed
+        odd = placed.keys() ^ set(reduced) or set(ambiguous_triples(n)) ^ {
+            t for rec in records for t in rec.triples}
         raise InternalInconsistency(
-            f"orbits hold {total} triples, the enumeration {len(triples)}; "
-            f"first difference {sorted(odd, key=_ac)[:1]} (n={n})")
+            f"orbits hold {total} triples and {len(placed)} reduced ones, the "
+            f"sieve {count} and {len(reduced)}; first difference "
+            f"{sorted(odd, key=_ac)[:1]} (n={n})")
     order = sorted(range(len(records)), key=lambda k: _ac(records[k].path.anchor))
     rank = {k: i for i, k in enumerate(order)}
     return OrbitPartition(n, tuple(records[k] for k in order),

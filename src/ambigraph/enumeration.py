@@ -1,4 +1,6 @@
-"""Enumeration of the finite set of ambiguous numbers of Q*(sqrt(n))."""
+"""Enumeration of the ambiguous numbers of Q*(sqrt(n)) by one sieve pass:
+the whole set (ambiguous_triples), or for the orbit engines only the
+reduced triples and the set's size (reduced_triples)."""
 
 import math
 
@@ -48,14 +50,15 @@ def _sqrt_mod(n: int, p: int):
 
 
 _memo = {}  # the last n enumerated -> its triples; at most one entry
+_reduced_memo = {}  # the last n sieved -> (reduced triples, T(n)); likewise
 
 
 def ambiguous_triples(n: int):
     """Sorted tuple of primitive triples (a,b,c) with a^2 < n and c | a^2-n.
 
-    Memoised for the last n, so every consumer within one command shares
-    a single enumeration.  A new n releases the previous n's set before it
-    is built, so at most one set is held at a time.
+    Memoised for the last n, so every consumer within one command shares a
+    single enumeration.  A new n releases the previous n's set before it is
+    built, so at most one set is held at a time.
     """
     triples = _memo.get(n)
     if triples is None:
@@ -64,16 +67,14 @@ def ambiguous_triples(n: int):
     return triples
 
 
-def _sieve_triples(n: int):
-    """The unmemoised enumeration behind ambiguous_triples.
+def _factor_rows(n: int):
+    """The factors [(p, e), ...] of each m = n - a^2, a in [0, isqrt(n)].
 
-    The values m = n - a^2 for a in [0, isqrt(n)] are factored by a sieve,
-    as in the quadratic sieve: for each prime p <= sqrt(n), p | m exactly
-    when a is a root of a^2 = n (mod p), so stepping a through those roots
-    finds every a whose m has p as a factor.  After the primes up to sqrt(n)
-    are divided out, what is left of m is 1 or a prime.  The divisors c of
-    m then give the triples of a and of -a alike, in (a, c) order; the two
-    rows share their b and c ints, and each row of -a shares one -a int.
+    The values m are factored by a sieve, as in the quadratic sieve: for
+    each prime p <= sqrt(n), p | m exactly when a is a root of a^2 = n
+    (mod p), so stepping a through those roots finds every a whose m has p
+    as a factor.  After the primes up to sqrt(n) are divided out, what is
+    left of m is 1 or a prime.
     """
     s = math.isqrt(n)
     rest = [n - a * a for a in range(s + 1)]
@@ -87,12 +88,21 @@ def _sieve_triples(n: int):
                     e += 1
                 rest[a] = m
                 factors[a].append((p, e))
-    rows = []  # rows[a]: the (b, c) of a >= 0, sorted by c
     for a in range(s + 1):
         if rest[a] > 1:
             factors[a].append((rest[a], 1))
+    return factors
+
+
+def _sieve_triples(n: int):
+    """The unmemoised enumeration behind ambiguous_triples: the divisors c
+    of each m of _factor_rows give the triples of a and of -a alike, in
+    (a, c) order; the two rows share their b and c ints, and each row of -a
+    shares one -a int."""
+    rows = []  # rows[a]: the (b, c) of a >= 0, sorted by c
+    for a, factors in enumerate(_factor_rows(n)):
         divs = [1]
-        for p, e in factors[a]:
+        for p, e in factors:
             powers = [p ** k for k in range(e + 1)]
             divs = [d * q for d in divs for q in powers]
         divs.sort()
@@ -103,11 +113,36 @@ def _sieve_triples(n: int):
         rows.append([(m // d, -d) for d in reversed(divs)]
                     + [(-m // d, d) for d in divs])
     out = []
-    for a in range(s, 0, -1):
+    for a in range(len(rows) - 1, 0, -1):
         na = -a
         out += [(na, b, c) for b, c in rows[a]]
-    out += [(a, b, c) for a in range(s + 1) for b, c in rows[a]]
+    out += [(a, b, c) for a in range(len(rows)) for b, c in rows[a]]
     return tuple(out)
+
+
+def reduced_triples(n: int, max_n: int = None):
+    """(the reduced triples 0 <= s - a < c <= s + a in (a, c) order, T(n) =
+    len(ambiguous_triples(n))) of a positive nonsquare n within the cap, s =
+    isqrt(n), memoised for the last n.  Per a, the primitive divisors d of
+    m = n - a^2 number the product of e + 1 over p^e || m, with 2 for
+    p | gcd(a, n) (d takes all of p^e or none); each is c = d and c = -d of
+    a, and of -a if a > 0.  Only divisors up to s + a are built."""
+    _check(n, max_n)
+    if n not in _reduced_memo:
+        _reduced_memo.clear()
+        s, reduced, count = math.isqrt(n), [], 0
+        for a, factors in enumerate(_factor_rows(n)):
+            k, divs = 1, [1]
+            for p, e in factors:
+                k *= 2 if a % p == 0 else e + 1
+                powers = [p ** j for j in range(e + 1)]
+                divs = [x for d in divs for q in powers if (x := d * q) <= s + a]
+            count += 4 * k if a else 2 * k
+            m, g = n - a * a, math.gcd(a, n)
+            reduced += [(a, -m // d, d) for d in sorted(divs)
+                        if d > s - a and (g == 1 or math.gcd(g, d, m // d) == 1)]
+        _reduced_memo[n] = tuple(reduced), count
+    return _reduced_memo[n]
 
 
 def check_cap(n: int, max_n: int = None):
@@ -117,13 +152,17 @@ def check_cap(n: int, max_n: int = None):
         raise LimitExceeded(f"n={n} exceeds configured cap {cap}")
 
 
-def checked_triples(n: int, max_n: int = None):
-    """ambiguous_triples(n) for a positive nonsquare n within the cap."""
+def _check(n, max_n):
     if n <= 0:
         raise NonPositiveN(f"n must be positive, got {n}")
     if _is_square(n):
         raise SquareN(f"n must be nonsquare, got {n}")
     check_cap(n, max_n)
+
+
+def checked_triples(n: int, max_n: int = None):
+    """ambiguous_triples(n) for a positive nonsquare n within the cap."""
+    _check(n, max_n)
     return ambiguous_triples(n)
 
 

@@ -407,6 +407,8 @@ def sweep(ps, ks, ls, max_n: int) -> tuple:
                     try:
                         count = len(cross_checked_partition(n, max_n=max_n))
                         note = "k even or k < 3: no claim attached"
+                    except InternalInconsistency:
+                        raise
                     except AmbigraphError as exc:
                         count = -1
                         note = str(exc)

@@ -280,15 +280,48 @@ def test_negative_literals(run_cli):
     ],
 )
 def test_one_enumeration_per_command(monkeypatch, run_cli, argv):
+    """Each sieve product is built at most once per command: the table, and
+    the reduced triples with T(n), one factoring pass each."""
     from ambigraph import enumeration
 
-    builds = []
-    build = enumeration._sieve_triples
+    tables, passes = [], []
+    build, factor = enumeration._sieve_triples, enumeration._factor_rows
+    monkeypatch.setattr(enumeration, "_memo", {})
+    monkeypatch.setattr(enumeration, "_reduced_memo", {})
+    monkeypatch.setattr(enumeration, "_sieve_triples",
+                        lambda n: tables.append(n) or build(n))
+    monkeypatch.setattr(enumeration, "_factor_rows",
+                        lambda n: passes.append(n) or factor(n))
+    code, _ = run_cli(*argv)
+    assert code in (0, 2) and len(tables) <= 1
+    assert len(passes) == len(tables) + 1
+
+
+@pytest.mark.parametrize("argv, tables", [
+    (("orbits", "1105"), 0),
+    (("orbits", "1105", "--json"), 0),
+    (("orbits", "1105", "--method", "graph"), 0),
+    (("verify", "--theorem", "2.1", "--p", "5", "--k", "3"), 0),
+    (("classify", "216", "--mod8"), 1),
+])
+def test_orbit_commands_build_no_table(monkeypatch, run_cli, argv, tables):
+    """orbits and verify run on the reduced triples and T(n) alone and never
+    ask for the ambiguous table; classify builds it once."""
+    from ambigraph import enumeration
+
+    calls, builds = [], []
+    table, build = enumeration.ambiguous_triples, enumeration._sieve_triples
     monkeypatch.setattr(enumeration, "_memo", {})
     monkeypatch.setattr(enumeration, "_sieve_triples",
                         lambda n: builds.append(n) or build(n))
+    for name, module in list(sys.modules.items()):  # every binding of table
+        if name.startswith("ambigraph") and getattr(
+                module, "ambiguous_triples", None) is table:
+            monkeypatch.setattr(module, "ambiguous_triples",
+                                lambda n: calls.append(n) or table(n))
     code, _ = run_cli(*argv)
-    assert code in (0, 2) and len(builds) == 1
+    assert code == 0 and len(builds) == tables
+    assert tables or calls == []
 
 
 @pytest.mark.parametrize(
@@ -575,6 +608,15 @@ def test_orbits_1105_json_golden(run_cli, golden):
         "mod_p[5]", "mod_p[13]", "mod_p[17]"}
 
 
+def test_orbits_1194127_text_golden(run_cli, golden):
+    """Twelve orbits of up to 7996 members at a large n: pins the paths and
+    circuits derived from one successor walk per orbit."""
+    code, out = run_cli("orbits", "1194127")
+    assert code == 0
+    golden("orbits_1194127.txt", out)
+    assert out.startswith("12 orbits of ambiguous numbers for n=1194127")
+
+
 def test_orbits_69984_text_golden(run_cli, golden):
     """The errata case of Example 2.10: twelve orbits, not the four claimed."""
     code, out = run_cli("orbits", "69984")
@@ -605,20 +647,37 @@ def _run_mutant(tmp_path, module, old, new, *argv):
 
 @pytest.mark.parametrize("module, old, new, message", [
     # a wrong successor branch: the y2x candidate where y(x(t)) is ambiguous
-    ("diagram.py", "yield t, _YX\n            t = (c + a, d, c)",
-     "yield t, _YX\n            t = (b + a, b, d)", "dichotomy violated"),
+    ("diagram.py", "tag(_YX)\n            t = (c + a, d, c)",
+     "tag(_YX)\n            t = (b + a, b, d)", "dichotomy violated"),
     # a CF quotient off by one
     ("cf.py", "quotients.append(q)", "quotients.append(q + 1)",
      "graph and CF partitions disagree"),
-    # a dropped reduced triple: the last one enumerated, (s, -1, n - s^2)
-    ("enumeration.py", "return tuple(out)", "return tuple(out[:-1])",
-     "orbits hold 232 triples, the enumeration 231"),
-], ids=["successor-branch", "cf-quotient", "dropped-reduced"])
+    # a dropped reduced triple: the sieve's last one, (s, -1, n - s^2), which
+    # the walk of another reduced triple on its cycle still places
+    ("enumeration.py", "tuple(reduced), count", "tuple(reduced[:-1]), count",
+     "orbits hold 232 triples and 12 reduced ones, the sieve 232 and 11; "
+     "first difference [(14, -1, 20)]"),
+    # a T(n) factor off by one: e in place of e + 1 for p not dividing a
+    ("enumeration.py", "else e + 1", "else e",
+     "orbits hold 232 triples and 12 reduced ones, the sieve 124 and 12; "
+     "first difference []"),
+], ids=["successor-branch", "cf-quotient", "dropped-reduced", "count-off-by-one"])
 def test_engine_mutations_exit_3(tmp_path, module, old, new, message):
     code, out, err = _run_mutant(tmp_path, module, old, new, "orbits", "216")
     assert code == 3 and out == "", (code, out)
     assert err.startswith("internal inconsistency:") and message in err, err
     assert "n=216" in err
+
+
+def test_sweep_exits_3_when_the_engines_disagree_out_of_scope(tmp_path):
+    """k = 2 is out of theorem scope; an engine disagreement in such a row
+    is still an internal inconsistency, not a row of the sweep."""
+    code, out, err = _run_mutant(
+        tmp_path, "cf.py", "            return states, quotients",
+        "            return [states[1], states[0], *states[2:]], quotients",
+        "sweep", "--p", "3", "--k", "2", "--l", "3", "--json")
+    assert code == 3 and out == "", (code, out)
+    assert err.startswith("internal inconsistency:") and "n=72" in err, err
 
 
 def test_orbits_216_json_golden(run_cli, golden):

@@ -335,19 +335,24 @@ def test_generators_on_the_ambiguous_set_up_to_1500():
 
 
 def test_partition_graph_names_a_missing_image(monkeypatch):
-    """A triple missing from the enumeration: the orbits' lengths add up to
-    one more than the enumeration holds, and the error names the triple."""
+    """A triple missing from the sieve's count and from the table: the
+    orbits' lengths add up to one more than the sieve counts, and the
+    error, which only then builds the table, names the triple."""
     from ambigraph import diagram
     from ambigraph.errors import InternalInconsistency
 
-    triples = diagram.checked_triples(125)
+    reduced, count = diagram.reduced_triples(125)
+    triples = diagram.ambiguous_triples(125)
     gone = triples[0]  # a < 0, so never a walk's seed
-    monkeypatch.setattr(
-        diagram, "checked_triples", lambda n, max_n=None: triples[1:]
-    )
+    monkeypatch.setattr(diagram, "reduced_triples",
+                        lambda n, max_n=None: (reduced, count - 1))
+    monkeypatch.setattr(diagram, "ambiguous_triples", lambda n: triples[1:])
     with pytest.raises(InternalInconsistency) as info:
         partition_graph(125)
-    assert "n=125" in str(info.value) and str(gone) in str(info.value)
+    placed = len(reduced)
+    assert str(info.value) == (
+        f"orbits hold {count} triples and {placed} reduced ones, the sieve "
+        f"{count - 1} and {placed}; first difference [{gone}] (n=125)")
 
 
 def test_partition_graph_names_a_revisit(monkeypatch):
@@ -403,8 +408,8 @@ def test_partition_graph_names_a_dichotomy_violation(monkeypatch, bad,
 
 
 def test_partition_graph_names_an_x_image_in_another_orbit(monkeypatch):
-    """The second seed's walk of n = 5 (the third walk, after the first
-    orbit's seed and representative) is made to walk the first seed's cycle
+    """The second seed's walk of n = 5 (the second walk: the first orbit's
+    path comes from its seed's walk) is made to walk the first seed's cycle
     again, so its reduced triple would be placed in two orbits."""
     from ambigraph import diagram
     from ambigraph.errors import InternalInconsistency
@@ -413,14 +418,14 @@ def test_partition_graph_names_an_x_image_in_another_orbit(monkeypatch):
 
     def patched(t, n):
         calls.append(t)
-        return walk(calls[0] if len(calls) == 3 else t, n)
+        return walk(calls[0] if len(calls) == 2 else t, n)
 
     monkeypatch.setattr(diagram, "_walk", patched)
     with pytest.raises(InternalInconsistency) as info:
         partition_graph(5)
     message = str(info.value)
     assert message == "(1, -2, 2) lies on the walk of another orbit (n=5)"
-    assert calls[0] == (1, -2, 2) and calls[2] == (2, -1, 1)
+    assert calls == [(1, -2, 2), (2, -1, 1)]
 
 
 def test_dichotomy_violation_in_a_walk_names_n(monkeypatch):
@@ -462,3 +467,20 @@ def test_each_engine_takes_no_step_of_the_other(monkeypatch):
             pass
         assert steps["_walk"] == 0 and steps["_step"] > 0, n
         steps["_step"] = 0
+
+
+def test_partition_graph_walks_once_per_orbit(monkeypatch):
+    """One successor walk per orbit: each record's path is derived from its
+    seed's walk, so partition_graph calls _walk once per orbit, and each
+    walk starts at a reduced triple that no earlier walk placed."""
+    from ambigraph import diagram
+
+    walk, starts = diagram._walk, []
+    monkeypatch.setattr(diagram, "_walk",
+                        lambda t, n: starts.append(t) or walk(t, n))
+    for n in (5, 125, 216, 1105, 69984):
+        partition = partition_graph(n)
+        assert len(starts) == len(partition), n
+        assert sorted(partition.reduced[t] for t in starts) == list(
+            range(len(partition))), n
+        starts.clear()

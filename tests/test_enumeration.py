@@ -181,3 +181,33 @@ def test_count_just_above_the_default_cap(run_cli):
     code, out = run_cli("--max-n", "200000000", "ambiguous", "100000007",
                         "--count-only")
     assert code == 0 and out == "393036\n"
+
+
+def test_reduced_sieve_matches_the_table_up_to_3000():
+    """reduced_triples(n) is the table's reduced filter, in its (a, c)
+    order, and T(n) from the factorizations is the table's length."""
+    from ambigraph.enumeration import reduced_triples
+
+    for n in [n for n in range(2, 3001) if _isqrt(n) ** 2 != n] + [69984, 1000003]:
+        s, triples = _isqrt(n), ambiguous_triples(n)
+        want = tuple(t for t in triples if 0 <= s - t[0] < t[2] <= s + t[0])
+        assert reduced_triples(n) == (want, len(triples)), n
+
+
+def test_reduced_sieve_is_memoised_and_checked(monkeypatch):
+    from ambigraph import enumeration
+    from ambigraph.enumeration import reduced_triples
+    from ambigraph.errors import NonPositiveN
+
+    monkeypatch.setattr(enumeration, "_memo", {})
+    monkeypatch.setattr(enumeration, "_reduced_memo", {})
+    assert reduced_triples(125) is reduced_triples(125, max_n=125)
+    reduced_triples(216)
+    assert list(enumeration._reduced_memo) == [216]
+    assert enumeration._memo == {}  # no table was built
+    with pytest.raises(NonPositiveN):
+        reduced_triples(0)
+    with pytest.raises(SquareN):
+        reduced_triples(49)
+    with pytest.raises(LimitExceeded):
+        reduced_triples(1009, max_n=1000)
