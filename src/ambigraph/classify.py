@@ -14,8 +14,10 @@ import enum
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from math import gcd
 
-from .core import Element, check_triples, x_triple, y_triple, yy_triple
+from .core import Element, check_triple, x_triple
 from .enumeration import checked_triples
 from .errors import (
     InternalInconsistency,
@@ -95,6 +97,16 @@ def classifier_for(kind: ClassifierKind, n: int, p: int = None):
     return classify
 
 
+def _draws(seed):
+    """randrange(3)'s draws from Random(seed), as a C-level next(): the top 2
+    bits of a 32-bit word, redrawn on 3, taken from the top byte of each
+    4-byte group of getrandbits(32 * 4096), whose words run low to high."""
+    top2, bits = bytes(b >> 6 for b in range(256)), random.Random(seed).getrandbits
+    chunks = (bits(32 * 4096).to_bytes(4 * 4096, "little")[3::4]
+              .translate(top2).replace(b"\3", b"") for _ in iter(int, 1))
+    return chain.from_iterable(chunks).__next__
+
+
 @dataclass(frozen=True)
 class AuditReport:
     n: int
@@ -119,43 +131,52 @@ def invariance_audit(
 ) -> AuditReport:
     """Check class(g.e) == class(e) for g in {x, y, y^2} over the whole
     ambiguous set and along depth random generator extensions of each element.
-    Each round of a walk steps onto one of the three images of its state,
-    drawn as randrange(3) draws it: getrandbits(2), redrawn on 3.  Since
-    x^2 = y^3 = 1 a walk keeps stepping back, so it builds, validates as
-    triples of n and then classifies a state's images on the state's first
-    visit only; a revisit repeats that state's violations, if any.  Elements
-    are built only for the violations.
+    Each round steps onto image r of its state, r drawn as randrange(3) draws
+    it (_draws).  By x^2 = y^3 = 1 a state's predecessor s holds most of its
+    images: x(s') = s after an x step, y(s') = y^2(s) and y^2(s') = s after a
+    y step, y(s') = s and y^2(s') = y(s) after a y^2 step.  A state's other
+    1 or 2 images are built and classified on its first visit, new y and y^2
+    images validated by one test (x(s) has the equation and gcd of s).
     """
     if depth < 0:
         raise ValueError(f"audit depth must be >= 0, got {depth}")
     classify = classifier_for(kind, n, p)
     names = ("x", "y", "y2")
-    getrandbits = random.Random(seed).getrandbits
+    draw = _draws(seed)
     violations = []
     triples = checked_triples(n, max_n)
     for t in triples:
         expected = classify(t)
-        steps = {}  # state of this walk -> its three images
-        wrong = {}  # state -> indices of its images whose class differs
-        cur = t
+        ok = (expected,) * 3
+        # the start reads as reached by an x step from x(t), of class own
+        prev = x_triple(t)
+        r, classes, own, seen, cur = 0, ok, classify(prev), {}, t
         for _ in range(depth + 1):
-            step = steps.get(cur)
-            if step is None:
-                step = steps[cur] = (x_triple(cur), y_triple(cur), yy_triple(cur))
-                check_triples(step, n)
-                u, v, w = step
-                cu, cv, cw = classify(u), classify(v), classify(w)
-                if cu != expected or cv != expected or cw != expected:
-                    wrong[cur] = [i for i, c in enumerate((cu, cv, cw))
-                                  if c != expected]
-            if wrong and cur in wrong:
+            entry = seen.get(cur)
+            if entry is None:  # (images, their classes, the state's class)
+                a, b, c = cur
+                if r:  # after a y or y^2 step only x(cur) is new
+                    u = -a, c, b
+                    if r == 1:  # y(cur) = y^2(prev), y^2(cur) = prev
+                        entry = (u, images[2], prev), (classify(u), classes[2], own)
+                    else:  # y(cur) = prev, y^2(cur) = y(prev)
+                        entry = (u, prev, images[1]), (classify(u), own, classes[1])
+                else:  # after an x step y(cur) and y^2(cur) are new; x(cur) = prev
+                    v = va, vb, vc = b - a, b - 2 * a + c, b
+                    w = wa, wb, wc = c - a, c, vb
+                    if (vb * vc != va * va - n or wb * wc != wa * wa - n
+                            or gcd(va, vb, vc) != 1 or gcd(wa, wb, wc) != 1):
+                        check_triple(v, n)
+                        check_triple(w, n)
+                    entry = (prev, v, w), (own, classify(v), classify(w))
+                entry = seen[cur] = (*entry, classes[r])
+            images, classes, own = entry
+            if classes != ok:
                 e = Element.from_triple(cur, n)
-                violations += [(e, names[i], Element.from_triple(step[i], n))
-                               for i in wrong[cur]]
-            r = getrandbits(2)
-            while r == 3:
-                r = getrandbits(2)
-            cur = step[r]
+                violations += [(e, names[i], Element.from_triple(images[i], n))
+                               for i in range(3) if classes[i] != expected]
+            r = draw()
+            prev, cur = cur, images[r]
     return AuditReport(
         n, kind, p or 0, depth, 3 * (depth + 1) * len(triples), tuple(violations)
     )

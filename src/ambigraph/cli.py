@@ -25,7 +25,7 @@ from .classify import (
 )
 from .core import approx_values, make_element, triples_str
 from .diagram import closed_path, export_dot, partition_graph
-from .enumeration import DEFAULT_MAX_N, check_cap, checked_triples
+from .enumeration import DEFAULT_MAX_N, check_cap, checked_triples, reduced_triples
 from .errors import AmbigraphError, InternalInconsistency
 from .harness import (
     SweepRow,
@@ -126,10 +126,10 @@ def _write(text, path, out):
 
 def _cmd_ambiguous(args, out):
     n = args.n
-    triples = checked_triples(n, args.max_n)
     if args.count_only:
-        out.write(f"{len(triples)}\n")
+        out.write(f"{reduced_triples(n, args.max_n)[1]}\n")
         return EXIT_OK
+    triples = checked_triples(n, args.max_n)
     runs = (triples[i:i + _RUN] for i in range(0, len(triples), _RUN))
     if args.json:
         _emit_streamed(

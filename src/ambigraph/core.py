@@ -62,15 +62,6 @@ def check_triple(t, n):
         raise NotPrimitive(f"gcd(a,b,c) > 1 for ({a},{b},{c}|{n})")
 
 
-def check_triples(ts, n):
-    """check_triple on each triple of ts in turn, in one call: a valid triple
-    costs one test, and the first that fails raises check_triple's error."""
-    for t in ts:
-        a, b, c = t
-        if not c or b * c != a * a - n or gcd(a, b, c) != 1:
-            check_triple(t, n)
-
-
 def triples_str(ts, n) -> list:
     """The wire forms "a,b,c|n" of the triples ts of n, as a list; the "|n"
     suffix is formatted once for all of them."""

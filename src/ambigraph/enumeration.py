@@ -3,6 +3,7 @@ the whole set (ambiguous_triples), or for the orbit engines only the
 reduced triples and the set's size (reduced_triples)."""
 
 import math
+from functools import lru_cache
 
 from .core import Element, _is_square
 from .errors import LimitExceeded, NonPositiveN, SquareN
@@ -51,6 +52,8 @@ def _sqrt_mod(n: int, p: int):
 
 _memo = {}  # the last n enumerated -> its triples; at most one entry
 _reduced_memo = {}  # the last n sieved -> (reduced triples, T(n)); likewise
+# the last n's _factor_rows, shared by iter_triples and the table
+_factored = lru_cache(maxsize=1)(lambda n: _factor_rows(n))
 
 
 def ambiguous_triples(n: int):
@@ -94,30 +97,35 @@ def _factor_rows(n: int):
     return factors
 
 
+def _divisor_row(n, a, factors):
+    """The (b, c) of the triples of a >= 0 and of -a, in c order: +-d for c."""
+    divs = [1]
+    for p, e in factors:
+        powers = [p ** k for k in range(e + 1)]
+        divs = [d * q for d in divs for q in powers]
+    divs.sort()
+    m = n - a * a
+    g = math.gcd(a, n)  # gcd(a, b, c) divides a and a^2 - bc = n
+    if g > 1:
+        divs = [d for d in divs if math.gcd(g, d, m // d) == 1]
+    return [(m // d, -d) for d in reversed(divs)] + [(-m // d, d) for d in divs]
+
+
 def _sieve_triples(n: int):
-    """The unmemoised enumeration behind ambiguous_triples: the divisors c
-    of each m of _factor_rows give the triples of a and of -a alike, in
-    (a, c) order; the two rows share their b and c ints, and each row of -a
-    shares one -a int."""
-    rows = []  # rows[a]: the (b, c) of a >= 0, sorted by c
-    for a, factors in enumerate(_factor_rows(n)):
-        divs = [1]
-        for p, e in factors:
-            powers = [p ** k for k in range(e + 1)]
-            divs = [d * q for d in divs for q in powers]
-        divs.sort()
-        m = n - a * a
-        g = math.gcd(a, n)  # gcd(a, b, c) divides a and a^2 - bc = n
-        if g > 1:
-            divs = [d for d in divs if math.gcd(g, d, m // d) == 1]
-        rows.append([(m // d, -d) for d in reversed(divs)]
-                    + [(-m // d, d) for d in divs])
-    out = []
-    for a in range(len(rows) - 1, 0, -1):
-        na = -a
-        out += [(na, b, c) for b, c in rows[a]]
-    out += [(a, b, c) for a in range(len(rows)) for b, c in rows[a]]
-    return tuple(out)
+    """The unmemoised enumeration behind ambiguous_triples, in (a, c) order:
+    the rows of a and of -a share their b and c ints, and a row its a int."""
+    rows = [_divisor_row(n, a, f) for a, f in enumerate(_factored(n))]
+    _factored.cache_clear()  # in every command the table is their last use
+    return tuple([(a, b, c) for a in range(1 - len(rows), len(rows))
+                  for b, c in rows[abs(a)]])
+
+
+def iter_triples(n: int, max_n: int = None):
+    """checked_triples(n, max_n), each sieve row built once it is reached."""
+    _check(n, max_n)
+    factors = _factored(n)
+    for a in range(1 - len(factors), len(factors)):
+        yield from ((a, b, c) for b, c in _divisor_row(n, abs(a), factors[abs(a)]))
 
 
 def reduced_triples(n: int, max_n: int = None):

@@ -18,7 +18,7 @@ from .classify import ClassifierKind, classifier_for, odd_prime_divisors
 from .core import Element, is_ambiguous, make_element
 from .diagram import closed_path
 from .cf import partition_cf as cross_checked_partition
-from .enumeration import DEFAULT_MAX_N, checked_triples
+from .enumeration import DEFAULT_MAX_N, iter_triples
 from .errors import AmbigraphError, InternalInconsistency, LimitExceeded
 from .words import check_word_fixes, circuit_from_word, parse_word, path_word
 
@@ -130,7 +130,7 @@ def resolve_rep(
         return RepResolution(spec, e, False, note)
     except AmbigraphError as exc:
         reason = str(exc)
-    for t in checked_triples(n, max_n):
+    for t in iter_triples(n, max_n):
         if classify(t) == spec.intended_value:
             cand = Element.from_triple(t, n)
             note = (

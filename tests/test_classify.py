@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 
@@ -8,6 +9,7 @@ from ambigraph.classify import (
     classifier_for,
     invariance_audit,
     legendre,
+    odd_prime_divisors,
 )
 from ambigraph.core import (
     Element,
@@ -157,19 +159,37 @@ def test_audit_violations_are_valid_elements(monkeypatch):
         assert image.triple == moves[name](e.triple)
 
 
-def test_audit_validates_every_image(monkeypatch):
-    from ambigraph import classify
-    from ambigraph.core import y_triple
-    from ambigraph.errors import NotDivisible
+def test_audit_validates_every_image(tmp_path):
+    """A wrong y-image formula in the audit's step raises NotDivisible at
+    depth 0, where the start's images are built, and at depth 20."""
+    import os
+    import shutil
+    import subprocess
+    import sys
 
-    def broken_y(t):
-        a, b, c = y_triple(t)
-        return (a, b + 1, c)
+    import ambigraph
 
-    monkeypatch.setattr(classify, "y_triple", broken_y)
-    for depth in (0, 20):
-        with pytest.raises(NotDivisible):
-            invariance_audit(216, ClassifierKind.MOD_8, depth=depth)
+    package = tmp_path / "ambigraph"
+    shutil.copytree(os.path.dirname(ambigraph.__file__), package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = package / "classify.py"
+    text = path.read_text()
+    old = "v = va, vb, vc = b - a, "
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, "v = va, vb, vc = b - a + 1, "))
+    script = (
+        "from ambigraph.classify import ClassifierKind, invariance_audit\n"
+        "for depth in (0, 20):\n"
+        "    try:\n"
+        "        invariance_audit(216, ClassifierKind.MOD_8, depth=depth)\n"
+        "    except Exception as exc:\n"
+        "        print(depth, type(exc).__name__)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(tmp_path)))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 NotDivisible\n20 NotDivisible\n"
 
 
 def test_mod_p_classifier_checks_p_once(monkeypatch):
@@ -243,65 +263,139 @@ def _reference_walk(n, depth, seed):
     return images
 
 
+def _reference_violations(walk, f):
+    """The violations of a reference walk under the classifier f: each
+    image whose class differs from its walk's start, as (state, name,
+    image)."""
+    return [(cur, name, image) for t, cur, name, image in walk if f(image) != f(t)]
+
+
+def _pinned(monkeypatch, n, kind, p, depth, seed, f):
+    """Run the audit with the classifier f in place of the real one and
+    check it against the reference walk: checked, and every violation in
+    order and multiplicity."""
+    from ambigraph import classify
+
+    monkeypatch.setattr(classify, "classifier_for", lambda kind, n, p=None: f)
+    report = invariance_audit(n, kind, p=p, depth=depth, seed=seed)
+    walk = _reference_walk(n, depth, seed)
+    assert report.checked == len(walk)
+    assert [(e.triple, name, image.triple)
+            for e, name, image in report.violations] == _reference_violations(walk, f)
+    return report
+
+
 @pytest.mark.parametrize("depth", [0, 1, 5, 20])
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("n,kind,p", [(216, ClassifierKind.MOD_8, None),
                                       (1125, ClassifierKind.MOD_P, 5)])
 def test_audit_walk_is_pinned(monkeypatch, n, kind, p, depth, seed):
-    from ambigraph import classify
-
     # with the triple itself as its class, every image but the start is a
     # violation, so the violations spell out the whole walk, revisits and all
-    monkeypatch.setattr(classify, "classifier_for", lambda kind, n, p=None: tuple)
-    report = invariance_audit(n, kind, p=p, depth=depth, seed=seed)
-    walk = _reference_walk(n, depth, seed)
-    assert report.checked == len(walk)
-    assert [(e.triple, name, image.triple) for e, name, image in report.violations] == [
-        (cur, name, image) for t, cur, name, image in walk if image != t
-    ]
+    _pinned(monkeypatch, n, kind, p, depth, seed, tuple)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("n,depth", [(216, 20), (1125, 5), (12500, 20)])
+def test_audit_walk_is_pinned_under_a_non_invariant_class(monkeypatch, n,
+                                                          depth, seed):
+    """c mod 3 changes along the walk but far from at every image, so a
+    state's derived images and their classes are checked against the
+    reference too; 21 * T(12500) = 43176 draws take some 14 refills of the
+    draw buffer."""
+    report = _pinned(monkeypatch, n, ClassifierKind.MOD_8, None, depth, seed,
+                     lambda t: t[2] % 3)
+    assert 0 < len(report.violations) < report.checked // 2
+
+
+@pytest.mark.parametrize("seed", [0, 7, -3])
+def test_bulk_draws_are_randrange_draws(seed):
+    """_draws gives the draws of getrandbits(2) redrawn on 3, in order,
+    across several refills of its 4096-word buffer."""
+    from ambigraph.classify import _draws
+
+    getrandbits = random.Random(seed).getrandbits
+    want = []
+    while len(want) < 20000:  # about 3072 draws per refill
+        r = getrandbits(2)
+        if r != 3:
+            want.append(r)
+    draw = _draws(seed)
+    assert [draw() for _ in want] == want
 
 
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("n,kind,p", [(216, ClassifierKind.MOD_8, None),
                                       (1125, ClassifierKind.MOD_P, 5)])
 def test_audit_checks_each_state_of_a_walk_once(monkeypatch, n, kind, p, seed):
+    """Per walk: the start is classified, then its three images; each later
+    state, on its first visit, has only the images that its predecessor
+    does not already hold built and classified, 2 after an x step and 1
+    after a y or y^2 step.  Every image the reference walk checks is one of
+    them.  check_triple runs only on a failure, so never here; that every
+    new y and y^2 image is validated is test_audit_validates_every_image's
+    part."""
     from ambigraph import classify
 
     depth = 20
-    calls = []  # ("class", triple) and ("check", images), in call order
-    real_classifier_for, real_check = classify.classifier_for, classify.check_triples
+    calls, checks = [], []
+    real_classifier_for, real_check = classify.classifier_for, classify.check_triple
 
     def counting_classifier_for(kind, n, p=None):
         f = real_classifier_for(kind, n, p)
 
         def spy(t):
-            calls.append(("class", t))
+            calls.append(t)
             return f(t)
         return spy
 
-    def counting_check(ts, n):
-        calls.append(("check", tuple(ts)))
-        return real_check(ts, n)
-
     monkeypatch.setattr(classify, "classifier_for", counting_classifier_for)
-    monkeypatch.setattr(classify, "check_triples", counting_check)
+    monkeypatch.setattr(classify, "check_triple",
+                        lambda t, n: checks.append(t) or real_check(t, n))
     report = invariance_audit(n, kind, p=p, depth=depth, seed=seed)
     walk = _reference_walk(n, depth, seed)
     triples = ambiguous_triples(n)
     assert report.ok and report.checked == len(walk) == 3 * (depth + 1) * len(triples)
+    assert checks == []  # no failure, no call
 
-    # per walk: the start is classified, then each distinct state, on its
-    # first visit, has its three images checked and classified once
-    states = {}  # start -> the distinct states of its walk, in visit order
-    for t, cur, _, _ in walk:
-        states.setdefault(t, {})[cur] = None
-    expected = []
-    for t in triples:
-        expected.append(("class", t))
-        assert len(states[t]) <= depth + 1
-        for cur in states[t]:
-            images = (x_triple(cur), y_triple(cur), yy_triple(cur))
-            expected += [("check", images)] + [("class", u) for u in images]
+    expected, before_derivation = [], 0
+    for j, t in enumerate(triples):
+        rounds = [walk[i:i + 3] for i in range(3 * (depth + 1) * j,
+                                               3 * (depth + 1) * (j + 1), 3)]
+        built = [t, x_triple(t), y_triple(t), yy_triple(t)]
+        seen = {t}
+        for before, after in zip(rounds, rounds[1:]):
+            cur = after[0][1]
+            if cur not in seen:
+                seen.add(cur)
+                step = next(name for _, _, name, image in before if image == cur)
+                built += ([y_triple(cur), yy_triple(cur)] if step == "x"
+                          else [x_triple(cur)])
+        assert {image for r in rounds for _, _, _, image in r} <= set(built)
+        expected += built
+        before_derivation += 1 + 3 * len(seen)  # all three images per state
     assert calls == expected
-    classified = sum(what == "class" for what, _ in calls)
-    assert classified < (1 + 3 * (depth + 1)) * len(triples)
+    assert len(calls) < before_derivation
+
+
+@pytest.mark.parametrize("limit", [80, pytest.param(1500, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_audit_reports_match_the_reference(seed, limit):
+    """For every nonsquare n <= limit and every classifier that applies, at
+    depths 0, 1 and 20, the report is the reference walk's: checked, and
+    the violations of the real classifier, which are none."""
+    for n in range(2, limit + 1):
+        if isqrt(n) ** 2 == n:
+            continue
+        kinds = [(ClassifierKind.MOD_P, q) for q in odd_prime_divisors(n)]
+        if n % 8 == 0:
+            kinds.append((ClassifierKind.MOD_8, None))
+        for depth in (0, 1, 20):
+            walk = None
+            for kind, p in kinds:
+                report = invariance_audit(n, kind, p=p, depth=depth, seed=seed)
+                walk = walk or _reference_walk(n, depth, seed)
+                f = classifier_for(kind, n, p)
+                assert report.checked == len(walk)
+                assert report.violations == ()
+                assert _reference_violations(walk, f) == []

@@ -69,6 +69,13 @@ def test_classify_json(run_cli, golden):
     golden("classify_125.json", out)
 
 
+def test_classify_69984_json_golden(run_cli, golden):
+    """Both classifiers on T = 7416 triples, each with its depth-20 audit."""
+    code, out = run_cli("classify", "69984", "--mod-p", "3", "--mod8", "--json")
+    assert code == 0
+    golden("classify_69984.json", out)
+
+
 def test_cf_command(run_cli, golden):
     code, out = run_cli("cf", "0,1|125")
     assert code == 0
@@ -280,21 +287,23 @@ def test_negative_literals(run_cli):
     ],
 )
 def test_one_enumeration_per_command(monkeypatch, run_cli, argv):
-    """Each sieve product is built at most once per command: the table, and
-    the reduced triples with T(n), one factoring pass each."""
+    """Each sieve product is built at most once per command, with one
+    factoring pass each: the reduced triples with T(n), and the table's
+    rows, whether the table or the lazy rows of a fallback read them."""
     from ambigraph import enumeration
 
     tables, passes = [], []
     build, factor = enumeration._sieve_triples, enumeration._factor_rows
     monkeypatch.setattr(enumeration, "_memo", {})
     monkeypatch.setattr(enumeration, "_reduced_memo", {})
+    enumeration._factored.cache_clear()
     monkeypatch.setattr(enumeration, "_sieve_triples",
                         lambda n: tables.append(n) or build(n))
     monkeypatch.setattr(enumeration, "_factor_rows",
                         lambda n: passes.append(n) or factor(n))
     code, _ = run_cli(*argv)
     assert code in (0, 2) and len(tables) <= 1
-    assert len(passes) == len(tables) + 1
+    assert len(passes) == (1 if argv[0] == "orbits" else 2)
 
 
 @pytest.mark.parametrize("argv, tables", [
@@ -303,10 +312,23 @@ def test_one_enumeration_per_command(monkeypatch, run_cli, argv):
     (("orbits", "1105", "--method", "graph"), 0),
     (("verify", "--theorem", "2.1", "--p", "5", "--k", "3"), 0),
     (("classify", "216", "--mod8"), 1),
+    # the literal representatives (1, 3) and (-1, -3) are invalid here, and
+    # their fallbacks walk the sieve's rows until one meets the class; the
+    # claimed count fails, so the command exits 2
+    (("verify", "--theorem", "2.9", "--p", "3", "--k", "5", "--l", "3"), 0),
 ])
 def test_orbit_commands_build_no_table(monkeypatch, run_cli, argv, tables):
     """orbits and verify run on the reduced triples and T(n) alone and never
     ask for the ambiguous table; classify builds it once."""
+    calls, builds = _spy_tables(monkeypatch)
+    code, _ = run_cli(*argv)
+    assert code == (2 if "2.9" in argv else 0) and len(builds) == tables
+    assert tables or calls == []
+
+
+def _spy_tables(monkeypatch):
+    """Empty the table memo and record every table asked for (calls) and
+    built (builds), through every module's binding of ambiguous_triples."""
     from ambigraph import enumeration
 
     calls, builds = [], []
@@ -319,9 +341,21 @@ def test_orbit_commands_build_no_table(monkeypatch, run_cli, argv, tables):
                 module, "ambiguous_triples", None) is table:
             monkeypatch.setattr(module, "ambiguous_triples",
                                 lambda n: calls.append(n) or table(n))
-    code, _ = run_cli(*argv)
-    assert code == 0 and len(builds) == tables
-    assert tables or calls == []
+    return calls, builds
+
+
+def test_count_only_builds_no_table(monkeypatch, run_cli):
+    """ambiguous --count-only prints T(n) from the reduced sieve: the
+    table's length for every nonsquare n <= 400, with no table built."""
+    from ambigraph.enumeration import _sieve_triples
+
+    want = {n: len(_sieve_triples(n)) for n in range(1, 401)
+            if math.isqrt(n) ** 2 != n}
+    calls, builds = _spy_tables(monkeypatch)
+    for n, count in want.items():
+        code, out = run_cli("ambiguous", str(n), "--count-only")
+        assert code == 0 and out == f"{count}\n", n
+    assert calls == builds == []
 
 
 @pytest.mark.parametrize(

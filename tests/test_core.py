@@ -2,13 +2,12 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambigraph.core import (
     Element,
     check_triple,
-    check_triples,
     is_ambiguous,
     make_element,
     triple_str,
@@ -20,7 +19,6 @@ from ambigraph.core import (
 )
 from ambigraph.enumeration import enumerate_ambiguous
 from ambigraph.errors import (
-    AmbigraphError,
     NonPositiveN,
     NotDivisible,
     NotPrimitive,
@@ -202,36 +200,6 @@ def test_value_approx_matches_the_fraction_reference_for_big_n(a, b, c, flip):
     if isqrt(n) ** 2 == n or gcd(gcd(a, b), c) != 1:
         return
     assert value_approx(Element(a, b, c, n)) == _fraction_value((a, b, c), n)
-
-
-def _outcome(check, *args):
-    try:
-        check(*args)
-    except AmbigraphError as exc:
-        return type(exc), str(exc)
-    return None
-
-
-@st.composite
-def triple_lists(draw):
-    # b = (a^2 - n) // c, sometimes shifted, so that valid triples, c = 0,
-    # bc != a^2 - n and imprimitive triples (n = 8, say) all occur
-    n = draw(st.integers(1, 150))
-    triples = []
-    for _ in range(draw(st.integers(0, 6))):
-        a, c = draw(st.integers(-12, 12)), draw(st.integers(-12, 12))
-        b = (a * a - n) // c if c else draw(st.integers(-12, 12))
-        triples.append((a, b + draw(st.sampled_from((0, 0, 0, 1))), c))
-    return triples, n
-
-
-@given(case=triple_lists())
-@example(case=([(2, 1, 0)], 4))  # bc = a^2 - n holds with c = 0 for square n
-@settings(max_examples=500)
-def test_check_triples_is_check_triple_on_each(case):
-    triples, n = case
-    first_failure = next(filter(None, (_outcome(check_triple, t, n) for t in triples)), None)
-    assert _outcome(check_triples, triples, n) == first_failure
 
 
 def test_triples_str_is_the_wire_form_of_each_triple():
