@@ -126,13 +126,14 @@ def _cf_classes(n, max_n):
     step is a determinant -1 move, so an even cycle holds two orbits, its
     states of even and of odd index, and an odd cycle one.  With Q the sum of
     the cycle's partial quotients, an even cycle's orbits have 2Q ambiguous
-    members each, and an odd cycle's orbit 4Q.
+    members each, and an odd cycle's orbit 4Q.  A cycle's states are distinct
+    reduced triples, so len(reduced) bounds each walk.
     """
-    s, limit, met = isqrt(n), _default_limit(n), set()
-    for t in reduced_triples(n, max_n)[0]:
+    s, reduced, met = isqrt(n), reduced_triples(n, max_n)[0], set()
+    for t in reduced:
         if t in met:
             continue
-        states, quotients = _cycle(t, s, limit, f"{t}|{n}")
+        states, quotients = _cycle(t, s, len(reduced), f"{t}|{n}")
         met.update(states)
         q = sum(quotients)
         if len(states) % 2:

@@ -9,13 +9,15 @@ successor cycle or two.  Every orbit holds reduced triples
 0 <= s - a < c <= s + a (s = isqrt(n)), the CF cycle states (Galois), so
 partition_graph walks the cycle of each reduced triple not yet placed, once,
 and checks the orbits against the sieve's reduced triples and count T(n)
-with no table of the ambiguous set; the CF partition cross-checks it.
+with no table of the ambiguous set; the CF partition cross-checks it.  A
+walk jumps each run of one step type, a circuit block (yx)^k or (y^2x)^k,
+by one floor division, so it costs the circuit's blocks, not its steps.
 """
 
 import enum
 from dataclasses import dataclass, field
-from itertools import compress
-from math import isqrt
+from itertools import chain, compress, repeat
+from math import inf, isqrt
 from operator import itemgetter
 
 from .core import Element, is_ambiguous, x_triple
@@ -45,35 +47,40 @@ def successor_triple(t, n=None):
     return ((c + a, d, c), StepType.YX) if ay else ((b + a, b, d), StepType.YYX)
 
 
-def _walk(t, n):
-    """Lists of the vertices, from t on, and step types of the successor
-    cycle through t.  The step is successor_triple's closed form, inline;
-    successor_triple raises the DichotomyViolation of a vertex whose
-    candidates are both or neither ambiguous.  A vertex met twice before t
-    means the successor is not a bijection: InternalInconsistency.
+def _runs(t, n, limit=inf):
+    """The run starts from t on and the blocks ((StepType, k), ...) of the
+    successor cycle through t, blocks[i] from starts[i]; the last block ends
+    at t, inside a run if t is.  yx is alpha -> alpha + 1, so a YX run keeps
+    c and adds c to a while (a + c)^2 < n: k = (s - a)//c for c > 0 and
+    (s + a)//-c for c < 0 (s = isqrt(n)).  A Y2X run keeps b likewise.  Run
+    starts get successor_triple's test, which raises the DichotomyViolation.
+    Inside a run bc = a^2 - n < 0 makes (a + c)^2 < n iff a + b < -sqrt(n)
+    (c > 0; a + b > sqrt(n) for c < 0): exactly one candidate is ambiguous.
+    A run start met twice before t (the successor is not a bijection), or
+    more than limit steps, raises InternalInconsistency.
     """
-    start, seen, vertices, tags = t, set(), [], []
-    vertex, tag = vertices.append, tags.append
+    s, (a0, b0, c0), start = isqrt(n), t, t
+    starts, blocks, seen, steps = [], [], set(), 0
     while True:
-        vertex(t)
+        starts.append(t)
         a, b, c = t
         d = b + 2 * a + c
-        if d * c < 0:
-            if b * d < 0:
-                break
-            tag(_YX)
-            t = (c + a, d, c)
-        elif b * d < 0:
-            tag(_YYX)
-            t = (b + a, b, d)
-        else:
-            break
-        if t == start:
-            return vertices, tags
+        ay = d * c < 0
+        if ay == (b * d < 0):
+            return successor_triple(t, n)
+        tag, u, u0 = (_YX, c, c0) if ay else (_YYX, b, b0)
+        k = (s - a) // u if u > 0 else (s + a) // -u
+        if u == u0 and (a0 - a) % u == 0 and 0 < (a0 - a) // u <= k:  # passes t
+            blocks.append((tag, (a0 - a) // u))
+            return starts, blocks
+        a += k * u
+        t = (a, (a * a - n) // u, c) if tag is _YX else (a, b, (a * a - n) // u)
+        blocks.append((tag, k))
+        if (steps := steps + k) > limit:
+            raise InternalInconsistency(f"walk from {start} passes {limit} steps (n={n})")
         if t in seen:
             raise InternalInconsistency(f"walk from {start} revisits {t} (n={n})")
         seen.add(t)
-    successor_triple(t, n)
 
 
 _swap = {_YX: _YYX, _YYX: _YX}.__getitem__
@@ -83,26 +90,33 @@ _swap = {_YX: _YYX, _YYX: _YX}.__getitem__
 class ClosedPath:
     """The closed successor cycle through an ambiguous anchor.
 
-    step_types[i] is the step from the i-th vertex to the next, the last one
-    back to the anchor; the vertices are replayed from them on access.
+    blocks are the anchored word's ((StepType, k), ...), the runs of one
+    step type from the anchor, the last one back to it; the first and last
+    share a type when the anchor lies inside a run.  The step types and the
+    vertices are replayed from them on access.
     """
 
     n: int
     anchor: tuple
-    step_types: tuple
+    blocks: tuple
 
     def __len__(self):
-        return len(self.step_types)
+        return sum(k for _, k in self.blocks)
+
+    @property
+    def step_types(self):
+        """The type of each step, from the anchor on."""
+        return tuple(chain.from_iterable(repeat(t, k) for t, k in self.blocks))
 
     @property
     def triples(self):
         """The vertices in walk order, anchor first."""
-        t, out = self.anchor, []
-        for tag in self.step_types:
-            out.append(t)
-            a, b, c = t
-            d = b + 2 * a + c
-            t = (c + a, d, c) if tag is _YX else (b + a, b, d)
+        (a, b, c), out = self.anchor, []
+        for tag, k in self.blocks:
+            for _ in range(k):
+                out.append((a, b, c))
+                d = b + 2 * a + c
+                a, b, c = (c + a, d, c) if tag is _YX else (b + a, b, d)
         return tuple(out)
 
     @property
@@ -119,7 +133,7 @@ def closed_path(e: Element) -> ClosedPath:
     """
     if not is_ambiguous(e):
         raise ValueError(f"closed_path requires an ambiguous element, got {e}")
-    return ClosedPath(e.n, e.triple, tuple(_walk(e.triple, e.n)[1]))
+    return ClosedPath(e.n, e.triple, tuple(_runs(e.triple, e.n)[1]))
 
 
 _ac = itemgetter(0, 2)  # the (a, c) sort key of a triple
@@ -168,10 +182,12 @@ class OrbitPartition:
 
     def orbit_of(self, e: Element):
         """Index of the orbit holding e, or None: the orbit of the first
-        vertex or x-image on e's closed path that is a reduced triple."""
+        run start or x-image of one on e's closed path that is a reduced
+        triple: every reduced vertex and x-image is at a run start (see
+        partition_graph)."""
         if e.n != self.n or not is_ambiguous(e):
             return None
-        for a, b, c in _walk(e.triple, e.n)[0]:
+        for a, b, c in _runs(e.triple, e.n)[0]:
             i = self.reduced.get((a, b, c), self.reduced.get((-a, c, b)))
             if i is not None:
                 return i
@@ -179,16 +195,19 @@ class OrbitPartition:
 
 
 def partition_graph(n: int, max_n: int = None) -> OrbitPartition:
-    """Partition the ambiguous set into orbits, one successor walk per orbit.
+    """Partition the ambiguous set into orbits, one run walk per orbit.
 
-    The walk of the cycle C of each reduced triple not yet placed places the
-    reduced vertices and x-images on it.  The orbit is C and x(C), so its
-    length is twice the steps, or the steps when x maps C onto itself.  Its
-    least member by (a, c) is the representative; its closed path is C's
-    step types rotated to start there or, on x(C), reversed with YX and Y2X
-    swapped: a YX step t -> t' is a Y2X step x(t') -> x(t).  A triple placed
-    in two orbits, or placed reduced triples or lengths that differ from the
-    sieve's, raise InternalInconsistency, which alone builds the table.
+    The run walk, bounded by the sieve's count T(n), of the cycle C of each
+    reduced triple not yet placed places the reduced vertices and x-images
+    on it: a reduced t and x(t) are entered by YX and left by Y2X (README),
+    so both are run starts, as are the extreme a on C (a is monotone in a
+    run).  The orbit is C and x(C), so its length is twice the steps, or the
+    steps when x maps C onto itself.  Its least member by (a, c) is the
+    representative; its closed path is C's blocks rotated to start there
+    or, on x(C), reversed with YX and Y2X swapped: a YX step t -> t' is a
+    Y2X step x(t') -> x(t).  A triple placed in two orbits, or placed reduced
+    triples or lengths that differ from the sieve's, raise
+    InternalInconsistency, which alone builds the table.
     """
     reduced, count = reduced_triples(n, max_n)
     s = isqrt(n)
@@ -197,25 +216,24 @@ def partition_graph(n: int, max_n: int = None) -> OrbitPartition:
         if seed in placed:
             continue
         k = len(records)
-        cycle, tags = _walk(seed, n)
-        lo, hi = min(map(_a, cycle)), max(map(_a, cycle))
-        v = min(compress(cycle, map(lo.__eq__, map(_a, cycle))), key=_c)
-        w = min(compress(cycle, map(hi.__eq__, map(_a, cycle))), key=_b)
+        starts, blocks = _runs(seed, n, count)
+        lo, hi = min(map(_a, starts)), max(map(_a, starts))
+        v = min(compress(starts, map(lo.__eq__, map(_a, starts))), key=_c)
+        w = min(compress(starts, map(hi.__eq__, map(_a, starts))), key=_b)
         if (-hi, w[1]) < (lo, v[2]):  # the least member is x(w), on x(C)
-            rep, j = (-hi, w[2], w[1]), cycle.index(w)
-            steps = tuple(map(_swap, tags[j - 1::-1] + tags[:j - 1:-1]))
+            rep, j = (-hi, w[2], w[1]), starts.index(w)
+            word = [(_swap(t), m) for t, m in blocks[j - 1::-1] + blocks[:j - 1:-1]]
         else:
-            rep, j = v, cycle.index(v)
-            steps = tuple(tags[j:] + tags[:j])
-        rx = [(-a, c, b) for a, b, c in cycle if 0 <= s + a < b <= s - a]
-        length = len(cycle) * (1 if seed in rx else 2)  # 1: x maps C onto itself
-        for r in [t for t in cycle if 0 <= s - t[0] < t[2] <= s + t[0]] + rx:
+            rep, j = v, starts.index(v)
+            word = blocks[j:] + blocks[:j]
+        path = ClosedPath(n, rep, tuple(word))
+        rx = [(-a, c, b) for a, b, c in starts if 0 <= s + a < b <= s - a]
+        length = len(path) * (1 if seed in rx else 2)  # 1: x maps C onto itself
+        for r in [t for t in starts if 0 <= s - t[0] < t[2] <= s + t[0]] + rx:
             if placed.setdefault(r, k) != k:
                 raise InternalInconsistency(
                     f"{r} lies on the walk of another orbit (n={n})")
-        del cycle, tags  # before the next walk, which holds lists of its own
-        records.append(OrbitRecord(Element.from_triple(rep, n),
-                                   ClosedPath(n, rep, steps), length))
+        records.append(OrbitRecord(Element.from_triple(rep, n), path, length))
     total = sum(rec.ambiguous_length for rec in records)
     if total != count or len(placed) != len(reduced):  # each seed is placed
         odd = placed.keys() ^ set(reduced) or set(ambiguous_triples(n)) ^ {

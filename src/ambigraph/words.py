@@ -60,11 +60,6 @@ def _merge_blocks(raw_blocks):
     return Word(tuple(blocks), tuple(notices))
 
 
-def _unit_word(types):
-    """The word of a sequence of single steps: one block per run of a type."""
-    return Word(tuple((t, len(list(run))) for t, run in groupby(types)))
-
-
 def parse_word(text: str) -> Word:
     """Parse "(yx)^5(y^2x)^11(yx)^6" style notation, or a raw yx/y2x string.
 
@@ -97,7 +92,7 @@ def parse_word(text: str) -> Word:
             raise ParseError(f"cannot parse raw word at position {pos}: {s[pos:]!r}", pos)
         tags.append(StepType.YX if m.group(0) == "yx" else StepType.YYX)
         pos = m.end()
-    return _unit_word(tags)
+    return Word(tuple((t, len(list(run))) for t, run in groupby(tags)))
 
 
 @dataclass(frozen=True)
@@ -216,7 +211,7 @@ def canonical_circuit(exponents, start: StepType) -> Circuit:
 def path_word(path: ClosedPath) -> Word:
     """Anchored word read off a closed path; evaluating it on the anchor
     returns the anchor.  The first and last blocks may share a type."""
-    return _unit_word(path.step_types)
+    return Word(path.blocks)
 
 
 def circuit_from_word(word: Word) -> Circuit:

@@ -14,7 +14,11 @@ from ambigraph.cf import (
 )
 from ambigraph.core import Element, is_ambiguous, make_element, y_triple
 from ambigraph.diagram import partition_graph
-from ambigraph.enumeration import ambiguous_triples, enumerate_ambiguous
+from ambigraph.enumeration import (
+    ambiguous_triples,
+    enumerate_ambiguous,
+    reduced_triples,
+)
 from ambigraph.errors import CycleLimitExceeded, MismatchedN
 
 
@@ -130,10 +134,34 @@ def test_cf_key_limit_leaves_no_position_markers(monkeypatch):
     for t in ambiguous_triples(n):
         groups.setdefault(_revisit_cf_key(t, n, s, cache, limit), set()).add(t)
     assert set(map(frozenset, groups.values())) == partition_cf(n).member_sets()
-    monkeypatch.setattr(cf, "_default_limit", lambda n: 1)
+    first = reduced_triples(n)[0][:1]  # R(n) read as 1 bounds each CF cycle
+    monkeypatch.setattr(cf, "reduced_triples", lambda n, max_n=None: (first, 0))
     with pytest.raises(CycleLimitExceeded) as info:
         partition_cf(n)
     assert f"|{n}" in str(info.value)
+
+
+def test_cf_cycles_are_bounded_by_the_reduced_count(monkeypatch):
+    """_cf_classes bounds each CF cycle by R(n), the number of reduced
+    triples, since a cycle's states are distinct reduced triples: a CF step
+    that never returns raises CycleLimitExceeded naming t|n after at most
+    R(n) + 1 steps."""
+    from ambigraph import cf
+
+    n = 125
+    reduced = reduced_triples(n)[0]
+    calls = []
+
+    def endless(t, s):
+        calls.append(t)
+        return 1, (t[0], t[1], t[2] + 1)  # never back at the start
+
+    monkeypatch.setattr(cf, "_step", endless)
+    with pytest.raises(CycleLimitExceeded) as info:
+        list(cf._cf_classes(n, None))
+    assert str(info.value) == (
+        f"no period within {len(reduced)} CF steps of {reduced[0]}|{n}")
+    assert len(calls) == len(reduced) + 1
 
 
 # --- reduced cycles (Galois) against the revisit-based references ---------

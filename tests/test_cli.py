@@ -659,6 +659,24 @@ def test_orbits_69984_text_golden(run_cli, golden):
     assert out.startswith("12 orbits of ambiguous numbers for n=69984")
 
 
+def test_circuit_from_a_mid_run_anchor_golden(run_cli, golden):
+    """circuit from (341 + sqrt(1194127))/66, which lies inside a YX run: the
+    step into it and the step from it are both YX, so the walk closes inside
+    its last run, and the anchored word's first and last blocks are YX."""
+    from ambigraph.core import Element, x_triple
+    from ambigraph.diagram import StepType, closed_path, successor_triple
+
+    n, t = 1194127, (341, -16331, 66)
+    before = x_triple(successor_triple(x_triple(t), n)[0])
+    assert successor_triple(before, n) == ((341, -16331, 66), StepType.YX)
+    assert successor_triple(t, n)[1] is StepType.YX
+    blocks = closed_path(Element(*t, n)).blocks
+    assert blocks[0][0] is blocks[-1][0] is StepType.YX
+    code, out = run_cli("circuit", str(n), "--rep", "341,66")
+    assert code == 0
+    golden("circuit_1194127_midrun.txt", out)
+
+
 def _run_mutant(tmp_path, module, old, new, *argv):
     """Run the CLI from a copy of the package in which old, which must occur
     once in module, reads new: (exit code, stdout, stderr)."""
@@ -680,9 +698,12 @@ def _run_mutant(tmp_path, module, old, new, *argv):
 
 
 @pytest.mark.parametrize("module, old, new, message", [
-    # a wrong successor branch: the y2x candidate where y(x(t)) is ambiguous
-    ("diagram.py", "tag(_YX)\n            t = (c + a, d, c)",
-     "tag(_YX)\n            t = (b + a, b, d)", "dichotomy violated"),
+    # a wrong successor branch: a YX run ends at the y2x form of its vertex
+    ("diagram.py", "if tag is _YX else (a, b, (a * a - n) // u)",
+     "if tag is _YYX else (a, b, (a * a - n) // u)", "dichotomy violated"),
+    # a run length off by one, which ends the run past the ambiguous set
+    ("diagram.py", "k = (s - a) // u if u > 0", "k = (s - a) // u + 1 if u > 0",
+     "dichotomy violated"),
     # a CF quotient off by one
     ("cf.py", "quotients.append(q)", "quotients.append(q + 1)",
      "graph and CF partitions disagree"),
@@ -695,7 +716,8 @@ def _run_mutant(tmp_path, module, old, new, *argv):
     ("enumeration.py", "else e + 1", "else e",
      "orbits hold 232 triples and 12 reduced ones, the sieve 124 and 12; "
      "first difference []"),
-], ids=["successor-branch", "cf-quotient", "dropped-reduced", "count-off-by-one"])
+], ids=["successor-branch", "run-length", "cf-quotient", "dropped-reduced",
+        "count-off-by-one"])
 def test_engine_mutations_exit_3(tmp_path, module, old, new, message):
     code, out, err = _run_mutant(tmp_path, module, old, new, "orbits", "216")
     assert code == 3 and out == "", (code, out)

@@ -1,11 +1,13 @@
 import json
 import sys
+from itertools import groupby
 from math import isqrt
 
 import pytest
 
 from ambigraph.core import Element, make_element, x_triple
 from ambigraph.diagram import (
+    ClosedPath,
     StepType,
     closed_path,
     export_dot,
@@ -147,23 +149,13 @@ def test_closed_path_and_circuit_never_enumerate(monkeypatch, run_cli, golden):
     golden("circuit_125.txt", out)
 
 
-class _Unequal(tuple):
-    """A triple that equals no other tuple, itself included: a walk started
-    from it never sees its start again, as if the successor were not a
-    bijection."""
-
-    __hash__ = tuple.__hash__
-
-    def __eq__(self, other):
-        return False
-
-
 def test_closed_path_revisit_names_n_and_triple(monkeypatch):
+    """With isqrt(5) read as 1, the run from (1, -4, 1) has length 0, so
+    the walk stays at that run start and meets it again."""
     from ambigraph import diagram
     from ambigraph.errors import InternalInconsistency
 
-    walk = diagram._walk
-    monkeypatch.setattr(diagram, "_walk", lambda t, n: walk(_Unequal(t), n))
+    monkeypatch.setattr(diagram, "isqrt", lambda n: 1)
     with pytest.raises(InternalInconsistency) as info:
         closed_path(Element(0, -5, 1, 5))
     message = str(info.value)
@@ -356,18 +348,18 @@ def test_partition_graph_names_a_missing_image(monkeypatch):
 
 
 def test_partition_graph_names_a_revisit(monkeypatch):
-    """The first walk of n = 5, from its reduced triple (1, -2, 2), is
-    started from a tuple that equals nothing, so it passes its start and
-    stops at the first vertex it meets again."""
+    """With isqrt(5) read as 1, the first walk of n = 5, from (1, -2, 2),
+    still closes, but the second, from (2, -1, 1), stops its Y2X run one
+    step short at (-1, -1, 4), whose run then has length 0: the walk meets
+    that run start again."""
     from ambigraph import diagram
     from ambigraph.errors import InternalInconsistency
 
-    walk = diagram._walk
-    monkeypatch.setattr(diagram, "_walk", lambda t, n: walk(_Unequal(t), n))
+    monkeypatch.setattr(diagram, "isqrt", lambda n: 1)
     with pytest.raises(InternalInconsistency) as info:
         partition_graph(5)
     message = str(info.value)
-    assert message == "walk from (1, -2, 2) revisits (-1, -2, 2) (n=5)"
+    assert message == "walk from (2, -1, 1) revisits (-1, -1, 4) (n=5)"
     assert "revisits" in message and "n=5" in message
 
 
@@ -376,13 +368,13 @@ def _walks_reaching(monkeypatch, bad, first):
     start from the triple bad instead."""
     from ambigraph import diagram
 
-    walk, calls = diagram._walk, []
+    runs, calls = diagram._runs, []
 
-    def patched(t, n):
+    def patched(t, n, limit):
         calls.append(t)
-        return walk(bad if (len(calls) == 1) == first else t, n)
+        return runs(bad if (len(calls) == 1) == first else t, n, limit)
 
-    monkeypatch.setattr(diagram, "_walk", patched)
+    monkeypatch.setattr(diagram, "_runs", patched)
 
 
 @pytest.mark.parametrize("bad", [(-3, 1, 4), (3, 4, 1)])
@@ -397,7 +389,7 @@ def test_partition_graph_names_a_dichotomy_violation(monkeypatch, bad,
     from ambigraph.errors import DichotomyViolation, InternalInconsistency
 
     with pytest.raises(DichotomyViolation) as info:
-        list(diagram._walk(bad, 5))
+        diagram._runs(bad, 5)
     assert info.value.n == 5 and info.value.element == bad
     _walks_reaching(monkeypatch, bad, first_cycle)
     with pytest.raises(DichotomyViolation) as info:
@@ -414,13 +406,13 @@ def test_partition_graph_names_an_x_image_in_another_orbit(monkeypatch):
     from ambigraph import diagram
     from ambigraph.errors import InternalInconsistency
 
-    walk, calls = diagram._walk, []
+    runs, calls = diagram._runs, []
 
-    def patched(t, n):
+    def patched(t, n, limit):
         calls.append(t)
-        return walk(calls[0] if len(calls) == 2 else t, n)
+        return runs(calls[0] if len(calls) == 2 else t, n, limit)
 
-    monkeypatch.setattr(diagram, "_walk", patched)
+    monkeypatch.setattr(diagram, "_runs", patched)
     with pytest.raises(InternalInconsistency) as info:
         partition_graph(5)
     message = str(info.value)
@@ -432,9 +424,9 @@ def test_dichotomy_violation_in_a_walk_names_n(monkeypatch):
     from ambigraph import diagram
     from ambigraph.errors import DichotomyViolation
 
-    walk = diagram._walk
+    runs = diagram._runs
     # (1, -1, -1) has d = b + 2a + c = 0: neither candidate is ambiguous
-    monkeypatch.setattr(diagram, "_walk", lambda t, n: walk((1, -1, -1), n))
+    monkeypatch.setattr(diagram, "_runs", lambda t, n: runs((1, -1, -1), n))
     with pytest.raises(DichotomyViolation) as info:
         closed_path(Element(1, -62, 2, 125))
     assert info.value.n == 125 and info.value.element == (1, -1, -1)
@@ -442,11 +434,14 @@ def test_dichotomy_violation_in_a_walk_names_n(monkeypatch):
 
 
 def test_each_engine_takes_no_step_of_the_other(monkeypatch):
-    """Spies on the CF step and on the successor walk: partition_graph takes
-    no CF step, and the CF side takes no successor step."""
+    """Spies on the CF step and on the run walk: partition_graph takes no
+    CF step, and the CF side takes no successor step; diagram imports
+    nothing from cf."""
     from ambigraph import cf, diagram
 
-    steps = {"_step": 0, "_walk": 0}
+    assert not [v for v in vars(diagram).values()
+                if getattr(v, "__module__", None) == cf.__name__ or v is cf]
+    steps = {"_step": 0, "_runs": 0}
 
     def spy(module, name):
         original = getattr(module, name)
@@ -458,29 +453,156 @@ def test_each_engine_takes_no_step_of_the_other(monkeypatch):
         _rebind(monkeypatch, name, original, counted)
 
     spy(cf, "_step")
-    spy(diagram, "_walk")
+    spy(diagram, "_runs")
     for n in (5, 216, 69984):
         partition_graph(n)
-        assert steps["_step"] == 0 and steps["_walk"] > 0, n
-        steps["_walk"] = 0
+        assert steps["_step"] == 0 and steps["_runs"] > 0, n
+        steps["_runs"] = 0
         for _ in cf._cf_classes(n, None):
             pass
-        assert steps["_walk"] == 0 and steps["_step"] > 0, n
+        assert steps["_runs"] == 0 and steps["_step"] > 0, n
         steps["_step"] = 0
 
 
 def test_partition_graph_walks_once_per_orbit(monkeypatch):
     """One successor walk per orbit: each record's path is derived from its
-    seed's walk, so partition_graph calls _walk once per orbit, and each
+    seed's walk, so partition_graph calls _runs once per orbit, and each
     walk starts at a reduced triple that no earlier walk placed."""
     from ambigraph import diagram
 
-    walk, starts = diagram._walk, []
-    monkeypatch.setattr(diagram, "_walk",
-                        lambda t, n: starts.append(t) or walk(t, n))
+    runs, starts = diagram._runs, []
+    monkeypatch.setattr(diagram, "_runs",
+                        lambda t, n, limit: starts.append(t) or runs(t, n, limit))
     for n in (5, 125, 216, 1105, 69984):
         partition = partition_graph(n)
         assert len(starts) == len(partition), n
         assert sorted(partition.reduced[t] for t in starts) == list(
             range(len(partition))), n
         starts.clear()
+
+
+def _reference_walk(t, n):
+    """The step-by-step walk that the run walk replaced: lists of the
+    vertices, from t on, and step types of the successor cycle through t.
+    The step is successor_triple's closed form, inline; successor_triple
+    raises the DichotomyViolation of a vertex whose candidates are both or
+    neither ambiguous.  A vertex met twice before t means the successor is
+    not a bijection: InternalInconsistency.
+    """
+    from ambigraph.errors import InternalInconsistency
+
+    start, seen, vertices, tags = t, set(), [], []
+    vertex, tag = vertices.append, tags.append
+    while True:
+        vertex(t)
+        a, b, c = t
+        d = b + 2 * a + c
+        if d * c < 0:
+            if b * d < 0:
+                break
+            tag(StepType.YX)
+            t = (c + a, d, c)
+        elif b * d < 0:
+            tag(StepType.YYX)
+            t = (b + a, b, d)
+        else:
+            break
+        if t == start:
+            return vertices, tags
+        if t in seen:
+            raise InternalInconsistency(f"walk from {start} revisits {t} (n={n})")
+        seen.add(t)
+    successor_triple(t, n)
+
+
+def _cyclic_runs(vertices, tags):
+    """The run starts of a cycle, the vertices whose step type differs from
+    the step into them, in walk order, and the blocks (type, length) of the
+    maximal runs from them."""
+    at = [i for i in range(len(tags)) if tags[i] is not tags[i - 1]]
+    ends = at[1:] + [at[0] + len(tags)]
+    return [vertices[i] for i in at], [(tags[i], j - i) for i, j in zip(at, ends)]
+
+
+def test_run_walk_equals_the_reference_from_every_reduced_seed():
+    """From every reduced triple, the run walk's starts and blocks are the
+    reference cycle's run starts and maximal runs rotated to that triple,
+    and from the first one on each cycle its replayed vertices and step
+    types are the reference's."""
+    from ambigraph.diagram import _runs
+    from ambigraph.enumeration import reduced_triples
+
+    for n in NONSQUARES_1500 + [69984, 1194127]:
+        cycle_of = {}  # run start -> its cycle's run starts and blocks
+        for seed in reduced_triples(n)[0]:
+            starts, blocks = _runs(seed, n)
+            if seed not in cycle_of:
+                vertices, tags = _reference_walk(seed, n)
+                path = ClosedPath(n, seed, tuple(blocks))
+                assert list(path.triples) == vertices, (n, seed)
+                assert list(path.step_types) == tags, (n, seed)
+                runs = _cyclic_runs(vertices, tags)
+                cycle_of.update((t, runs) for t in runs[0])
+            ref_starts, ref_blocks = cycle_of[seed]
+            i = ref_starts.index(seed)
+            assert starts == ref_starts[i:] + ref_starts[:i], (n, seed)
+            assert blocks == ref_blocks[i:] + ref_blocks[:i], (n, seed)
+
+
+def test_run_walk_equals_the_reference_from_every_ambiguous_triple():
+    """closed_path from every ambiguous triple of n <= 300, most of them
+    inside a run: its vertices and step types are the reference walk's, and
+    its blocks are the maximal runs of those step types from the anchor, so
+    the first and last share a type exactly when the anchor is inside a
+    run."""
+    from ambigraph.enumeration import ambiguous_triples
+
+    for n in range(2, 301):
+        if isqrt(n) ** 2 == n:
+            continue
+        cycle_of = {}  # vertex -> its cycle's vertices and step types
+        for t in ambiguous_triples(n):
+            if t not in cycle_of:
+                walk = _reference_walk(t, n)
+                cycle_of.update((v, walk) for v in walk[0])
+            vertices, tags = cycle_of[t]
+            i = vertices.index(t)
+            tags = tags[i:] + tags[:i]
+            path = closed_path(Element(*t, n))
+            assert list(path.triples) == vertices[i:] + vertices[:i], (n, t)
+            assert list(path.step_types) == tags, (n, t)
+            assert list(path.blocks) == [
+                (tag, len(list(run))) for tag, run in groupby(tags)], (n, t)
+            assert (path.blocks[0][0] is path.blocks[-1][0]) == (
+                tags[0] is tags[-1]), (n, t)
+
+
+def test_reduced_triples_lie_at_run_starts():
+    """Every reduced triple r of a nonsquare n <= 3000, and its x-image, is
+    entered by a YX step and left by a Y2X step (the reference successor
+    rule), so it starts a run: the run walk sees every reduced vertex and
+    every reduced x-image of its cycle among its run starts."""
+    from ambigraph.enumeration import reduced_triples
+
+    for n in range(2, 3001):
+        if isqrt(n) ** 2 == n:
+            continue
+        for r in reduced_triples(n)[0]:
+            for t in (r, x_triple(r)):
+                before = x_triple(successor_triple(x_triple(t), n)[0])
+                assert successor_triple(before, n) == (t, StepType.YX), (n, t)
+                assert successor_triple(t, n)[1] is StepType.YYX, (n, t)
+
+
+def test_partition_graph_bounds_each_walk_by_the_count(monkeypatch):
+    """Each run walk of partition_graph is bounded by the sieve's count
+    T(n): read as 3, the first walk of n = 125 passes it."""
+    from ambigraph import diagram
+    from ambigraph.errors import InternalInconsistency
+
+    reduced, count = diagram.reduced_triples(125)
+    monkeypatch.setattr(diagram, "reduced_triples",
+                        lambda n, max_n=None: (reduced, 3))
+    with pytest.raises(InternalInconsistency) as info:
+        partition_graph(125)
+    assert str(info.value) == f"walk from {reduced[0]} passes 3 steps (n=125)"
