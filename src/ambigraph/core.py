@@ -5,9 +5,9 @@ An element is the real number (a + sqrt(n))/c, stored as the integer triple
 equality is always exact triple equality, never floating point.
 
 The modular group acts through the two elliptic generators
-x: alpha -> -1/alpha and y: alpha -> (alpha - 1)/alpha, which on triples
-become the integer substitutions x_triple, y_triple and yy_triple (y^2:
-alpha -> -1/(alpha - 1)) below.
+x: alpha -> -1/alpha and y: alpha -> (alpha - 1)/alpha.  On triples x is
+x_triple below; y and y^2 (alpha -> -1/(alpha - 1)) are stepped inline by
+the successor walk and the invariance audit.
 """
 
 import re
@@ -33,21 +33,11 @@ def _is_square(n: int) -> bool:
     return s * s == n
 
 
-# The generator action on triples.
+# The x generator on triples.
 
 def x_triple(t):
     a, b, c = t
     return (-a, c, b)
-
-
-def y_triple(t):
-    a, b, c = t
-    return (b - a, b - 2 * a + c, b)
-
-
-def yy_triple(t):
-    a, b, c = t
-    return (c - a, c, b - 2 * a + c)
 
 
 def check_triple(t, n):

@@ -134,21 +134,29 @@ def reduced_triples(n: int, max_n: int = None):
     isqrt(n), memoised for the last n.  Per a, the primitive divisors d of
     m = n - a^2 number the product of e + 1 over p^e || m, with 2 for
     p | gcd(a, n) (d takes all of p^e or none); each is c = d and c = -d of
-    a, and of -a if a > 0.  Only divisors up to s + a are built."""
+    a, and of -a if a > 0.  A reduced c has c, |b| = m/c <= s + a (m <
+    (s + 1)^2 - a^2 and c > s - a), so rows with a prime above s + a are
+    skipped, and the others build d largest prime first, keeping a partial
+    x while (s - a) // rest < x <= s + a, rest the part of m not yet used."""
     _check(n, max_n)
     if n not in _reduced_memo:
         _reduced_memo.clear()
         s, reduced, count = math.isqrt(n), [], 0
         for a, factors in enumerate(_factor_rows(n)):
-            k, divs = 1, [1]
+            k = 1
             for p, e in factors:
                 k *= 2 if a % p == 0 else e + 1
-                powers = [p ** j for j in range(e + 1)]
-                divs = [x for d in divs for q in powers if (x := d * q) <= s + a]
             count += 4 * k if a else 2 * k
-            m, g = n - a * a, math.gcd(a, n)
+            if factors and factors[-1][0] > s + a:
+                continue  # that prime divides c or |b|: no reduced triple here
+            m = rest = n - a * a
+            divs = [1]
+            for p, e in reversed(factors):
+                rest //= p ** e
+                low, powers = (s - a) // rest, [p ** j for j in range(e + 1)]
+                divs = [x for d in divs for q in powers if low < (x := d * q) <= s + a]
             reduced += [(a, -m // d, d) for d in sorted(divs)
-                        if d > s - a and (g == 1 or math.gcd(g, d, m // d) == 1)]
+                        if math.gcd(a, d, m // d) == 1]
         _reduced_memo[n] = tuple(reduced), count
     return _reduced_memo[n]
 

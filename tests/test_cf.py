@@ -12,7 +12,7 @@ from ambigraph.cf import (
     partition_cf,
     psl_equivalent,
 )
-from ambigraph.core import Element, is_ambiguous, make_element, y_triple
+from ambigraph.core import Element, is_ambiguous, make_element
 from ambigraph.diagram import partition_graph
 from ambigraph.enumeration import (
     ambiguous_triples,
@@ -20,6 +20,8 @@ from ambigraph.enumeration import (
     reduced_triples,
 )
 from ambigraph.errors import CycleLimitExceeded, MismatchedN
+
+from generator_action import y_triple
 
 
 def test_floor_element():

@@ -16,8 +16,6 @@ from ambigraph.core import (
     check_triple,
     make_element,
     x_triple,
-    y_triple,
-    yy_triple,
 )
 from ambigraph.diagram import partition_graph
 from ambigraph.enumeration import ambiguous_triples, enumerate_ambiguous
@@ -27,6 +25,8 @@ from ambigraph.errors import (
     NotOddPrime,
     PNotDividesN,
 )
+
+from generator_action import y_triple, yy_triple
 
 
 def test_legendre():
@@ -146,7 +146,6 @@ def test_audit_rejects_negative_depth():
 
 def test_audit_violations_are_valid_elements(monkeypatch):
     from ambigraph import classify
-    from ambigraph.core import x_triple, y_triple, yy_triple
 
     # a "class" that is the triple itself differs on every image but the start
     monkeypatch.setattr(classify, "classifier_for", lambda kind, n, p=None: tuple)

@@ -651,6 +651,16 @@ def test_orbits_1194127_text_golden(run_cli, golden):
     assert out.startswith("12 orbits of ambiguous numbers for n=1194127")
 
 
+def test_orbits_2607543_text_golden(run_cli, golden):
+    """The other large n of the benchmark's seed-0 pass: 1043 of its 1615
+    sieve rows keep a prime above s + a and are skipped, and the other 572
+    are pruned from both sides, so the output rests on the windowed sieve."""
+    code, out = run_cli("orbits", "2607543")
+    assert code == 0
+    golden("orbits_2607543.txt", out)
+    assert out.startswith("12 orbits of ambiguous numbers for n=2607543")
+
+
 def test_orbits_69984_text_golden(run_cli, golden):
     """The errata case of Example 2.10: twelve orbits, not the four claimed."""
     code, out = run_cli("orbits", "69984")
@@ -716,8 +726,13 @@ def _run_mutant(tmp_path, module, old, new, *argv):
     ("enumeration.py", "else e + 1", "else e",
      "orbits hold 232 triples and 12 reduced ones, the sieve 124 and 12; "
      "first difference []"),
+    # the sieve's lower prune one too high: a partial divisor on the lower
+    # edge of the reduced window is dropped, with its reduced triples
+    ("enumeration.py", "low < (x := d * q)", "low + 1 < (x := d * q)",
+     "orbits hold 232 triples and 12 reduced ones, the sieve 232 and 6; "
+     "first difference [(6, -20, 9)]"),
 ], ids=["successor-branch", "run-length", "cf-quotient", "dropped-reduced",
-        "count-off-by-one"])
+        "count-off-by-one", "lower-prune"])
 def test_engine_mutations_exit_3(tmp_path, module, old, new, message):
     code, out, err = _run_mutant(tmp_path, module, old, new, "orbits", "216")
     assert code == 3 and out == "", (code, out)

@@ -14,8 +14,6 @@ from ambigraph.core import (
     triples_str,
     value_approx,
     x_triple,
-    y_triple,
-    yy_triple,
 )
 from ambigraph.enumeration import enumerate_ambiguous
 from ambigraph.errors import (
@@ -26,6 +24,8 @@ from ambigraph.errors import (
     SquareN,
     ZeroDenominator,
 )
+
+from generator_action import y_triple, yy_triple
 
 
 def test_make_element_sqrt5():

@@ -311,8 +311,9 @@ def test_generators_on_the_ambiguous_set_up_to_1500():
     ambiguous set onto itself, y has order 3 (so y^2 adds no edge), and an
     ambiguous y image is enumerated and is the successor of x(t), so sets
     closed under the successor and x are closed under the generators."""
-    from ambigraph.core import x_triple, y_triple
+    from ambigraph.core import x_triple
     from ambigraph.enumeration import ambiguous_triples
+    from generator_action import y_triple
 
     for n in NONSQUARES_1500:
         triples = ambiguous_triples(n)

@@ -3,9 +3,11 @@ from math import gcd, isqrt as _isqrt
 
 import pytest
 
-from ambigraph.core import Element, is_ambiguous, x_triple, y_triple
+from ambigraph.core import Element, is_ambiguous, x_triple
 from ambigraph.enumeration import ambiguous_triples, enumerate_ambiguous
 from ambigraph.errors import LimitExceeded, SquareN
+
+from generator_action import y_triple
 
 
 def test_isqrt():
@@ -192,6 +194,34 @@ def test_reduced_sieve_matches_the_table_up_to_3000():
         s, triples = _isqrt(n), ambiguous_triples(n)
         want = tuple(t for t in triples if 0 <= s - t[0] < t[2] <= s + t[0])
         assert reduced_triples(n) == (want, len(triples)), n
+
+
+def test_reduced_triples_lie_in_the_window_of_their_row():
+    """The lemma behind the reduced sieve: every reduced triple of the table
+    has c <= s + a and |b| <= s + a, so a sieve row whose m = n - a^2 has a
+    prime above s + a holds no reduced triple."""
+    from ambigraph.enumeration import _factor_rows
+
+    for n in [n for n in range(2, 3001) if _isqrt(n) ** 2 != n] + [
+            69984, 1194127, 2607543]:
+        s, rows = _isqrt(n), _factor_rows(n)
+        for a, b, c in ambiguous_triples(n):
+            if 0 <= s - a < c <= s + a:
+                assert c <= s + a and -b <= s + a, (n, a, b, c)
+                assert all(p <= s + a for p, _ in rows[a]), (n, a, b, c)
+
+
+@pytest.mark.parametrize("n", [
+    1194127, 2607543, 10000001, pytest.param(100000007, marks=pytest.mark.slow)])
+def test_reduced_sieve_matches_the_table_at_large_n(n):
+    """As test_reduced_sieve_matches_the_table_up_to_3000, at the benchmark's
+    seed-0 large n and the ladder's 10^7 and 10^8, where most rows are
+    skipped or pruned."""
+    from ambigraph.enumeration import reduced_triples
+
+    s, triples = _isqrt(n), ambiguous_triples(n)
+    want = tuple(t for t in triples if 0 <= s - t[0] < t[2] <= s + t[0])
+    assert reduced_triples(n, max_n=n) == (want, len(triples))
 
 
 def test_lazy_rows_match_the_table_up_to_1500(monkeypatch):

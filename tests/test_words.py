@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambigraph.core import (Element, check_triple, make_element, x_triple,
-                            y_triple, yy_triple)
+from ambigraph.core import Element, check_triple, make_element, x_triple
 from ambigraph.diagram import StepType, closed_path
 from ambigraph.enumeration import enumerate_ambiguous
 from ambigraph.errors import OddBlockCount, ParseError
@@ -24,6 +23,8 @@ from ambigraph.words import (
     stabilizer_word,
     word_to_matrix,
 )
+
+from generator_action import y_triple, yy_triple
 
 MAT_Y = Mat2(1, -1, 1, 0)  # y: alpha -> (alpha - 1)/alpha
 
