@@ -83,9 +83,6 @@ def _runs(t, n, limit=inf):
         seen.add(t)
 
 
-_swap = {_YX: _YYX, _YYX: _YX}.__getitem__
-
-
 @dataclass(frozen=True)
 class ClosedPath:
     """The closed successor cycle through an ambiguous anchor.
@@ -118,6 +115,24 @@ class ClosedPath:
                 d = b + 2 * a + c
                 a, b, c = (c + a, d, c) if tag is _YX else (b + a, b, d)
         return tuple(out)
+
+    def block_ends(self):
+        """[(k, first vertex, last vertex), ...] of the blocks, by _runs'
+        jump: a YX run keeps c and moves a by c per step, a Y2X run keeps b
+        and moves a by b."""
+        (a, b, c), n, out = self.anchor, self.n, []
+        for tag, k in self.blocks:
+            first = (a, b, c)
+            if tag is _YX:
+                a += (k - 1) * c
+                b = (a * a - n) // c
+            else:
+                a += (k - 1) * b
+                c = (a * a - n) // b
+            out.append((k, first, (a, b, c)))
+            d = b + 2 * a + c
+            a, b, c = (c + a, d, c) if tag is _YX else (b + a, b, d)
+        return out
 
     @property
     def vertices(self):
@@ -222,7 +237,8 @@ def partition_graph(n: int, max_n: int = None) -> OrbitPartition:
         w = min(compress(starts, map(hi.__eq__, map(_a, starts))), key=_b)
         if (-hi, w[1]) < (lo, v[2]):  # the least member is x(w), on x(C)
             rep, j = (-hi, w[2], w[1]), starts.index(w)
-            word = [(_swap(t), m) for t, m in blocks[j - 1::-1] + blocks[:j - 1:-1]]
+            word = [(_YYX if t is _YX else _YX, m)
+                    for t, m in blocks[j - 1::-1] + blocks[:j - 1:-1]]
         else:
             rep, j = v, starts.index(v)
             word = blocks[j:] + blocks[:j]

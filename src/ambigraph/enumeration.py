@@ -3,7 +3,6 @@ the whole set (ambiguous_triples), or for the orbit engines only the
 reduced triples and the set's size (reduced_triples)."""
 
 import math
-from functools import lru_cache
 
 from .core import Element, _is_square
 from .errors import LimitExceeded, NonPositiveN, SquareN
@@ -52,8 +51,6 @@ def _sqrt_mod(n: int, p: int):
 
 _memo = {}  # the last n enumerated -> its triples; at most one entry
 _reduced_memo = {}  # the last n sieved -> (reduced triples, T(n)); likewise
-# the last n's _factor_rows, shared by iter_triples and the table
-_factored = lru_cache(maxsize=1)(lambda n: _factor_rows(n))
 
 
 def ambiguous_triples(n: int):
@@ -114,18 +111,9 @@ def _divisor_row(n, a, factors):
 def _sieve_triples(n: int):
     """The unmemoised enumeration behind ambiguous_triples, in (a, c) order:
     the rows of a and of -a share their b and c ints, and a row its a int."""
-    rows = [_divisor_row(n, a, f) for a, f in enumerate(_factored(n))]
-    _factored.cache_clear()  # in every command the table is their last use
+    rows = [_divisor_row(n, a, f) for a, f in enumerate(_factor_rows(n))]
     return tuple([(a, b, c) for a in range(1 - len(rows), len(rows))
                   for b, c in rows[abs(a)]])
-
-
-def iter_triples(n: int, max_n: int = None):
-    """checked_triples(n, max_n), each sieve row built once it is reached."""
-    _check(n, max_n)
-    factors = _factored(n)
-    for a in range(1 - len(factors), len(factors)):
-        yield from ((a, b, c) for b, c in _divisor_row(n, abs(a), factors[abs(a)]))
 
 
 def reduced_triples(n: int, max_n: int = None):

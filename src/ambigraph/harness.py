@@ -15,10 +15,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .classify import ClassifierKind, classifier_for, odd_prime_divisors
-from .core import Element, is_ambiguous, make_element
-from .diagram import closed_path
+from .core import Element, is_ambiguous, make_element, x_triple
+from .diagram import OrbitPartition, closed_path
 from .cf import partition_cf as cross_checked_partition
-from .enumeration import DEFAULT_MAX_N, iter_triples
+from .enumeration import DEFAULT_MAX_N
 from .errors import AmbigraphError, InternalInconsistency, LimitExceeded
 from .words import check_word_fixes, circuit_from_word, parse_word, path_word
 
@@ -104,6 +104,41 @@ def predict(case: TheoremCase):
 
 
 @dataclass(frozen=True)
+class ClassSummary:
+    """The classes of a partition's members under one classifier."""
+
+    orbit_classes: tuple  # the set of class values of each orbit
+    occupancy: dict  # class value -> its members, in value order
+    least: dict  # class value -> its least member triple by (a, c)
+
+
+def class_summary(partition: OrbitPartition, classify) -> ClassSummary:
+    """Read the classes from the ends of each orbit's blocks, not from its
+    members.  Both classifiers are constant along a run and x keeps the
+    class (README), so a block of k steps holds k members of its first
+    vertex's class, and k more of its x-image's when x maps the path onto
+    another cycle.  a moves by a nonzero c or b at each step of a run, so
+    its least member by (a, c), and that of its x-images, is at an end."""
+    orbit_classes, occupancy, least = [], Counter(), {}
+    for record in partition.orbits:
+        both = len(record.path) < record.ambiguous_length
+        values = set()
+        for k, first, last in record.path.block_ends():
+            ends = (first, last, x_triple(first), x_triple(last)) if both else (
+                first, last)
+            for i, t in enumerate(ends):
+                value = classify(t)
+                values.add(value)
+                if i % 2 == 0:  # a first vertex, or the x-image of one
+                    occupancy[value] += k
+                m = least.get(value)
+                if m is None or (t[0], t[2]) < (m[0], m[2]):
+                    least[value] = t
+        orbit_classes.append(frozenset(values))
+    return ClassSummary(tuple(orbit_classes), dict(sorted(occupancy.items())), least)
+
+
+@dataclass(frozen=True)
 class RepResolution:
     spec: RepSpec
     element: Element  # None when the intended class is empty
@@ -112,8 +147,13 @@ class RepResolution:
 
 
 def resolve_rep(
-    spec: RepSpec, n: int, p: int = None, max_n: int = None
+    spec: RepSpec, n: int, p: int = None, max_n: int = None, *,
+    summary: ClassSummary = None,
 ) -> RepResolution:
+    """The element of spec's literal (a, c) or, when that is not a valid
+    ambiguous element, the least member of the intended class, read from
+    summary (class_summary of n's partition under spec's classifier, which
+    is built when not given)."""
     classify = classifier_for(spec.kind, n, p)
     try:
         e = make_element(spec.a, spec.c, n)
@@ -130,15 +170,17 @@ def resolve_rep(
         return RepResolution(spec, e, False, note)
     except AmbigraphError as exc:
         reason = str(exc)
-    for t in iter_triples(n, max_n):
-        if classify(t) == spec.intended_value:
-            cand = Element.from_triple(t, n)
-            note = (
-                f"literal representative ({spec.a},{spec.c}|{n}) is invalid "
-                f"({reason}); substituted least element of class "
-                f"{spec.intended_value}: {cand}"
-            )
-            return RepResolution(spec, cand, True, note)
+    if summary is None:
+        summary = class_summary(cross_checked_partition(n, max_n=max_n), classify)
+    t = summary.least.get(spec.intended_value)
+    if t is not None:
+        cand = Element.from_triple(t, n)
+        note = (
+            f"literal representative ({spec.a},{spec.c}|{n}) is invalid "
+            f"({reason}); substituted least element of class "
+            f"{spec.intended_value}: {cand}"
+        )
+        return RepResolution(spec, cand, True, note)
     return RepResolution(
         spec,
         None,
@@ -182,11 +224,12 @@ def verify_case(case: TheoremCase, max_n: int = None) -> VerdictReport:
     partition = cross_checked_partition(case.n, max_n=max_n)
     kind = ClassifierKind.MOD_8 if case.theorem == "2.9" else ClassifierKind.MOD_P
     p = None if kind is ClassifierKind.MOD_8 else case.p
-    classify = classifier_for(kind, case.n, p)
+    summary = class_summary(partition, classifier_for(kind, case.n, p))
 
     errata = []
     resolutions = tuple(
-        resolve_rep(spec, case.n, case.p, max_n=max_n) for spec in predict(case)
+        resolve_rep(spec, case.n, case.p, max_n=max_n, summary=summary)
+        for spec in predict(case)
     )
     for res in resolutions:
         if res.note:
@@ -203,18 +246,9 @@ def verify_case(case: TheoremCase, max_n: int = None) -> VerdictReport:
     if not distinct:
         errata.append("claimed representatives do not land in distinct orbits")
 
-    orbit_classes = []
-    homogeneous = True
-    occupancy = Counter()
-    for record in partition.orbits:
-        classes = [classify(t) for t in record.triples]
-        occupancy.update(classes)
-        values = set(classes)
-        if len(values) == 1:
-            orbit_classes.append(values.pop())
-        else:
-            orbit_classes.append(None)
-            homogeneous = False
+    orbit_classes = tuple(next(iter(values)) if len(values) == 1 else None
+                          for values in summary.orbit_classes)
+    homogeneous = None not in orbit_classes
 
     count = len(partition)
     count_match = count == case.expected_count
@@ -237,9 +271,9 @@ def verify_case(case: TheoremCase, max_n: int = None) -> VerdictReport:
         resolutions,
         rep_orbits,
         distinct,
-        tuple(orbit_classes),
+        orbit_classes,
         homogeneous,
-        dict(sorted(occupancy.items())),
+        summary.occupancy,
         tuple(errata),
         time.perf_counter() - start,
     )

@@ -109,6 +109,25 @@ def test_verify_theorem_json(run_cli, golden):
     golden("verify_2_1.json", out)
 
 
+def test_verify_substituted_reps_json(run_cli, golden):
+    """The literal representatives (1, 3) and (-1, -3) of n = 1944 are
+    invalid: each is replaced by the least member of its class, and the 12
+    orbits refute the claimed 4."""
+    code, out = run_cli(
+        "verify", "--theorem", "2.9", "--p", "3", "--k", "5", "--l", "3", "--json")
+    assert code == 2
+    golden("verify_2_9_substituted.json", out)
+
+
+def test_verify_empty_class_json(run_cli, golden):
+    """n = 500 has no member of the nonresidue class, so the second
+    representative stays unresolved and the case still passes."""
+    code, out = run_cli(
+        "verify", "--theorem", "2.7", "--p", "5", "--k", "3", "--l", "2", "--json")
+    assert code == 2
+    golden("verify_2_7_empty_class.json", out)
+
+
 def test_verify_examples_exit_code(run_cli):
     code, out = run_cli("verify", "--examples")
     assert code == 2  # errata found
@@ -288,22 +307,22 @@ def test_negative_literals(run_cli):
 )
 def test_one_enumeration_per_command(monkeypatch, run_cli, argv):
     """Each sieve product is built at most once per command, with one
-    factoring pass each: the reduced triples with T(n), and the table's
-    rows, whether the table or the lazy rows of a fallback read them."""
+    factoring pass each: orbits and verify (whose fallback representatives
+    come from the orbits) need only the reduced triples with T(n), classify
+    also the table."""
     from ambigraph import enumeration
 
     tables, passes = [], []
     build, factor = enumeration._sieve_triples, enumeration._factor_rows
     monkeypatch.setattr(enumeration, "_memo", {})
     monkeypatch.setattr(enumeration, "_reduced_memo", {})
-    enumeration._factored.cache_clear()
     monkeypatch.setattr(enumeration, "_sieve_triples",
                         lambda n: tables.append(n) or build(n))
     monkeypatch.setattr(enumeration, "_factor_rows",
                         lambda n: passes.append(n) or factor(n))
     code, _ = run_cli(*argv)
     assert code in (0, 2) and len(tables) <= 1
-    assert len(passes) == (1 if argv[0] == "orbits" else 2)
+    assert len(passes) == (2 if argv[0] == "classify" else 1)
 
 
 @pytest.mark.parametrize("argv, tables", [
@@ -313,8 +332,8 @@ def test_one_enumeration_per_command(monkeypatch, run_cli, argv):
     (("verify", "--theorem", "2.1", "--p", "5", "--k", "3"), 0),
     (("classify", "216", "--mod8"), 1),
     # the literal representatives (1, 3) and (-1, -3) are invalid here, and
-    # their fallbacks walk the sieve's rows until one meets the class; the
-    # claimed count fails, so the command exits 2
+    # their fallbacks take the least member of the class from the orbits'
+    # run blocks; the claimed count fails, so the command exits 2
     (("verify", "--theorem", "2.9", "--p", "3", "--k", "5", "--l", "3"), 0),
 ])
 def test_orbit_commands_build_no_table(monkeypatch, run_cli, argv, tables):

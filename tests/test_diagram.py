@@ -555,7 +555,7 @@ def test_run_walk_equals_the_reference_from_every_ambiguous_triple():
     inside a run: its vertices and step types are the reference walk's, and
     its blocks are the maximal runs of those step types from the anchor, so
     the first and last share a type exactly when the anchor is inside a
-    run."""
+    run, and block_ends gives each block's length, first and last vertex."""
     from ambigraph.enumeration import ambiguous_triples
 
     for n in range(2, 301):
@@ -576,6 +576,10 @@ def test_run_walk_equals_the_reference_from_every_ambiguous_triple():
                 (tag, len(list(run))) for tag, run in groupby(tags)], (n, t)
             assert (path.blocks[0][0] is path.blocks[-1][0]) == (
                 tags[0] is tags[-1]), (n, t)
+            walk, at = vertices[i:] + vertices[:i], 0
+            for (_, k), ends in zip(path.blocks, path.block_ends(), strict=True):
+                assert ends == (k, walk[at], walk[at + k - 1]), (n, t)
+                at += k
 
 
 def test_reduced_triples_lie_at_run_starts():

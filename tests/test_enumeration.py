@@ -224,27 +224,6 @@ def test_reduced_sieve_matches_the_table_at_large_n(n):
     assert reduced_triples(n, max_n=n) == (want, len(triples))
 
 
-def test_lazy_rows_match_the_table_up_to_1500(monkeypatch):
-    """iter_triples(n) yields the table's triples in its order, one sieve row
-    at a time, and is checked like checked_triples."""
-    from ambigraph import enumeration
-    from ambigraph.enumeration import _sieve_triples, iter_triples
-    from ambigraph.errors import NonPositiveN
-
-    for n in range(2, 1501):
-        if _isqrt(n) ** 2 != n:
-            assert tuple(iter_triples(n)) == _sieve_triples(n), n
-    built = []
-    row = enumeration._divisor_row
-    monkeypatch.setattr(enumeration, "_divisor_row",
-                        lambda n, a, f: built.append(a) or row(n, a, f))
-    assert next(iter_triples(1000003)) == (-1000, 1, -3)
-    assert built == [1000]  # the first row, of -s, and no other
-    for bad, error in ((0, NonPositiveN), (49, SquareN), (1009, LimitExceeded)):
-        with pytest.raises(error):
-            next(iter_triples(bad, max_n=1000))
-
-
 def test_reduced_sieve_is_memoised_and_checked(monkeypatch):
     from ambigraph import enumeration
     from ambigraph.enumeration import reduced_triples

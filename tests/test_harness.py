@@ -178,18 +178,140 @@ def test_sweep_passes_its_cap_through(monkeypatch):
 
 
 def test_verify_case_passes_its_cap_to_resolve_rep(monkeypatch):
-    from ambigraph import harness
+    """verify_case hands resolve_rep its cap and the class summary it has
+    built, and every enumeration that it or a direct resolve_rep fallback
+    triggers is checked against that cap."""
+    from ambigraph import enumeration, harness
+    from ambigraph.errors import LimitExceeded
 
-    seen = []
-    original = harness.resolve_rep
+    seen, caps = [], []
+    original, check = harness.resolve_rep, enumeration.check_cap
 
-    def spy(spec, n, p=None, max_n=None):
-        seen.append(max_n)
-        return original(spec, n, p, max_n=max_n)
+    def spy(spec, n, p=None, max_n=None, *, summary=None):
+        seen.append((max_n, summary is not None))
+        return original(spec, n, p, max_n=max_n, summary=summary)
 
     monkeypatch.setattr(harness, "resolve_rep", spy)
-    verify_case(make_case("2.9", 3, 5, 3), max_n=10 ** 6)
-    assert seen == [10 ** 6] * 4
+    monkeypatch.setattr(enumeration, "check_cap",
+                        lambda n, max_n=None: caps.append(max_n) or check(n, max_n))
+    case = make_case("2.9", 3, 5, 3)  # n = 1944: (1, 3) and (-1, -3) fall back
+    verify_case(case, max_n=10 ** 6)
+    assert seen == [(10 ** 6, True)] * 4
+    assert caps and set(caps) == {10 ** 6}
+    caps.clear()
+    spec = predict(case)[2]
+    assert original(spec, case.n, case.p, max_n=10 ** 6).substituted
+    assert caps and set(caps) == {10 ** 6}
+    for call in (lambda: verify_case(case, max_n=case.n - 1),
+                 lambda: original(spec, case.n, case.p, max_n=case.n - 1)):
+        with pytest.raises(LimitExceeded):
+            call()
+
+
+def _reference_summary(partition, classify):
+    """class_summary from every member of every orbit, classified one by
+    one: the computation verify_case made before it read the run blocks."""
+    from collections import Counter
+
+    from ambigraph.harness import ClassSummary
+
+    orbit_classes, occupancy, least = [], Counter(), {}
+    for record in partition.orbits:
+        classes = [classify(t) for t in record.triples]
+        occupancy.update(classes)
+        orbit_classes.append(frozenset(classes))
+        for t, value in zip(record.triples, classes):  # in (a, c) order
+            m = least.setdefault(value, t)
+            if (t[0], t[2]) < (m[0], m[2]):
+                least[value] = t
+    return ClassSummary(tuple(orbit_classes), dict(sorted(occupancy.items())), least)
+
+
+def _reference_verify(case, max_n=None):
+    """verify_case, and the resolve_rep fallbacks it triggers, on the
+    per-member summary, with runtime zeroed."""
+    import dataclasses
+    from unittest import mock
+
+    from ambigraph import harness
+
+    with mock.patch.object(harness, "class_summary", _reference_summary):
+        report = verify_case(case, max_n=max_n)
+    return dataclasses.replace(report, runtime=0)
+
+
+def _theorem_cases(limit):
+    """Every theorem case with n <= limit and p < 50."""
+    from ambigraph.harness import _theorem_for
+
+    for p in [p for p in range(3, 50) if all(p % q for q in range(2, p))]:
+        for k in range(3, limit.bit_length(), 2):
+            for l in range(limit.bit_length()):
+                if p ** k << l <= limit:
+                    yield make_case(_theorem_for(p, l), p, k, l, max_n=limit)
+
+
+def _assert_matches_the_reference(cases, max_n):
+    import dataclasses
+    from unittest import mock
+
+    from ambigraph import harness
+
+    for case in cases:
+        report = verify_case(case, max_n=max_n)
+        assert dataclasses.replace(report, runtime=0) == _reference_verify(
+            case, max_n), case
+    grid = ([3, 5, 7, 11, 13], [1, 2, 3, 5, 7], [0, 1, 2, 3, 4])
+    rows = sweep(*grid, max_n=max_n)
+    with mock.patch.object(harness, "class_summary", _reference_summary):
+        assert rows == sweep(*grid, max_n=max_n)
+
+
+def test_verify_from_run_blocks_matches_the_reference():
+    """Every theorem case with n <= 10^6 and p < 50, and a sweep, report
+    what the per-member computation reports."""
+    cases = list(_theorem_cases(10 ** 6))
+    assert len(cases) > 150
+    _assert_matches_the_reference(cases, 10 ** 6)
+
+
+@pytest.mark.slow
+def test_verify_from_run_blocks_matches_the_reference_at_large_n():
+    """As above to n <= 10^7, and at 3^17 and 3^19."""
+    cases = [c for c in _theorem_cases(10 ** 7) if c.n > 10 ** 6]
+    cases += [make_case("2.3", 3, k, max_n=3 ** 19) for k in (17, 19)]
+    _assert_matches_the_reference(cases, 3 ** 19)
+
+
+def test_classifiers_are_constant_along_every_run():
+    """The run lemma's premise, on the classifiers themselves: for every
+    nonsquare n <= 3000 and every classifier n admits, the vertices of each
+    block of each orbit's path and their x-images share one class."""
+    from math import isqrt
+
+    from ambigraph.classify import classifier_for, odd_prime_divisors
+    from ambigraph.core import x_triple
+    from ambigraph.diagram import partition_graph
+
+    pairs = 0
+    for n in range(2, 3001):
+        if isqrt(n) ** 2 == n:
+            continue
+        classifiers = [classifier_for(ClassifierKind.MOD_P, n, p)
+                       for p in odd_prime_divisors(n)]
+        if n % 8 == 0:
+            classifiers.append(classifier_for(ClassifierKind.MOD_8, n))
+        if not classifiers:
+            continue
+        for record in partition_graph(n).orbits:
+            vertices = iter(record.path.triples)
+            for _, k in record.path.blocks:
+                run = [next(vertices) for _ in range(k)]
+                run += [x_triple(t) for t in run]
+                for classify in classifiers:
+                    assert len(set(map(classify, run))) == 1, (n, run[0])
+                    pairs += 1
+    assert pairs > 400000
 
 
 def test_cross_check_is_partition_cf():
