@@ -74,10 +74,6 @@ class Expansion:
     cycle_triples: tuple  # aligned with cycle
     entry_index: int
 
-    @property
-    def cycle_states(self):
-        return tuple(Element.from_triple(t, self.n) for t in self.cycle_triples)
-
 
 def _preperiod(t, s, limit, origin):
     """The quotients of the CF walk from t up to its first reduced state,

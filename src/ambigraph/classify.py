@@ -18,7 +18,7 @@ from itertools import chain
 from math import gcd
 
 from .core import Element, check_triple, x_triple
-from .enumeration import checked_triples
+from .enumeration import ambiguous_triples
 from .errors import (
     InternalInconsistency,
     NNotDivisibleBy8,
@@ -144,7 +144,7 @@ def invariance_audit(
     names = ("x", "y", "y2")
     draw = _draws(seed)
     violations = []
-    triples = checked_triples(n, max_n)
+    triples = ambiguous_triples(n, max_n)
     for t in triples:
         expected = classify(t)
         ok = (expected,) * 3
@@ -185,5 +185,5 @@ def invariance_audit(
 def class_occupancy(n: int, kind: ClassifierKind, p: int = None, max_n: int = None):
     """Count ambiguous elements per class value; empty classes are reported,
     never assumed inhabited."""
-    counts = Counter(map(classifier_for(kind, n, p), checked_triples(n, max_n)))
+    counts = Counter(map(classifier_for(kind, n, p), ambiguous_triples(n, max_n)))
     return dict(sorted(counts.items()))

@@ -25,7 +25,7 @@ from .classify import (
 )
 from .core import approx_values, make_element, triples_str
 from .diagram import closed_path, export_dot, partition_graph
-from .enumeration import DEFAULT_MAX_N, check_cap, checked_triples, reduced_triples
+from .enumeration import DEFAULT_MAX_N, ambiguous_triples, check_cap, reduced_triples
 from .errors import AmbigraphError, InternalInconsistency
 from .harness import (
     SweepRow,
@@ -129,7 +129,7 @@ def _cmd_ambiguous(args, out):
     if args.count_only:
         out.write(f"{reduced_triples(n, args.max_n)[1]}\n")
         return EXIT_OK
-    triples = checked_triples(n, args.max_n)
+    triples = ambiguous_triples(n, args.max_n)
     runs = (triples[i:i + _RUN] for i in range(0, len(triples), _RUN))
     if args.json:
         _emit_streamed(
@@ -156,16 +156,10 @@ def _cmd_ambiguous(args, out):
     return EXIT_OK
 
 
-def _partition_for(n, method, max_n):
-    """graph runs the successor walk alone; cf and both run it checked
-    against the CF groups."""
-    if method == "graph":
-        return partition_graph(n, max_n=max_n)
-    return cross_checked_partition(n, max_n=max_n)
-
-
 def _cmd_orbits(args, out):
-    partition = _partition_for(args.n, args.method, args.max_n)
+    # graph runs the successor walk alone; cf and both check it against the CF
+    engine = partition_graph if args.method == "graph" else cross_checked_partition
+    partition = engine(args.n, max_n=args.max_n)
     if args.json:
         classifiers = _classifiers(args.n)
         _emit_streamed(

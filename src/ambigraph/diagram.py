@@ -16,7 +16,7 @@ by one floor division, so it costs the circuit's blocks, not its steps.
 
 import enum
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import compress
 from math import inf, isqrt
 from operator import itemgetter
 
@@ -89,8 +89,7 @@ class ClosedPath:
 
     blocks are the anchored word's ((StepType, k), ...), the runs of one
     step type from the anchor, the last one back to it; the first and last
-    share a type when the anchor lies inside a run.  The step types and the
-    vertices are replayed from them on access.
+    share a type when the anchor lies inside a run.
     """
 
     n: int
@@ -99,11 +98,6 @@ class ClosedPath:
 
     def __len__(self):
         return sum(k for _, k in self.blocks)
-
-    @property
-    def step_types(self):
-        """The type of each step, from the anchor on."""
-        return tuple(chain.from_iterable(repeat(t, k) for t, k in self.blocks))
 
     @property
     def triples(self):
@@ -133,11 +127,6 @@ class ClosedPath:
             d = b + 2 * a + c
             a, b, c = (c + a, d, c) if tag is _YX else (b + a, b, d)
         return out
-
-    @property
-    def vertices(self):
-        """Path vertices as Elements, in walk order starting at the anchor."""
-        return tuple(Element.from_triple(t, self.n) for t in self.triples)
 
 
 def closed_path(e: Element) -> ClosedPath:
@@ -172,12 +161,6 @@ class OrbitRecord:
         vs.sort(key=_a)
         return tuple(vs)
 
-    @property
-    def members(self):
-        """Orbit members as Elements, sorted by (a, c)."""
-        n = self.representative.n
-        return tuple(Element.from_triple(t, n) for t in self.triples)
-
 
 @dataclass(frozen=True)
 class OrbitPartition:
@@ -187,13 +170,6 @@ class OrbitPartition:
 
     def __len__(self):
         return len(self.orbits)
-
-    def sizes(self):
-        return sorted(o.ambiguous_length for o in self.orbits)
-
-    def member_sets(self):
-        """Frozenset-of-frozensets view for partition comparisons."""
-        return frozenset(frozenset(o.triples) for o in self.orbits)
 
     def orbit_of(self, e: Element):
         """Index of the orbit holding e, or None: the orbit of the first
@@ -252,7 +228,7 @@ def partition_graph(n: int, max_n: int = None) -> OrbitPartition:
         records.append(OrbitRecord(Element.from_triple(rep, n), path, length))
     total = sum(rec.ambiguous_length for rec in records)
     if total != count or len(placed) != len(reduced):  # each seed is placed
-        odd = placed.keys() ^ set(reduced) or set(ambiguous_triples(n)) ^ {
+        odd = placed.keys() ^ set(reduced) or set(ambiguous_triples(n, max_n)) ^ {
             t for rec in records for t in rec.triples}
         raise InternalInconsistency(
             f"orbits hold {total} triples and {len(placed)} reduced ones, the "

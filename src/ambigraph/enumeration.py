@@ -53,13 +53,15 @@ _memo = {}  # the last n enumerated -> its triples; at most one entry
 _reduced_memo = {}  # the last n sieved -> (reduced triples, T(n)); likewise
 
 
-def ambiguous_triples(n: int):
-    """Sorted tuple of primitive triples (a,b,c) with a^2 < n and c | a^2-n.
+def ambiguous_triples(n: int, max_n: int = None):
+    """Sorted tuple of primitive triples (a,b,c) with a^2 < n and c | a^2-n,
+    for a positive nonsquare n within the cap (default DEFAULT_MAX_N).
 
     Memoised for the last n, so every consumer within one command shares a
     single enumeration.  A new n releases the previous n's set before it is
     built, so at most one set is held at a time.
     """
+    _check(n, max_n)
     triples = _memo.get(n)
     if triples is None:
         _memo.clear()
@@ -94,24 +96,32 @@ def _factor_rows(n: int):
     return factors
 
 
-def _divisor_row(n, a, factors):
-    """The (b, c) of the triples of a >= 0 and of -a, in c order: +-d for c."""
-    divs = [1]
-    for p, e in factors:
-        powers = [p ** k for k in range(e + 1)]
-        divs = [d * q for d in divs for q in powers]
-    divs.sort()
-    m = n - a * a
-    g = math.gcd(a, n)  # gcd(a, b, c) divides a and a^2 - bc = n
-    if g > 1:
-        divs = [d for d in divs if math.gcd(g, d, m // d) == 1]
-    return [(m // d, -d) for d in reversed(divs)] + [(-m // d, d) for d in divs]
+def _divisors(m, a, factors, lo, hi):
+    """The divisors d of m = n - a^2 with lo < d <= hi and gcd(a, d, m/d) = 1,
+    ascending, from the factors of m: d takes all of p^e || m or none when
+    p | a, any power of p otherwise.  They are built largest prime first,
+    keeping a partial product x while lo // rest < x <= hi, rest the part of
+    m not yet used: x times a divisor of rest exceeds lo only if x * rest
+    does."""
+    rest, divs = m, [1]
+    for p, e in reversed(factors):
+        rest //= p ** e
+        powers = (1, p ** e) if a % p == 0 else [p ** j for j in range(e + 1)]
+        low = lo // rest
+        divs = [x for d in divs for q in powers if low < (x := d * q) <= hi]
+    return sorted(divs)
 
 
 def _sieve_triples(n: int):
     """The unmemoised enumeration behind ambiguous_triples, in (a, c) order:
+    c = +-d for the divisors d in the window (0, m], where nothing is pruned;
     the rows of a and of -a share their b and c ints, and a row its a int."""
-    rows = [_divisor_row(n, a, f) for a, f in enumerate(_factor_rows(n))]
+    rows = []
+    for a, factors in enumerate(_factor_rows(n)):
+        m = n - a * a
+        divs = _divisors(m, a, factors, 0, m)
+        rows.append([(m // d, -d) for d in reversed(divs)]
+                    + [(-m // d, d) for d in divs])
     return tuple([(a, b, c) for a in range(1 - len(rows), len(rows))
                   for b, c in rows[abs(a)]])
 
@@ -124,8 +134,7 @@ def reduced_triples(n: int, max_n: int = None):
     p | gcd(a, n) (d takes all of p^e or none); each is c = d and c = -d of
     a, and of -a if a > 0.  A reduced c has c, |b| = m/c <= s + a (m <
     (s + 1)^2 - a^2 and c > s - a), so rows with a prime above s + a are
-    skipped, and the others build d largest prime first, keeping a partial
-    x while (s - a) // rest < x <= s + a, rest the part of m not yet used."""
+    skipped, and the others take the divisors in the window (s - a, s + a]."""
     _check(n, max_n)
     if n not in _reduced_memo:
         _reduced_memo.clear()
@@ -137,14 +146,8 @@ def reduced_triples(n: int, max_n: int = None):
             count += 4 * k if a else 2 * k
             if factors and factors[-1][0] > s + a:
                 continue  # that prime divides c or |b|: no reduced triple here
-            m = rest = n - a * a
-            divs = [1]
-            for p, e in reversed(factors):
-                rest //= p ** e
-                low, powers = (s - a) // rest, [p ** j for j in range(e + 1)]
-                divs = [x for d in divs for q in powers if low < (x := d * q) <= s + a]
-            reduced += [(a, -m // d, d) for d in sorted(divs)
-                        if math.gcd(a, d, m // d) == 1]
+            m = n - a * a
+            reduced += [(a, -m // d, d) for d in _divisors(m, a, factors, s - a, s + a)]
         _reduced_memo[n] = tuple(reduced), count
     return _reduced_memo[n]
 
@@ -164,12 +167,6 @@ def _check(n, max_n):
     check_cap(n, max_n)
 
 
-def checked_triples(n: int, max_n: int = None):
-    """ambiguous_triples(n) for a positive nonsquare n within the cap."""
-    _check(n, max_n)
-    return ambiguous_triples(n)
-
-
 def enumerate_ambiguous(n: int, max_n: int = DEFAULT_MAX_N) -> tuple:
     """The ambiguous numbers of Q*(sqrt(n)) as Elements, sorted by (a, c)."""
-    return tuple(Element(a, b, c, n) for a, b, c in checked_triples(n, max_n))
+    return tuple(Element(a, b, c, n) for a, b, c in ambiguous_triples(n, max_n))

@@ -22,6 +22,7 @@ from ambigraph.enumeration import (
 from ambigraph.errors import CycleLimitExceeded, MismatchedN
 
 from generator_action import y_triple
+from orbit_sets import member_sets
 
 
 def test_floor_element():
@@ -34,7 +35,7 @@ def test_floor_element():
 def test_cf_expand_sqrt5():
     x = cf_expand(make_element(0, 1, 5))
     assert x.preperiod == (2,) and x.cycle == (4,)
-    assert x.cycle_states[0].triple == (2, -1, 1)
+    assert x.cycle_triples[0] == (2, -1, 1)
 
 
 def test_cf_expand_golden():
@@ -60,7 +61,7 @@ def test_cf_expand_sqrt243():
 def test_cycle_states_step_consistency():
     for e in (make_element(0, 1, 125), make_element(1, 2, 5), make_element(0, -1, 243)):
         x = cf_expand(e)
-        states = [s.triple for s in x.cycle_states]
+        states = list(x.cycle_triples)
         assert len(set(states)) == len(states)
         from ambigraph.cf import _step
         s = isqrt(e.n)
@@ -80,22 +81,22 @@ def test_psl_equivalent_examples():
 
 
 def test_partition_cf_counts():
-    assert partition_cf(5).sizes() == [4, 16]
+    assert sorted(o.ambiguous_length for o in partition_cf(5).orbits) == [4, 16]
     assert len(partition_cf(243)) == 2
     assert len(partition_cf(1000)) == 4
 
 
 @pytest.mark.parametrize("n", [5, 8, 54, 108, 125, 216, 243, 250, 500, 1000])
 def test_partitions_agree(n):
-    assert partition_cf(n).member_sets() == partition_graph(n).member_sets()
+    assert member_sets(partition_cf(n)) == member_sets(partition_graph(n))
 
 
 def test_intermediate_states_stay_valid():
-    # Element construction inside cf_expand validates every tail state
+    # Element construction validates every tail state
     for e in enumerate_ambiguous(125):
         x = cf_expand(e)
-        for s in x.cycle_states:
-            assert s.n == 125
+        for t in x.cycle_triples:
+            assert Element.from_triple(t, 125).n == 125
 
 
 def test_psl_equivalent_matches_partition():
@@ -135,7 +136,7 @@ def test_cf_key_limit_leaves_no_position_markers(monkeypatch):
     groups = {}
     for t in ambiguous_triples(n):
         groups.setdefault(_revisit_cf_key(t, n, s, cache, limit), set()).add(t)
-    assert set(map(frozenset, groups.values())) == partition_cf(n).member_sets()
+    assert set(map(frozenset, groups.values())) == member_sets(partition_cf(n))
     first = reduced_triples(n)[0][:1]  # R(n) read as 1 bounds each CF cycle
     monkeypatch.setattr(cf, "reduced_triples", lambda n, max_n=None: (first, 0))
     with pytest.raises(CycleLimitExceeded) as info:
@@ -212,7 +213,7 @@ def test_cf_keys_equal_revisit_keys():
         keys = {}
         for t in ambiguous_triples(n):
             keys.setdefault(_revisit_cf_key(t, n, s, reference, limit), set()).add(t)
-        assert set(map(frozenset, keys.values())) == partition_cf(n).member_sets(), n
+        assert set(map(frozenset, keys.values())) == member_sets(partition_cf(n)), n
 
 
 def _revisit_groups(n):

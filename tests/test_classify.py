@@ -100,7 +100,7 @@ def test_orbits_are_class_homogeneous():
     partition = partition_graph(216)
     classes = []
     for o in partition.orbits:
-        vals = {class_mod8(m) for m in o.members}
+        vals = {class_mod8(Element.from_triple(t, 216)) for t in o.triples}
         assert len(vals) == 1
         classes.append(vals.pop())
     assert sorted(classes) == [1, 3, 5, 7]

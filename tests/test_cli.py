@@ -358,8 +358,9 @@ def _spy_tables(monkeypatch):
     for name, module in list(sys.modules.items()):  # every binding of table
         if name.startswith("ambigraph") and getattr(
                 module, "ambiguous_triples", None) is table:
-            monkeypatch.setattr(module, "ambiguous_triples",
-                                lambda n: calls.append(n) or table(n))
+            monkeypatch.setattr(
+                module, "ambiguous_triples",
+                lambda n, max_n=None: calls.append(n) or table(n, max_n))
     return calls, builds
 
 

@@ -27,13 +27,18 @@ def test_successor_examples():
     assert t == (9, -2, 22) and tag is StepType.YYX
 
 
+def _step_types(path):
+    """The type of each step of a closed path, from its anchor on."""
+    return [t for t, k in path.blocks for _ in range(k)]
+
+
 def test_closed_path_sqrt5():
     path = closed_path(make_element(0, 1, 5))
-    assert [v.triple for v in path.vertices] == [
+    assert list(path.triples) == [
         (0, -5, 1), (1, -4, 1), (2, -1, 1), (1, -1, 4),
         (0, -1, 5), (-1, -1, 4), (-2, -1, 1), (-1, -4, 1),
     ]
-    assert list(path.step_types) == [
+    assert _step_types(path) == [
         StepType.YX, StepType.YX, StepType.YYX, StepType.YYX,
         StepType.YYX, StepType.YYX, StepType.YX, StepType.YX,
     ]
@@ -41,20 +46,15 @@ def test_closed_path_sqrt5():
 
 def test_closed_path_golden():
     path = closed_path(make_element(1, 2, 5))
-    assert [v.triple for v in path.vertices] == [(1, -2, 2), (-1, -2, 2)]
-    assert list(path.step_types) == [StepType.YYX, StepType.YX]
+    assert list(path.triples) == [(1, -2, 2), (-1, -2, 2)]
+    assert _step_types(path) == [StepType.YYX, StepType.YX]
 
 
 def test_closed_path_125_runs():
     # anchored at (1+sqrt(125))/2 the runs read 5, 11, 6
     path = closed_path(make_element(1, 2, 125))
-    runs = []
-    for t in path.step_types:
-        if runs and runs[-1][0] is t:
-            runs[-1][1] += 1
-        else:
-            runs.append([t, 1])
-    assert [(t.value, m) for t, m in runs] == [("yx", 5), ("y2x", 11), ("yx", 6)]
+    assert [(t.value, m) for t, m in path.blocks] == [
+        ("yx", 5), ("y2x", 11), ("yx", 6)]
 
 
 def _closure(path):
@@ -72,7 +72,7 @@ def test_orbit_members_counts():
 
 
 def test_partition_graph_counts():
-    assert partition_graph(5).sizes() == [4, 16]
+    assert sorted(o.ambiguous_length for o in partition_graph(5).orbits) == [4, 16]
     p125 = partition_graph(125)
     assert len(p125) == 2
     i0 = p125.orbit_of(Element(0, -125, 1, 125))
@@ -84,15 +84,15 @@ def test_partition_graph_counts():
 def test_partition_lengths_sum():
     for n in (5, 8, 54, 125, 216, 243):
         partition = partition_graph(n)
-        assert sum(len(o.members) for o in partition.orbits) == len(
+        assert sum(len(o.triples) for o in partition.orbits) == len(
             enumerate_ambiguous(n)
         )
 
 
 def test_successor_is_bijective_on_path():
     path = closed_path(make_element(0, 1, 243))
-    vertices = {v.triple for v in path.vertices}
-    images = {successor_triple(v.triple, 243)[0] for v in path.vertices}
+    vertices = set(path.triples)
+    images = {successor_triple(t, 243)[0] for t in path.triples}
     assert images == vertices
 
 
@@ -130,7 +130,7 @@ def _forbid_enumeration(monkeypatch):
     """Make every module binding of ambiguous_triples raise when called."""
     from ambigraph import enumeration
 
-    def forbidden(n):
+    def forbidden(n, max_n=None):
         raise AssertionError(f"enumerated the triples of n={n}")
 
     _rebind(monkeypatch, "ambiguous_triples", enumeration.ambiguous_triples,
@@ -217,14 +217,11 @@ def test_orbit_records_hold_triples():
     for n in (5, 125, 216):
         for partition in (partition_graph(n), partition_cf(n)):
             for rec in partition.orbits:
-                assert rec.members == tuple(
-                    Element.from_triple(t, n) for t in rec.triples
-                )
+                assert list(rec.triples) == sorted(
+                    rec.triples, key=lambda t: (t[0], t[2]))
                 assert rec.path.triples[0] == rec.triples[0]
                 assert rec.representative.triple == rec.triples[0]
-                assert [v.triple for v in rec.path.vertices] == list(
-                    rec.path.triples
-                )
+                assert set(rec.path.triples) <= set(rec.triples)
 
 
 def _components(triples):
@@ -339,13 +336,32 @@ def test_partition_graph_names_a_missing_image(monkeypatch):
     gone = triples[0]  # a < 0, so never a walk's seed
     monkeypatch.setattr(diagram, "reduced_triples",
                         lambda n, max_n=None: (reduced, count - 1))
-    monkeypatch.setattr(diagram, "ambiguous_triples", lambda n: triples[1:])
+    monkeypatch.setattr(diagram, "ambiguous_triples",
+                        lambda n, max_n=None: triples[1:])
     with pytest.raises(InternalInconsistency) as info:
         partition_graph(125)
     placed = len(reduced)
     assert str(info.value) == (
         f"orbits hold {count} triples and {placed} reduced ones, the sieve "
         f"{count - 1} and {placed}; first difference [{gone}] (n=125)")
+
+
+def test_partition_graph_error_path_keeps_the_cap(monkeypatch):
+    """The mismatch path builds the table under the caller's cap: with the
+    default cap below n and max_n above it, a sieve count one short is an
+    InternalInconsistency (exit 3), not a LimitExceeded (exit 1)."""
+    from ambigraph import diagram, enumeration
+    from ambigraph.errors import InternalInconsistency
+
+    reduced, count = diagram.reduced_triples(216)
+    monkeypatch.setattr(enumeration, "DEFAULT_MAX_N", 100)
+    monkeypatch.setattr(diagram, "reduced_triples",
+                        lambda n, max_n=None: (reduced, count - 1))
+    with pytest.raises(InternalInconsistency) as info:
+        partition_graph(216, max_n=1000)
+    assert str(info.value) == (
+        f"orbits hold {count} triples and {len(reduced)} reduced ones, the "
+        f"sieve {count - 1} and {len(reduced)}; first difference [] (n=216)")
 
 
 def test_partition_graph_names_a_revisit(monkeypatch):
@@ -541,7 +557,7 @@ def test_run_walk_equals_the_reference_from_every_reduced_seed():
                 vertices, tags = _reference_walk(seed, n)
                 path = ClosedPath(n, seed, tuple(blocks))
                 assert list(path.triples) == vertices, (n, seed)
-                assert list(path.step_types) == tags, (n, seed)
+                assert _step_types(path) == tags, (n, seed)
                 runs = _cyclic_runs(vertices, tags)
                 cycle_of.update((t, runs) for t in runs[0])
             ref_starts, ref_blocks = cycle_of[seed]
@@ -571,7 +587,7 @@ def test_run_walk_equals_the_reference_from_every_ambiguous_triple():
             tags = tags[i:] + tags[:i]
             path = closed_path(Element(*t, n))
             assert list(path.triples) == vertices[i:] + vertices[:i], (n, t)
-            assert list(path.step_types) == tags, (n, t)
+            assert _step_types(path) == tags, (n, t)
             assert list(path.blocks) == [
                 (tag, len(list(run))) for tag, run in groupby(tags)], (n, t)
             assert (path.blocks[0][0] is path.blocks[-1][0]) == (

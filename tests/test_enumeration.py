@@ -91,18 +91,18 @@ def test_ordering_and_determinism():
 
 
 def test_triples_are_memoised_and_checked():
-    from ambigraph.enumeration import checked_triples
     from ambigraph.errors import NonPositiveN
 
-    assert checked_triples(125) is ambiguous_triples(125)
+    assert ambiguous_triples(125, max_n=125) is ambiguous_triples(125)
     assert isinstance(ambiguous_triples(125), tuple)
-    assert tuple(e.triple for e in enumerate_ambiguous(125)) == checked_triples(125)
+    assert tuple(e.triple for e in enumerate_ambiguous(125)) == ambiguous_triples(125)
     with pytest.raises(NonPositiveN):
-        checked_triples(0)
+        ambiguous_triples(0)
     with pytest.raises(SquareN):
-        checked_triples(49)
+        ambiguous_triples(49)
+    ambiguous_triples(1009)  # the cap is checked before the memo is read
     with pytest.raises(LimitExceeded):
-        checked_triples(1009, max_n=1000)
+        ambiguous_triples(1009, max_n=1000)
 
 
 def test_previous_set_is_released_before_the_next_is_built(monkeypatch):
@@ -219,7 +219,7 @@ def test_reduced_sieve_matches_the_table_at_large_n(n):
     skipped or pruned."""
     from ambigraph.enumeration import reduced_triples
 
-    s, triples = _isqrt(n), ambiguous_triples(n)
+    s, triples = _isqrt(n), ambiguous_triples(n, max_n=n)
     want = tuple(t for t in triples if 0 <= s - t[0] < t[2] <= s + t[0])
     assert reduced_triples(n, max_n=n) == (want, len(triples))
 

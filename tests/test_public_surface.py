@@ -37,3 +37,16 @@ def test_every_traced_function_resolves():
         module = importlib.import_module(f"ambigraph.{home}")
         for name in names:
             assert callable(getattr(module, name, None)), f"{home}.{name}"
+
+
+def test_readme_library_example_runs(capsys):
+    """The README's library example runs against the package and prints
+    what its comments say."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    want = [line.split("# ", 1)[1] for line in code.splitlines()
+            if line.startswith("print(")]
+    assert want and capsys.readouterr().out.splitlines() == want
