@@ -5,11 +5,11 @@ partition_cf checks the successor walk against it.  Two real quadratic
 irrationals lie in the same PSL(2,Z)-orbit iff their continued
 fraction expansions reach the same periodic state cycle, refined by a parity
 condition: one CF shift is a determinant -1 move, so when the cycle length is
-even the parity of the entry index matters, and when it is odd a determinant
-flip can be absorbed by going once more around the cycle.  The cycle states
-are the reduced triples (Galois), so the CF partition walks one cycle from
-each of the sieve's reduced triples and never meets the rest of the
-ambiguous set.
+even the parity of the steps between states matters, and when it is odd a
+determinant flip can be absorbed by going once more around the cycle.  The
+cycle states are the reduced triples (Galois), so the CF partition walks one
+cycle from each of the sieve's reduced triples and never meets the rest of
+the ambiguous set.
 
 All arithmetic is exact on (a, b, c) triples; floors come from integer
 square roots, never floating point.
@@ -18,7 +18,7 @@ square roots, never floating point.
 from dataclasses import dataclass
 from math import isqrt
 
-from .core import Element
+from .core import Element, is_ambiguous
 from .diagram import OrbitPartition, partition_graph
 from .enumeration import reduced_triples
 from .errors import CycleLimitExceeded, InternalInconsistency, MismatchedN
@@ -72,7 +72,6 @@ class Expansion:
     preperiod: tuple
     cycle: tuple
     cycle_triples: tuple  # aligned with cycle
-    entry_index: int
 
 
 def _preperiod(t, s, limit, origin):
@@ -97,22 +96,37 @@ def cf_expand(e: Element, limit: int = None) -> Expansion:
         preperiod=tuple(preperiod),
         cycle=tuple(cycle),
         cycle_triples=tuple(states),
-        entry_index=len(preperiod),
     )
 
 
+def _reduce(t, s, limit, origin):
+    """A reduced triple in t's own PSL(2,Z)-orbit: the first reduced state r
+    of t's CF walk, or r's successor when the walk took an odd number of
+    steps.  A step alpha -> 1/(alpha - q) is [[0, 1], [1, -q]], of determinant
+    -1; a reduced state's successor is reduced, as its CF is purely periodic."""
+    preperiod, r = _preperiod(t, s, limit, origin)
+    return _step(r, s)[1] if len(preperiod) % 2 else r
+
+
+def orbit_of(partition: OrbitPartition, e: Element):
+    """Index of the partition's orbit holding e, or None when e is not an
+    ambiguous element of its n: the orbit of e's reduced triple."""
+    n = partition.n
+    if e.n != n or not is_ambiguous(e):
+        return None
+    return partition.reduced.get(_reduce(e.triple, isqrt(n), _default_limit(n), e))
+
+
 def psl_equivalent(e1: Element, e2: Element) -> bool:
-    """True iff e1 and e2 lie in the same PSL(2,Z)-orbit: e2's CF walk
-    reaches a state of e1's cycle, by a number of steps of the same parity
-    as e1's walk to that state when the cycle length is even."""
+    """True iff e1 and e2 lie in the same PSL(2,Z)-orbit: their reductions
+    r1 and r2 share a CF cycle, an even number of steps apart when the cycle
+    is even (the determinant -1 parity rule; an odd cycle absorbs it)."""
     if e1.n != e2.n:
         raise MismatchedN(f"cannot compare n={e1.n} with n={e2.n}")
-    x = cf_expand(e1)
-    preperiod, t = _preperiod(e2.triple, isqrt(e1.n), _default_limit(e1.n), e2)
-    if t not in x.cycle_triples:
-        return False
-    steps = x.entry_index + x.cycle_triples.index(t) - len(preperiod)
-    return len(x.cycle) % 2 == 1 or steps % 2 == 0
+    s, limit = isqrt(e1.n), _default_limit(e1.n)
+    r1, r2 = _reduce(e1.triple, s, limit, e1), _reduce(e2.triple, s, limit, e2)
+    states = _cycle(r1, s, limit, e1)[0]
+    return r2 in states and (len(states) % 2 == 1 or states.index(r2) % 2 == 0)
 
 
 def _cf_classes(n, max_n):

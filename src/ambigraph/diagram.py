@@ -171,19 +171,6 @@ class OrbitPartition:
     def __len__(self):
         return len(self.orbits)
 
-    def orbit_of(self, e: Element):
-        """Index of the orbit holding e, or None: the orbit of the first
-        run start or x-image of one on e's closed path that is a reduced
-        triple: every reduced vertex and x-image is at a run start (see
-        partition_graph)."""
-        if e.n != self.n or not is_ambiguous(e):
-            return None
-        for a, b, c in _runs(e.triple, e.n)[0]:
-            i = self.reduced.get((a, b, c), self.reduced.get((-a, c, b)))
-            if i is not None:
-                return i
-        return None
-
 
 def partition_graph(n: int, max_n: int = None) -> OrbitPartition:
     """Partition the ambiguous set into orbits, one run walk per orbit.

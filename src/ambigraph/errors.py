@@ -49,9 +49,7 @@ class NNotDivisibleBy8(AmbigraphError):
 
 
 class ParseError(AmbigraphError):
-    def __init__(self, message, position=None):
-        super().__init__(message)
-        self.position = position
+    pass
 
 
 class UnknownOrbit(AmbigraphError):

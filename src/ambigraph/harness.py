@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .classify import ClassifierKind, classifier_for, odd_prime_divisors
 from .core import Element, is_ambiguous, make_element, x_triple
 from .diagram import OrbitPartition, closed_path
-from .cf import partition_cf as cross_checked_partition
+from .cf import orbit_of, partition_cf as cross_checked_partition
 from .enumeration import DEFAULT_MAX_N
 from .errors import AmbigraphError, InternalInconsistency, LimitExceeded
 from .words import check_word_fixes, circuit_from_word, parse_word, path_word
@@ -236,7 +236,7 @@ def verify_case(case: TheoremCase, max_n: int = None) -> VerdictReport:
             errata.append(res.note)
 
     rep_orbits = tuple(
-        partition.orbit_of(res.element) if res.element is not None else None
+        orbit_of(partition, res.element) if res.element is not None else None
         for res in resolutions
     )
     # an unresolvable rep (empty class) halts only that rep; the distinctness

@@ -75,7 +75,7 @@ def parse_word(text: str) -> Word:
         while pos < len(s):
             m = _BLOCK_RE.match(s, pos)
             if m is None:
-                raise ParseError(f"cannot parse word at position {pos}: {s[pos:]!r}", pos)
+                raise ParseError(f"cannot parse word at position {pos}: {s[pos:]!r}")
             tag = StepType.YX if m.group(1) == "yx" else StepType.YYX
             exp = int(m.group(2) or m.group(3) or 1)
             raw_blocks.append((tag, exp))
@@ -89,7 +89,7 @@ def parse_word(text: str) -> Word:
     while pos < len(s):
         m = _RAW_RE.match(s, pos)
         if m is None:
-            raise ParseError(f"cannot parse raw word at position {pos}: {s[pos:]!r}", pos)
+            raise ParseError(f"cannot parse raw word at position {pos}: {s[pos:]!r}")
         tags.append(StepType.YX if m.group(0) == "yx" else StepType.YYX)
         pos = m.end()
     return Word(tuple((t, len(list(run))) for t, run in groupby(tags)))
@@ -102,10 +102,6 @@ class Mat2:
     r: int
     s: int
 
-    @property
-    def det(self):
-        return self.p * self.s - self.q * self.r
-
     def __matmul__(self, other):
         return Mat2(
             self.p * other.p + self.q * other.r,
@@ -114,17 +110,11 @@ class Mat2:
             self.r * other.q + self.s * other.s,
         )
 
-    def proj_eq(self, other) -> bool:
-        mine = (self.p, self.q, self.r, self.s)
-        theirs = (other.p, other.q, other.r, other.s)
-        return mine == theirs or mine == tuple(-v for v in theirs)
-
     def entries(self):
         return (self.p, self.q, self.r, self.s)
 
 
 IDENTITY = Mat2(1, 0, 0, 1)
-MAT_X = Mat2(0, -1, 1, 0)
 
 
 def word_to_matrix(w: Word) -> Mat2:

@@ -119,6 +119,23 @@ def test_verify_substituted_reps_json(run_cli, golden):
     golden("verify_2_9_substituted.json", out)
 
 
+def test_verify_paper_example_69984_json(run_cli, golden):
+    """The paper's example n = 2^5 3^7: the four representatives, two of
+    them substituted, land in orbits 0, 1, 3 and 2 of the 12."""
+    code, out = run_cli(
+        "verify", "--theorem", "2.9", "--p", "3", "--k", "7", "--l", "5", "--json")
+    assert code == 2
+    golden("verify_2_9_69984.json", out)
+
+
+def test_verify_3_15_json(run_cli, golden):
+    """n = 3^15 has 2 orbits, and sqrt(n) and -sqrt(n) land in orbits 0
+    and 1."""
+    code, out = run_cli("verify", "--theorem", "2.3", "--p", "3", "--k", "15", "--json")
+    assert code == 0
+    golden("verify_2_3_3_15.json", out)
+
+
 def test_verify_empty_class_json(run_cli, golden):
     """n = 500 has no member of the nonresidue class, so the second
     representative stays unresolved and the case still passes."""

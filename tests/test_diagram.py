@@ -5,6 +5,7 @@ from math import isqrt
 
 import pytest
 
+from ambigraph.cf import orbit_of
 from ambigraph.core import Element, make_element, x_triple
 from ambigraph.diagram import (
     ClosedPath,
@@ -75,8 +76,8 @@ def test_partition_graph_counts():
     assert sorted(o.ambiguous_length for o in partition_graph(5).orbits) == [4, 16]
     p125 = partition_graph(125)
     assert len(p125) == 2
-    i0 = p125.orbit_of(Element(0, -125, 1, 125))
-    i1 = p125.orbit_of(Element(1, -62, 2, 125))
+    i0 = orbit_of(p125, Element(0, -125, 1, 125))
+    i1 = orbit_of(p125, Element(1, -62, 2, 125))
     assert i0 is not None and i1 is not None and i0 != i1
     assert len(partition_graph(216)) == 4
 
@@ -165,23 +166,31 @@ def test_closed_path_revisit_names_n_and_triple(monkeypatch):
 
 def test_orbit_of_outside_partition():
     partition = partition_graph(5)
-    assert partition.orbit_of(make_element(1, 2, 5)) is not None
-    assert partition.orbit_of(make_element(7, 2, 5)) is None  # not ambiguous
-    assert partition.orbit_of(make_element(1, 2, 125)) is None
+    assert orbit_of(partition, make_element(1, 2, 5)) is not None
+    assert orbit_of(partition, make_element(7, 2, 5)) is None  # not ambiguous
+    assert orbit_of(partition, make_element(1, 2, 125)) is None
 
 
 def test_orbit_of_agrees_with_an_index_up_to_300():
+    """Every member up to n = 300 and at 69984, and every 7th member at
+    1194127, lands in the orbit whose record holds it.  A reduction that
+    dropped the odd walk's extra step would misplace members at each."""
     for n in range(2, 301):
         if isqrt(n) ** 2 == n:
             continue
         partition = partition_graph(n)
         index = {t: i for i, o in enumerate(partition.orbits) for t in o.triples}
         for t, i in index.items():
-            assert partition.orbit_of(Element(*t, n)) == i, (n, t)
+            assert orbit_of(partition, Element(*t, n)) == i, (n, t)
         s = isqrt(n)  # a = s + 1 is past every ambiguous triple of n
         outside = make_element(s + 1, 1, n)
         assert outside.triple not in index
-        assert partition.orbit_of(outside) is None, n
+        assert orbit_of(partition, outside) is None, n
+    for n, every in ((69984, 1), (1194127, 7)):
+        partition = partition_graph(n)
+        for i, o in enumerate(partition.orbits):
+            for t in o.triples[::every]:
+                assert orbit_of(partition, Element(*t, n)) == i, (n, t)
 
 
 def test_orbits_json_walks_each_closed_path_once(monkeypatch, run_cli):
