@@ -20,7 +20,6 @@ from math import isqrt
 
 from .core import Element, is_ambiguous
 from .diagram import OrbitPartition, partition_graph
-from .enumeration import reduced_triples
 from .errors import CycleLimitExceeded, InternalInconsistency, MismatchedN
 
 
@@ -86,9 +85,9 @@ def _preperiod(t, s, limit, origin):
     return preperiod, t
 
 
-def cf_expand(e: Element, limit: int = None) -> Expansion:
+def cf_expand(e: Element) -> Expansion:
     n, s = e.n, isqrt(e.n)
-    limit = _default_limit(n) if limit is None else limit
+    limit = _default_limit(n)
     preperiod, t = _preperiod(e.triple, s, limit, e)
     states, cycle = _cycle(t, s, limit, e)
     return Expansion(
@@ -129,8 +128,9 @@ def psl_equivalent(e1: Element, e2: Element) -> bool:
     return r2 in states and (len(states) % 2 == 1 or states.index(r2) % 2 == 0)
 
 
-def _cf_classes(n, max_n):
-    """Yield the reduced triples of each CF orbit with its ambiguous length.
+def _cf_classes(n, reduced):
+    """Yield the reduced triples of each CF orbit with its ambiguous length,
+    given n's reduced triples (any sized iterable of them).
 
     Each reduced triple not yet met starts one walk of its CF cycle.  One CF
     step is a determinant -1 move, so an even cycle holds two orbits, its
@@ -139,7 +139,7 @@ def _cf_classes(n, max_n):
     members each, and an odd cycle's orbit 4Q.  A cycle's states are distinct
     reduced triples, so len(reduced) bounds each walk.
     """
-    s, reduced, met = isqrt(n), reduced_triples(n, max_n)[0], set()
+    s, met = isqrt(n), set()
     for t in reduced:
         if t in met:
             continue
@@ -158,12 +158,14 @@ def partition_cf(n: int, max_n: int = None) -> OrbitPartition:
     CF class must be exactly one graph orbit's reduced triples, with that
     orbit's length, else InternalInconsistency names n and a class.  Each
     orbit's walk starts at a reduced triple, which some class holds, so
-    every orbit is matched or the check fails."""
+    every orbit is matched or the check fails.  The CF cycles walk from the
+    keys of the walk's reduced map, which partition_graph has checked to be
+    exactly the sieve's reduced triples, so n is sieved once."""
     pg = partition_graph(n, max_n=max_n)
     graph = {}  # orbit index -> its reduced triples
     for t, i in pg.reduced.items():
         graph.setdefault(i, set()).add(t)
-    for states, length in _cf_classes(n, max_n):
+    for states, length in _cf_classes(n, pg.reduced):
         i = pg.reduced.get(states[0])
         if graph.pop(i, None) != set(states) or pg.orbits[i].ambiguous_length != length:
             raise InternalInconsistency(

@@ -1,4 +1,5 @@
-"""Residue classifiers that are constant on orbits, and invariance audits.
+"""Residue classifiers that are constant on orbits, the classes of a
+partition's orbits (class_occupancy), and invariance audits.
 
 Two classifiers are implemented:
 
@@ -182,8 +183,38 @@ def invariance_audit(
     )
 
 
-def class_occupancy(n: int, kind: ClassifierKind, p: int = None, max_n: int = None):
-    """Count ambiguous elements per class value; empty classes are reported,
-    never assumed inhabited."""
-    counts = Counter(map(classifier_for(kind, n, p), ambiguous_triples(n, max_n)))
-    return dict(sorted(counts.items()))
+@dataclass(frozen=True)
+class ClassSummary:
+    """The classes of a partition's members under one classifier."""
+
+    orbit_classes: tuple  # the set of class values of each orbit
+    occupancy: dict  # class value -> its members, in value order
+    least: dict  # class value -> its least member triple by (a, c)
+
+
+def class_occupancy(partition, classify) -> ClassSummary:
+    """The classes of an OrbitPartition under classify, read from the ends
+    of each orbit's blocks, not from its members; a class no member takes
+    is absent from occupancy and least.  Both classifiers are constant
+    along a run and x keeps the class (README), so a block of k steps holds
+    k members of its first vertex's class, and k more of its x-image's when
+    x maps the path onto another cycle.  a moves by a nonzero c or b at
+    each step of a run, so its least member by (a, c), and that of its
+    x-images, is at an end."""
+    orbit_classes, occupancy, least = [], Counter(), {}
+    for record in partition.orbits:
+        both = len(record.path) < record.ambiguous_length
+        values = set()
+        for k, first, last in record.path.block_ends():
+            ends = (first, last, x_triple(first), x_triple(last)) if both else (
+                first, last)
+            for i, t in enumerate(ends):
+                value = classify(t)
+                values.add(value)
+                if i % 2 == 0:  # a first vertex, or the x-image of one
+                    occupancy[value] += k
+                m = least.get(value)
+                if m is None or (t[0], t[2]) < (m[0], m[2]):
+                    least[value] = t
+        orbit_classes.append(frozenset(values))
+    return ClassSummary(tuple(orbit_classes), dict(sorted(occupancy.items())), least)

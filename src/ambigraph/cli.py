@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import __version__
-from .cf import cf_expand, psl_equivalent
+from .cf import cf_expand, orbit_of, psl_equivalent
 from .classify import (
     ClassifierKind,
     class_occupancy,
@@ -26,7 +26,7 @@ from .classify import (
 from .core import approx_values, make_element, triples_str
 from .diagram import closed_path, export_dot, partition_graph
 from .enumeration import DEFAULT_MAX_N, ambiguous_triples, check_cap, reduced_triples
-from .errors import AmbigraphError, InternalInconsistency
+from .errors import AmbigraphError, InternalInconsistency, UnknownOrbit
 from .harness import (
     SweepRow,
     check_paper_examples,
@@ -218,10 +218,8 @@ def _cmd_classify(args, out):
         doc["audits"].append({"kind": name, **({"p": p} if p else {}),
                               "checked": rpt.checked,
                               "violations": len(rpt.violations)})
-        doc[f"occupancy_{name}"] = {
-            str(k): v
-            for k, v in class_occupancy(args.n, kind, p, max_n=args.max_n).items()
-        }
+        summary = class_occupancy(partition, classifiers[name])
+        doc[f"occupancy_{name}"] = {str(k): v for k, v in summary.occupancy.items()}
     if args.json:
         _emit(doc, out)
     else:
@@ -401,7 +399,14 @@ def _cmd_sweep(args, out):
 def _cmd_export_dot(args, out):
     a, c = _parse_pair(args.rep)
     partition = partition_graph(args.n, max_n=args.max_n)
-    _write(export_dot(partition, a, c), args.output, out)
+    try:
+        e = make_element(a, c, args.n)
+    except AmbigraphError:  # (a, c) is no element of n
+        e = None
+    i = None if e is None else orbit_of(partition, e)
+    if i is None:
+        raise UnknownOrbit(f"no orbit of n={args.n} contains a={a}, c={c}")
+    _write(export_dot(partition.orbits[i]), args.output, out)
     return EXIT_OK
 
 

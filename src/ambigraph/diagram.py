@@ -22,7 +22,7 @@ from operator import itemgetter
 
 from .core import Element, is_ambiguous, x_triple
 from .enumeration import ambiguous_triples, reduced_triples
-from .errors import DichotomyViolation, InternalInconsistency, UnknownOrbit
+from .errors import DichotomyViolation, InternalInconsistency
 
 
 class StepType(enum.Enum):
@@ -224,28 +224,22 @@ def partition_graph(n: int, max_n: int = None) -> OrbitPartition:
     order = sorted(range(len(records)), key=lambda k: _ac(records[k].path.anchor))
     rank = {k: i for i, k in enumerate(order)}
     return OrbitPartition(n, tuple(records[k] for k in order),
-                          {r: rank[k] for r, k in placed.items()})
+                          {r: rank[placed[r]] for r in reduced})
 
 
-def export_dot(partition: OrbitPartition, rep_a: int, rep_c: int) -> str:
+def export_dot(record: OrbitRecord) -> str:
     """Render one orbit's ambiguous closed paths as a DOT digraph.
 
     Successor edges are directed and labeled yx / y2x; x-pairings are
     undirected dashed edges.  Node order and edge order are sorted so the
     output is byte-reproducible.
     """
-    record = next((o for o in partition.orbits
-                   if any(t[0] == rep_a and t[2] == rep_c for t in o.triples)), None)
-    if record is None:
-        raise UnknownOrbit(
-            f"no orbit of n={partition.n} contains a={rep_a}, c={rep_c}"
-        )
-    members = sorted(record.triples)
+    n, members = record.path.n, sorted(record.triples)
     lines = ["digraph orbit {"]
     for t in members:
         lines.append(f'  "{t[0]},{t[1]},{t[2]}";')
     for t in members:  # distinct and sorted, so the edges come sorted
-        s, tag = successor_triple(t, partition.n)
+        s, tag = successor_triple(t, n)
         lines.append(
             f'  "{t[0]},{t[1]},{t[2]}" -> "{s[0]},{s[1]},{s[2]}" [label="{tag.value}"];'
         )

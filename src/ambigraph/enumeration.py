@@ -1,6 +1,7 @@
 """Enumeration of the ambiguous numbers of Q*(sqrt(n)) by one sieve pass:
 the whole set (ambiguous_triples), or for the orbit engines only the
-reduced triples and the set's size (reduced_triples)."""
+reduced triples and the set's size (reduced_triples).  Nothing is cached:
+each call sieves, and its caller hands the product to what reads it."""
 
 import math
 
@@ -49,24 +50,21 @@ def _sqrt_mod(n: int, p: int):
     return (r, p - r)
 
 
-_memo = {}  # the last n enumerated -> its triples; at most one entry
-_reduced_memo = {}  # the last n sieved -> (reduced triples, T(n)); likewise
-
-
 def ambiguous_triples(n: int, max_n: int = None):
-    """Sorted tuple of primitive triples (a,b,c) with a^2 < n and c | a^2-n,
-    for a positive nonsquare n within the cap (default DEFAULT_MAX_N).
-
-    Memoised for the last n, so every consumer within one command shares a
-    single enumeration.  A new n releases the previous n's set before it is
-    built, so at most one set is held at a time.
-    """
+    """The tuple of primitive triples (a,b,c) with a^2 < n and c | a^2-n,
+    for a positive nonsquare n within the cap (default DEFAULT_MAX_N), in
+    (a, c) order: c = +-d for the divisors d in the window (0, m], where
+    nothing is pruned; the rows of a and of -a share their b and c ints, and
+    a row its a int."""
     _check(n, max_n)
-    triples = _memo.get(n)
-    if triples is None:
-        _memo.clear()
-        triples = _memo[n] = _sieve_triples(n)
-    return triples
+    rows = []
+    for a, factors in enumerate(_factor_rows(n)):
+        m = n - a * a
+        divs = _divisors(m, a, factors, 0, m)
+        rows.append([(m // d, -d) for d in reversed(divs)]
+                    + [(-m // d, d) for d in divs])
+    return tuple([(a, b, c) for a in range(1 - len(rows), len(rows))
+                  for b, c in rows[abs(a)]])
 
 
 def _factor_rows(n: int):
@@ -112,44 +110,27 @@ def _divisors(m, a, factors, lo, hi):
     return sorted(divs)
 
 
-def _sieve_triples(n: int):
-    """The unmemoised enumeration behind ambiguous_triples, in (a, c) order:
-    c = +-d for the divisors d in the window (0, m], where nothing is pruned;
-    the rows of a and of -a share their b and c ints, and a row its a int."""
-    rows = []
-    for a, factors in enumerate(_factor_rows(n)):
-        m = n - a * a
-        divs = _divisors(m, a, factors, 0, m)
-        rows.append([(m // d, -d) for d in reversed(divs)]
-                    + [(-m // d, d) for d in divs])
-    return tuple([(a, b, c) for a in range(1 - len(rows), len(rows))
-                  for b, c in rows[abs(a)]])
-
-
 def reduced_triples(n: int, max_n: int = None):
     """(the reduced triples 0 <= s - a < c <= s + a in (a, c) order, T(n) =
     len(ambiguous_triples(n))) of a positive nonsquare n within the cap, s =
-    isqrt(n), memoised for the last n.  Per a, the primitive divisors d of
+    isqrt(n).  Per a, the primitive divisors d of
     m = n - a^2 number the product of e + 1 over p^e || m, with 2 for
     p | gcd(a, n) (d takes all of p^e or none); each is c = d and c = -d of
     a, and of -a if a > 0.  A reduced c has c, |b| = m/c <= s + a (m <
     (s + 1)^2 - a^2 and c > s - a), so rows with a prime above s + a are
     skipped, and the others take the divisors in the window (s - a, s + a]."""
     _check(n, max_n)
-    if n not in _reduced_memo:
-        _reduced_memo.clear()
-        s, reduced, count = math.isqrt(n), [], 0
-        for a, factors in enumerate(_factor_rows(n)):
-            k = 1
-            for p, e in factors:
-                k *= 2 if a % p == 0 else e + 1
-            count += 4 * k if a else 2 * k
-            if factors and factors[-1][0] > s + a:
-                continue  # that prime divides c or |b|: no reduced triple here
-            m = n - a * a
-            reduced += [(a, -m // d, d) for d in _divisors(m, a, factors, s - a, s + a)]
-        _reduced_memo[n] = tuple(reduced), count
-    return _reduced_memo[n]
+    s, reduced, count = math.isqrt(n), [], 0
+    for a, factors in enumerate(_factor_rows(n)):
+        k = 1
+        for p, e in factors:
+            k *= 2 if a % p == 0 else e + 1
+        count += 4 * k if a else 2 * k
+        if factors and factors[-1][0] > s + a:
+            continue  # that prime divides c or |b|: no reduced triple here
+        m = n - a * a
+        reduced += [(a, -m // d, d) for d in _divisors(m, a, factors, s - a, s + a)]
+    return tuple(reduced), count
 
 
 def check_cap(n: int, max_n: int = None):

@@ -11,12 +11,12 @@ computationally refutable and the reports say so explicitly.
 """
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 
-from .classify import ClassifierKind, classifier_for, odd_prime_divisors
-from .core import Element, is_ambiguous, make_element, x_triple
-from .diagram import OrbitPartition, closed_path
+from .classify import (ClassifierKind, ClassSummary, class_occupancy,
+                       classifier_for, odd_prime_divisors)
+from .core import Element, is_ambiguous, make_element
+from .diagram import closed_path
 from .cf import orbit_of, partition_cf as cross_checked_partition
 from .enumeration import DEFAULT_MAX_N
 from .errors import AmbigraphError, InternalInconsistency, LimitExceeded
@@ -104,41 +104,6 @@ def predict(case: TheoremCase):
 
 
 @dataclass(frozen=True)
-class ClassSummary:
-    """The classes of a partition's members under one classifier."""
-
-    orbit_classes: tuple  # the set of class values of each orbit
-    occupancy: dict  # class value -> its members, in value order
-    least: dict  # class value -> its least member triple by (a, c)
-
-
-def class_summary(partition: OrbitPartition, classify) -> ClassSummary:
-    """Read the classes from the ends of each orbit's blocks, not from its
-    members.  Both classifiers are constant along a run and x keeps the
-    class (README), so a block of k steps holds k members of its first
-    vertex's class, and k more of its x-image's when x maps the path onto
-    another cycle.  a moves by a nonzero c or b at each step of a run, so
-    its least member by (a, c), and that of its x-images, is at an end."""
-    orbit_classes, occupancy, least = [], Counter(), {}
-    for record in partition.orbits:
-        both = len(record.path) < record.ambiguous_length
-        values = set()
-        for k, first, last in record.path.block_ends():
-            ends = (first, last, x_triple(first), x_triple(last)) if both else (
-                first, last)
-            for i, t in enumerate(ends):
-                value = classify(t)
-                values.add(value)
-                if i % 2 == 0:  # a first vertex, or the x-image of one
-                    occupancy[value] += k
-                m = least.get(value)
-                if m is None or (t[0], t[2]) < (m[0], m[2]):
-                    least[value] = t
-        orbit_classes.append(frozenset(values))
-    return ClassSummary(tuple(orbit_classes), dict(sorted(occupancy.items())), least)
-
-
-@dataclass(frozen=True)
 class RepResolution:
     spec: RepSpec
     element: Element  # None when the intended class is empty
@@ -152,7 +117,7 @@ def resolve_rep(
 ) -> RepResolution:
     """The element of spec's literal (a, c) or, when that is not a valid
     ambiguous element, the least member of the intended class, read from
-    summary (class_summary of n's partition under spec's classifier, which
+    summary (class_occupancy of n's partition under spec's classifier, which
     is built when not given)."""
     classify = classifier_for(spec.kind, n, p)
     try:
@@ -171,7 +136,7 @@ def resolve_rep(
     except AmbigraphError as exc:
         reason = str(exc)
     if summary is None:
-        summary = class_summary(cross_checked_partition(n, max_n=max_n), classify)
+        summary = class_occupancy(cross_checked_partition(n, max_n=max_n), classify)
     t = summary.least.get(spec.intended_value)
     if t is not None:
         cand = Element.from_triple(t, n)
@@ -224,7 +189,7 @@ def verify_case(case: TheoremCase, max_n: int = None) -> VerdictReport:
     partition = cross_checked_partition(case.n, max_n=max_n)
     kind = ClassifierKind.MOD_8 if case.theorem == "2.9" else ClassifierKind.MOD_P
     p = None if kind is ClassifierKind.MOD_8 else case.p
-    summary = class_summary(partition, classifier_for(kind, case.n, p))
+    summary = class_occupancy(partition, classifier_for(kind, case.n, p))
 
     errata = []
     resolutions = tuple(

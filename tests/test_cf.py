@@ -1,3 +1,4 @@
+import dataclasses
 from math import gcd, isqrt
 
 import pytest
@@ -139,8 +140,10 @@ def test_cf_key_limit_leaves_no_position_markers(monkeypatch):
     for t in ambiguous_triples(n):
         groups.setdefault(_revisit_cf_key(t, n, s, cache, limit), set()).add(t)
     assert set(map(frozenset, groups.values())) == member_sets(partition_cf(n))
-    first = reduced_triples(n)[0][:1]  # R(n) read as 1 bounds each CF cycle
-    monkeypatch.setattr(cf, "reduced_triples", lambda n, max_n=None: (first, 0))
+    pg = partition_graph(n)
+    first = next(iter(pg.reduced))  # R(n) read as 1 bounds each CF cycle
+    one = dataclasses.replace(pg, reduced={first: pg.reduced[first]})
+    monkeypatch.setattr(cf, "partition_graph", lambda n, max_n=None: one)
     with pytest.raises(CycleLimitExceeded) as info:
         partition_cf(n)
     assert f"|{n}" in str(info.value)
@@ -163,7 +166,7 @@ def test_cf_cycles_are_bounded_by_the_reduced_count(monkeypatch):
 
     monkeypatch.setattr(cf, "_step", endless)
     with pytest.raises(CycleLimitExceeded) as info:
-        list(cf._cf_classes(n, None))
+        list(cf._cf_classes(n, reduced))
     assert str(info.value) == (
         f"no period within {len(reduced)} CF steps of {reduced[0]}|{n}")
     assert len(calls) == len(reduced) + 1
@@ -286,7 +289,8 @@ def test_cf_cache_holds_exactly_the_reduced_triples():
     triple."""
     for n in (5, 125, 243, 1000, 69984):
         s = isqrt(n)
-        states = [t for states, _ in _cf_classes(n, None) for t in states]
+        states = [t for states, _ in _cf_classes(n, reduced_triples(n)[0])
+                  for t in states]
         assert len(states) == len(set(states)), n
         assert set(states) == {t for t in ambiguous_triples(n) if _reduced(t, s)}, n
 

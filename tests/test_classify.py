@@ -106,11 +106,15 @@ def test_orbits_are_class_homogeneous():
     assert sorted(classes) == [1, 3, 5, 7]
 
 
+def _occupancy(n, kind, p=None):
+    return class_occupancy(partition_graph(n), classifier_for(kind, n, p)).occupancy
+
+
 def test_occupancy_reports_empty_class():
     # n = 4 * 5^3: every ambiguous element has Legendre class +1
-    occ = class_occupancy(500, ClassifierKind.MOD_P, 5)
+    occ = _occupancy(500, ClassifierKind.MOD_P, 5)
     assert set(occ) == {1}
-    occ = class_occupancy(125, ClassifierKind.MOD_P, 5)
+    occ = _occupancy(125, ClassifierKind.MOD_P, 5)
     assert set(occ) == {1, -1}
 
 
@@ -130,11 +134,13 @@ def test_odd_prime_divisors():
 
 
 def test_enumerating_classifiers_honour_max_n():
-    from ambigraph.classify import class_occupancy, invariance_audit
+    """The audit enumerates under the cap; class_occupancy reads a
+    partition, whose builder checks the cap."""
+    from ambigraph.cf import partition_cf
     from ambigraph.errors import LimitExceeded
 
     with pytest.raises(LimitExceeded):
-        class_occupancy(1000, ClassifierKind.MOD_8, max_n=999)
+        partition_cf(1000, max_n=999)
     with pytest.raises(LimitExceeded):
         invariance_audit(1000, ClassifierKind.MOD_8, depth=0, max_n=999)
 

@@ -76,6 +76,60 @@ def test_classify_69984_json_golden(run_cli, golden):
     golden("classify_69984.json", out)
 
 
+def _reference_classify(n, kinds, depth):
+    """classify --json's document with each occupancy counted member by
+    member over the ambiguous table, as classify counted it before it read
+    the run blocks; kinds maps JSON names to (kind, p)."""
+    from collections import Counter
+
+    from ambigraph.cf import partition_cf
+    from ambigraph.classify import classifier_for, invariance_audit
+    from ambigraph.enumeration import ambiguous_triples
+
+    classifiers = {name: classifier_for(kind, n, p)
+                   for name, (kind, p) in kinds.items()}
+    doc = {"schema": 1, "n": n, "orbits": [
+        {"rep": str(o.representative),
+         "classes": {name: f(o.representative.triple)
+                     for name, f in classifiers.items()}}
+        for o in partition_cf(n).orbits], "audits": []}
+    for name, (kind, p) in kinds.items():
+        rpt = invariance_audit(n, kind, p=p, depth=depth)
+        doc["audits"].append({"kind": name, **({"p": p} if p else {}),
+                              "checked": rpt.checked,
+                              "violations": len(rpt.violations)})
+        counts = Counter(map(classifiers[name], ambiguous_triples(n)))
+        doc[f"occupancy_{name}"] = {str(k): v for k, v in sorted(counts.items())}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_classify_occupancy_equals_the_per_member_count(run_cli):
+    """classify --json reads each class's occupancy from the run blocks; the
+    document equals the per-member reference for each classifier of every
+    nonsquare n <= 400 that has one (audits at depth 0 there), and at 69984
+    with both classifiers and the default depth."""
+    from ambigraph.classify import ClassifierKind, odd_prime_divisors
+
+    runs = 0
+    for n in range(2, 401):
+        if math.isqrt(n) ** 2 == n:
+            continue
+        kinds = [("mod_p", (ClassifierKind.MOD_P, p)) for p in odd_prime_divisors(n)]
+        if n % 8 == 0:
+            kinds.append(("mod8", (ClassifierKind.MOD_8, None)))
+        for name, (kind, p) in kinds:
+            flag = ("--mod-p", str(p)) if p else ("--mod8",)
+            code, out = run_cli("classify", str(n), *flag, "--audit-depth", "0",
+                                "--json")
+            assert code == 0 and out == _reference_classify(
+                n, {name: (kind, p)}, 0), (n, name, p)
+            runs += 1
+    assert runs > 500
+    code, out = run_cli("classify", "69984", "--mod-p", "3", "--mod8", "--json")
+    assert code == 0 and out == _reference_classify(69984, {
+        "mod_p": (ClassifierKind.MOD_P, 3), "mod8": (ClassifierKind.MOD_8, None)}, 20)
+
+
 def test_cf_command(run_cli, golden):
     code, out = run_cli("cf", "0,1|125")
     assert code == 0
@@ -173,6 +227,92 @@ def test_export_dot(run_cli, golden):
     code, out = run_cli("export-dot", "5", "--rep", "1,2")
     assert code == 0
     golden("orbit_5_golden_ratio.dot", out)
+
+
+def _scan_export_dot(partition, rep_a, rep_c):
+    """export_dot as it was before the command placed (a, c): it scanned the
+    orbits in order for one whose members hold (a, c), then rendered that
+    orbit's sorted members; the scan is split out as _scan_orbit."""
+    from ambigraph.core import x_triple
+    from ambigraph.diagram import successor_triple
+    from ambigraph.errors import UnknownOrbit
+
+    keys = [{(t[0], t[2]) for t in o.triples} for o in partition.orbits]
+    record = _scan_orbit(partition.orbits, keys, rep_a, rep_c)
+    if record is None:
+        raise UnknownOrbit(
+            f"no orbit of n={partition.n} contains a={rep_a}, c={rep_c}"
+        )
+    members = sorted(record.triples)
+    lines = ["digraph orbit {"]
+    for t in members:
+        lines.append(f'  "{t[0]},{t[1]},{t[2]}";')
+    for t in members:
+        s, tag = successor_triple(t, partition.n)
+        lines.append(
+            f'  "{t[0]},{t[1]},{t[2]}" -> "{s[0]},{s[1]},{s[2]}" [label="{tag.value}"];'
+        )
+    x_edges = {tuple(sorted((t, x_triple(t)))) for t in members}
+    for t, s in sorted(x_edges):
+        lines.append(
+            f'  "{t[0]},{t[1]},{t[2]}" -> "{s[0]},{s[1]},{s[2]}"'
+            " [dir=none, style=dashed];"
+        )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _scan_orbit(orbits, keys, rep_a, rep_c):
+    """The first of orbits whose members hold (a, c), or None; keys are the
+    orbits' (a, c) sets."""
+    return next((o for o, k in zip(orbits, keys) if (rep_a, rep_c) in k), None)
+
+
+def test_export_dot_places_as_the_scan_did(run_cli):
+    """export-dot places (a, c) by CF reduction and renders that record
+    alone: for every member of every orbit of each nonsquare n <= 300 its
+    orbit is the one the old scan found, each orbit renders as the scan's
+    output did, and at 69984 the command prints the scan's output for every
+    representative."""
+    from ambigraph.cf import orbit_of
+    from ambigraph.core import make_element
+    from ambigraph.diagram import export_dot, partition_graph
+
+    members = 0
+    for n in range(2, 301):
+        if math.isqrt(n) ** 2 == n:
+            continue
+        partition = partition_graph(n)
+        orbits = partition.orbits
+        keys = [{(t[0], t[2]) for t in o.triples} for o in orbits]
+        for o in orbits:
+            rep = o.representative
+            assert export_dot(o) == _scan_export_dot(partition, rep.a, rep.c), n
+            for a, _, c in o.triples:
+                i = orbit_of(partition, make_element(a, c, n))
+                assert orbits[i] is _scan_orbit(orbits, keys, a, c), (n, a, c)
+                members += 1
+    assert members == 64580
+    partition = partition_graph(69984)
+    for o in partition.orbits:
+        rep = o.representative
+        code, out = run_cli("export-dot", "69984", f"--rep={rep.a},{rep.c}")
+        assert code == 0 and out == _scan_export_dot(partition, rep.a, rep.c), rep
+
+
+@pytest.mark.parametrize("n, rep", [
+    ("5", "99,1"),  # c divides a^2 - n, but a^2 > n: not ambiguous
+    ("5", "1,3"),  # 3 does not divide 1 - 5
+    ("5", "1,0"),  # no denominator
+    ("8", "0,2"),  # (0, -4, 2) is not primitive
+])
+def test_export_dot_of_no_orbit_is_a_usage_error(run_cli, capsys, n, rep):
+    """An (a, c) that is no ambiguous element of n is in no orbit: exit 1
+    with the UnknownOrbit message, whatever make_element says of it."""
+    a, c = rep.split(",")
+    code, out = run_cli("export-dot", n, "--rep", rep)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: no orbit of n={n} contains a={a}, c={c}\n"
 
 
 def test_usage_errors(run_cli):
@@ -320,26 +460,26 @@ def test_negative_literals(run_cli):
         ("orbits", "125", "--json"),
         ("verify", "--theorem", "2.9", "--p", "3", "--k", "5", "--l", "3"),
         ("classify", "216", "--mod8"),
+        ("ambiguous", "216"),
+        ("ambiguous", "216", "--count-only"),
+        ("export-dot", "216", "--rep", "0,1"),
+        ("classify", "69984", "--mod-p", "3", "--mod8"),
     ],
 )
 def test_one_enumeration_per_command(monkeypatch, run_cli, argv):
-    """Each sieve product is built at most once per command, with one
-    factoring pass each: orbits and verify (whose fallback representatives
-    come from the orbits) need only the reduced triples with T(n), classify
-    also the table."""
+    """Each command factors n once, for the one sieve product it hands on:
+    orbits, verify (whose fallback representatives come from the orbits)
+    and export-dot the reduced triples with T(n), ambiguous the table or
+    T(n).  classify also factors once per audit, which reads the table."""
     from ambigraph import enumeration
 
-    tables, passes = [], []
-    build, factor = enumeration._sieve_triples, enumeration._factor_rows
-    monkeypatch.setattr(enumeration, "_memo", {})
-    monkeypatch.setattr(enumeration, "_reduced_memo", {})
-    monkeypatch.setattr(enumeration, "_sieve_triples",
-                        lambda n: tables.append(n) or build(n))
+    passes, factor = [], enumeration._factor_rows
     monkeypatch.setattr(enumeration, "_factor_rows",
                         lambda n: passes.append(n) or factor(n))
     code, _ = run_cli(*argv)
-    assert code in (0, 2) and len(tables) <= 1
-    assert len(passes) == (2 if argv[0] == "classify" else 1)
+    audits = argv.count("--mod-p") + argv.count("--mod8")
+    assert code in (0, 2)
+    assert len(passes) == (1 + audits if argv[0] == "classify" else 1)
 
 
 @pytest.mark.parametrize("argv, tables", [
@@ -347,7 +487,7 @@ def test_one_enumeration_per_command(monkeypatch, run_cli, argv):
     (("orbits", "1105", "--json"), 0),
     (("orbits", "1105", "--method", "graph"), 0),
     (("verify", "--theorem", "2.1", "--p", "5", "--k", "3"), 0),
-    (("classify", "216", "--mod8"), 1),
+    (("classify", "216", "--mod8"), 1),  # for its audit
     # the literal representatives (1, 3) and (-1, -3) are invalid here, and
     # their fallbacks take the least member of the class from the orbits'
     # run blocks; the claimed count fails, so the command exits 2
@@ -355,44 +495,39 @@ def test_one_enumeration_per_command(monkeypatch, run_cli, argv):
 ])
 def test_orbit_commands_build_no_table(monkeypatch, run_cli, argv, tables):
     """orbits and verify run on the reduced triples and T(n) alone and never
-    ask for the ambiguous table; classify builds it once."""
-    calls, builds = _spy_tables(monkeypatch)
+    ask for the ambiguous table; classify builds it once per audit."""
+    calls = _spy_tables(monkeypatch)
     code, _ = run_cli(*argv)
-    assert code == (2 if "2.9" in argv else 0) and len(builds) == tables
-    assert tables or calls == []
+    assert code == (2 if "2.9" in argv else 0) and len(calls) == tables
 
 
 def _spy_tables(monkeypatch):
-    """Empty the table memo and record every table asked for (calls) and
-    built (builds), through every module's binding of ambiguous_triples."""
+    """Record the n of every table built, each call of ambiguous_triples
+    through any module's binding of it."""
     from ambigraph import enumeration
 
-    calls, builds = [], []
-    table, build = enumeration.ambiguous_triples, enumeration._sieve_triples
-    monkeypatch.setattr(enumeration, "_memo", {})
-    monkeypatch.setattr(enumeration, "_sieve_triples",
-                        lambda n: builds.append(n) or build(n))
+    calls, table = [], enumeration.ambiguous_triples
     for name, module in list(sys.modules.items()):  # every binding of table
         if name.startswith("ambigraph") and getattr(
                 module, "ambiguous_triples", None) is table:
             monkeypatch.setattr(
                 module, "ambiguous_triples",
                 lambda n, max_n=None: calls.append(n) or table(n, max_n))
-    return calls, builds
+    return calls
 
 
 def test_count_only_builds_no_table(monkeypatch, run_cli):
     """ambiguous --count-only prints T(n) from the reduced sieve: the
     table's length for every nonsquare n <= 400, with no table built."""
-    from ambigraph.enumeration import _sieve_triples
+    from ambigraph.enumeration import ambiguous_triples
 
-    want = {n: len(_sieve_triples(n)) for n in range(1, 401)
+    want = {n: len(ambiguous_triples(n)) for n in range(1, 401)
             if math.isqrt(n) ** 2 != n}
-    calls, builds = _spy_tables(monkeypatch)
+    calls = _spy_tables(monkeypatch)
     for n, count in want.items():
         code, out = run_cli("ambiguous", str(n), "--count-only")
         assert code == 0 and out == f"{count}\n", n
-    assert calls == builds == []
+    assert calls == []
 
 
 @pytest.mark.parametrize(

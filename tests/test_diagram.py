@@ -15,8 +15,7 @@ from ambigraph.diagram import (
     partition_graph,
     successor_triple,
 )
-from ambigraph.enumeration import enumerate_ambiguous
-from ambigraph.errors import UnknownOrbit
+from ambigraph.enumeration import enumerate_ambiguous, reduced_triples
 
 
 def test_successor_examples():
@@ -99,21 +98,19 @@ def test_successor_is_bijective_on_path():
 
 def test_export_dot():
     partition = partition_graph(5)
-    text = export_dot(partition, 1, 2)
-    assert text == export_dot(partition, 1, 2)  # byte determinism
+    record = partition.orbits[orbit_of(partition, make_element(1, 2, 5))]
+    text = export_dot(record)
+    assert text == export_dot(record)  # byte determinism
     nodes = [ln for ln in text.splitlines() if ln.endswith('";')]
     directed = [ln for ln in text.splitlines() if "label=" in ln]
     dashed = [ln for ln in text.splitlines() if "dashed" in ln]
     assert len(nodes) == 4 and len(directed) == 4 and len(dashed) == 2
-    with pytest.raises(UnknownOrbit):
-        export_dot(partition, 99, 1)
 
 
 def test_export_dot_node_count_equals_length():
     partition = partition_graph(125)
     for o in partition.orbits:
-        rep = o.representative
-        text = export_dot(partition, rep.a, rep.c)
+        text = export_dot(o)
         nodes = [ln for ln in text.splitlines() if ln.endswith('";')]
         assert len(nodes) == o.ambiguous_length
 
@@ -484,7 +481,7 @@ def test_each_engine_takes_no_step_of_the_other(monkeypatch):
         partition_graph(n)
         assert steps["_step"] == 0 and steps["_runs"] > 0, n
         steps["_runs"] = 0
-        for _ in cf._cf_classes(n, None):
+        for _ in cf._cf_classes(n, reduced_triples(n)[0]):
             pass
         assert steps["_runs"] == 0 and steps["_step"] > 0, n
         steps["_step"] = 0
@@ -556,7 +553,6 @@ def test_run_walk_equals_the_reference_from_every_reduced_seed():
     and from the first one on each cycle its replayed vertices and step
     types are the reference's."""
     from ambigraph.diagram import _runs
-    from ambigraph.enumeration import reduced_triples
 
     for n in NONSQUARES_1500 + [69984, 1194127]:
         cycle_of = {}  # run start -> its cycle's run starts and blocks
@@ -612,8 +608,6 @@ def test_reduced_triples_lie_at_run_starts():
     entered by a YX step and left by a Y2X step (the reference successor
     rule), so it starts a run: the run walk sees every reduced vertex and
     every reduced x-image of its cycle among its run starts."""
-    from ambigraph.enumeration import reduced_triples
-
     for n in range(2, 3001):
         if isqrt(n) ** 2 == n:
             continue

@@ -90,36 +90,53 @@ def test_ordering_and_determinism():
     assert a == sorted(a, key=lambda t: (t[0], t[2]))
 
 
-def test_triples_are_memoised_and_checked():
+def _spy_passes(monkeypatch):
+    """Record the n of every factoring pass of the sieve."""
+    from ambigraph import enumeration
+
+    passes, factor = [], enumeration._factor_rows
+    monkeypatch.setattr(enumeration, "_factor_rows",
+                        lambda n: passes.append(n) or factor(n))
+    return passes
+
+
+def test_triples_are_checked(monkeypatch):
     from ambigraph.errors import NonPositiveN
 
-    assert ambiguous_triples(125, max_n=125) is ambiguous_triples(125)
+    assert ambiguous_triples(125, max_n=125) == ambiguous_triples(125)
     assert isinstance(ambiguous_triples(125), tuple)
     assert tuple(e.triple for e in enumerate_ambiguous(125)) == ambiguous_triples(125)
+    passes = _spy_passes(monkeypatch)
     with pytest.raises(NonPositiveN):
         ambiguous_triples(0)
     with pytest.raises(SquareN):
         ambiguous_triples(49)
-    ambiguous_triples(1009)  # the cap is checked before the memo is read
     with pytest.raises(LimitExceeded):
         ambiguous_triples(1009, max_n=1000)
+    assert passes == []  # each check runs before any work
+    ambiguous_triples(1009)
+    assert passes == [1009]
 
 
-def test_previous_set_is_released_before_the_next_is_built(monkeypatch):
-    from ambigraph import enumeration
+def test_enumeration_holds_no_state(monkeypatch):
+    """No module keeps a container at module level but harness's two
+    constant tables, so no sieve product is cached: each call factors n
+    afresh and returns what trial division gives, whatever came before."""
+    import importlib
 
-    build, seen = enumeration._sieve_triples, []
+    from ambigraph.enumeration import reduced_triples
 
-    def spy(n):
-        seen.append((n, dict(enumeration._memo)))
-        return build(n)
-
-    monkeypatch.setattr(enumeration, "_memo", {})
-    monkeypatch.setattr(enumeration, "_sieve_triples", spy)
+    held = {f"{name}.{attr}"
+            for name in ("core", "enumeration", "diagram", "cf", "classify",
+                         "words", "harness", "cli", "errors")
+            for attr, value in vars(importlib.import_module(f"ambigraph.{name}")).items()
+            if not attr.startswith("__") and isinstance(value, (dict, list, set))}
+    assert held == {"harness.THEOREM_L", "harness._P_MOD4"}
+    passes = _spy_passes(monkeypatch)
     for n in (125, 216, 216, 125):
         assert ambiguous_triples(n) == trial_division_triples(n)
-    assert seen == [(125, {}), (216, {}), (125, {})]
-    assert list(enumeration._memo) == [125]
+        assert reduced_triples(n)[1] == len(trial_division_triples(n))
+    assert passes == [125, 125, 216, 216, 216, 216, 125, 125]
 
 
 def test_rows_of_a_and_minus_a_share_their_ints():
@@ -224,20 +241,16 @@ def test_reduced_sieve_matches_the_table_at_large_n(n):
     assert reduced_triples(n, max_n=n) == (want, len(triples))
 
 
-def test_reduced_sieve_is_memoised_and_checked(monkeypatch):
-    from ambigraph import enumeration
+def test_reduced_sieve_is_checked(monkeypatch):
     from ambigraph.enumeration import reduced_triples
     from ambigraph.errors import NonPositiveN
 
-    monkeypatch.setattr(enumeration, "_memo", {})
-    monkeypatch.setattr(enumeration, "_reduced_memo", {})
-    assert reduced_triples(125) is reduced_triples(125, max_n=125)
-    reduced_triples(216)
-    assert list(enumeration._reduced_memo) == [216]
-    assert enumeration._memo == {}  # no table was built
+    assert reduced_triples(125) == reduced_triples(125, max_n=125)
+    passes = _spy_passes(monkeypatch)
     with pytest.raises(NonPositiveN):
         reduced_triples(0)
     with pytest.raises(SquareN):
         reduced_triples(49)
     with pytest.raises(LimitExceeded):
         reduced_triples(1009, max_n=1000)
+    assert passes == []  # each check runs before any work

@@ -209,11 +209,11 @@ def test_verify_case_passes_its_cap_to_resolve_rep(monkeypatch):
 
 
 def _reference_summary(partition, classify):
-    """class_summary from every member of every orbit, classified one by
+    """class_occupancy from every member of every orbit, classified one by
     one: the computation verify_case made before it read the run blocks."""
     from collections import Counter
 
-    from ambigraph.harness import ClassSummary
+    from ambigraph.classify import ClassSummary
 
     orbit_classes, occupancy, least = [], Counter(), {}
     for record in partition.orbits:
@@ -235,7 +235,7 @@ def _reference_verify(case, max_n=None):
 
     from ambigraph import harness
 
-    with mock.patch.object(harness, "class_summary", _reference_summary):
+    with mock.patch.object(harness, "class_occupancy", _reference_summary):
         report = verify_case(case, max_n=max_n)
     return dataclasses.replace(report, runtime=0)
 
@@ -263,7 +263,7 @@ def _assert_matches_the_reference(cases, max_n):
             case, max_n), case
     grid = ([3, 5, 7, 11, 13], [1, 2, 3, 5, 7], [0, 1, 2, 3, 4])
     rows = sweep(*grid, max_n=max_n)
-    with mock.patch.object(harness, "class_summary", _reference_summary):
+    with mock.patch.object(harness, "class_occupancy", _reference_summary):
         assert rows == sweep(*grid, max_n=max_n)
 
 
@@ -326,6 +326,7 @@ def test_cross_check_compares_partitions_not_group_order(monkeypatch, run_cli):
     states are swapped mixes two orbits and does not."""
     from ambigraph import cf, harness
     from ambigraph.diagram import partition_graph
+    from ambigraph.enumeration import reduced_triples
     from ambigraph.errors import InternalInconsistency
     from orbit_sets import member_sets
 
@@ -339,9 +340,10 @@ def test_cross_check_compares_partitions_not_group_order(monkeypatch, run_cli):
         states, quotients = cycle(t, s, limit, origin)
         return [states[1], states[0], *states[2:]], quotients
 
-    plain = [set(states) for states, _ in cf._cf_classes(216, None)]
+    reduced = reduced_triples(216)[0]
+    plain = [set(states) for states, _ in cf._cf_classes(216, reduced)]
     monkeypatch.setattr(cf, "_cycle", rotated)
-    assert [set(states) for states, _ in cf._cf_classes(216, None)] == [
+    assert [set(states) for states, _ in cf._cf_classes(216, reduced)] == [
         plain[1], plain[0], plain[3], plain[2]]
     partition = harness.cross_checked_partition(216)
     assert member_sets(partition) == member_sets(partition_graph(216))
