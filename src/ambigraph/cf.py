@@ -15,8 +15,8 @@ All arithmetic is exact on (a, b, c) triples; floors come from integer
 square roots, never floating point.
 """
 
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .core import Element, is_ambiguous
 from .diagram import OrbitPartition, partition_graph
@@ -59,8 +59,7 @@ def _cycle(t, s, limit, origin):
             return states, quotients
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(NamedTuple):
     """Eventually periodic CF expansion with exact tail states.
 
     preperiod + cycle are the partial quotients; cycle_triples[i] is the

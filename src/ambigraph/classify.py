@@ -14,9 +14,9 @@ Two classifiers are implemented:
 import enum
 import random
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from math import gcd
+from typing import NamedTuple
 
 from .core import Element, check_triple, x_triple
 from .enumeration import ambiguous_triples
@@ -108,8 +108,7 @@ def _draws(seed):
     return chain.from_iterable(chunks).__next__
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     n: int
     kind: ClassifierKind
     p: int  # 0 for MOD_8
@@ -183,8 +182,7 @@ def invariance_audit(
     )
 
 
-@dataclass(frozen=True)
-class ClassSummary:
+class ClassSummary(NamedTuple):
     """The classes of a partition's members under one classifier."""
 
     orbit_classes: tuple  # the set of class values of each orbit

@@ -8,7 +8,6 @@ invariant broke).  All output is deterministic for fixed inputs.
 import argparse
 import contextlib
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -329,13 +328,9 @@ def _cmd_verify(args, out):
         doc = {
             "schema": SCHEMA_VERSION,
             "findings": [
-                {
-                    "claim": f.claim,
-                    "holds": f.holds,
-                    "errata": f.errata,
-                    "details": {k: _int(v) if isinstance(v, int) else v
-                                for k, v in sorted(f.details.items())},
-                }
+                {**f._asdict(),
+                 "details": {k: _int(v) if isinstance(v, int) else v
+                             for k, v in sorted(f.details.items())}}
                 for f in report.findings
             ],
         }
@@ -373,7 +368,7 @@ def _cmd_sweep(args, out):
     ks = [int(v) for v in args.k.split(",") if v]
     ls = [int(v) for v in args.l.split(",") if v]
     rows = sweep(ps, ks, ls, args.max_n)
-    records = [{**dataclasses.asdict(r), "n": _int(r.n)} for r in rows]
+    records = [{**r._asdict(), "n": _int(r.n)} for r in rows]
     doc = {
         "schema": SCHEMA_VERSION,
         "rows": records,
@@ -385,7 +380,7 @@ def _cmd_sweep(args, out):
     if args.csv:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        w.writerow(f.name for f in dataclasses.fields(SweepRow))
+        w.writerow(SweepRow._fields)
         w.writerows(rec.values() for rec in records)
         text = buf.getvalue()
     else:

@@ -11,9 +11,10 @@ the successor walk and the invariance audit.
 """
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import attrgetter
 
 from .errors import (
     NonPositiveN,
@@ -52,6 +53,14 @@ def check_triple(t, n):
         raise NotPrimitive(f"gcd(a,b,c) > 1 for ({a},{b},{c}|{n})")
 
 
+def compared_on(*fields):
+    """__eq__, __ne__ and __hash__ of a named tuple on the given fields alone;
+    object.__ne__ negates that __eq__, where tuple's != would see every field."""
+    key = attrgetter(*fields)
+    return (lambda self, other: type(other) is type(self) and key(other) == key(self),
+            object.__ne__, lambda self: hash(key(self)))
+
+
 def triples_str(ts, n) -> list:
     """The wire forms "a,b,c|n" of the triples ts of n, as a list; the "|n"
     suffix is formatted once for all of them."""
@@ -64,14 +73,16 @@ def triple_str(t, n) -> str:
     return triples_str((t,), n)[0]
 
 
-@dataclass(frozen=True, order=False)
-class Element:
+class Element(namedtuple("Element", "a b c n")):
     """The quadratic irrational (a + sqrt(n))/c with b = (a^2 - n)/c."""
 
-    a: int
-    b: int
-    c: int
-    n: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
+
+    def __new__(cls, a: int, b: int, c: int, n: int):
+        self = super().__new__(cls, a, b, c, n)
+        self.__post_init__()  # looked up per call: a tracer may wrap it
+        return self
 
     def __post_init__(self):
         if self.n <= 0:

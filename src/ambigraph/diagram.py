@@ -15,12 +15,12 @@ by one floor division, so it costs the circuit's blocks, not its steps.
 """
 
 import enum
-from dataclasses import dataclass, field
 from itertools import compress
 from math import inf, isqrt
 from operator import itemgetter
+from typing import NamedTuple
 
-from .core import Element, is_ambiguous, x_triple
+from .core import Element, compared_on, is_ambiguous, x_triple
 from .enumeration import ambiguous_triples, reduced_triples
 from .errors import DichotomyViolation, InternalInconsistency
 
@@ -83,8 +83,7 @@ def _runs(t, n, limit=inf):
         seen.add(t)
 
 
-@dataclass(frozen=True)
-class ClosedPath:
+class ClosedPath(NamedTuple):
     """The closed successor cycle through an ambiguous anchor.
 
     blocks are the anchored word's ((StepType, k), ...), the runs of one
@@ -144,8 +143,7 @@ _ac = itemgetter(0, 2)  # the (a, c) sort key of a triple
 _a, _b, _c = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(NamedTuple):
     representative: Element  # the least member by (a, c)
     path: ClosedPath  # walked from the representative
     ambiguous_length: int  # the number of members
@@ -162,14 +160,18 @@ class OrbitRecord:
         return tuple(vs)
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
+class OrbitPartition(NamedTuple):
     n: int
     orbits: tuple  # OrbitRecord, sorted by representative (a, c)
-    reduced: dict = field(repr=False, compare=False)  # reduced triple -> orbit index
+    reduced: dict  # reduced triple -> orbit index; not compared, not in repr
 
     def __len__(self):
         return len(self.orbits)
+
+    __eq__, __ne__, __hash__ = compared_on("n", "orbits")
+
+    def __repr__(self):
+        return f"OrbitPartition(n={self.n!r}, orbits={self.orbits!r})"
 
 
 def partition_graph(n: int, max_n: int = None) -> OrbitPartition:

@@ -11,7 +11,8 @@ computationally refutable and the reports say so explicitly.
 """
 
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import NamedTuple
 
 from .classify import (ClassifierKind, ClassSummary, class_occupancy,
                        classifier_for, odd_prime_divisors)
@@ -26,8 +27,7 @@ THEOREM_L = {"2.1": 0, "2.3": 0, "2.5": 1, "2.6": 1, "2.7": 2, "2.8": 2}
 _P_MOD4 = {"2.1": 1, "2.3": 3, "2.5": 1, "2.6": 3, "2.7": 1, "2.8": 3}
 
 
-@dataclass(frozen=True)
-class TheoremCase:
+class TheoremCase(NamedTuple):
     theorem: str
     p: int
     k: int
@@ -75,8 +75,7 @@ def make_case(theorem: str, p: int, k: int, l: int = None,
     return TheoremCase(theorem, p, k, l, n, expected, exploratory)
 
 
-@dataclass(frozen=True)
-class RepSpec:
+class RepSpec(NamedTuple):
     a: int
     c: int
     kind: ClassifierKind
@@ -103,8 +102,7 @@ def predict(case: TheoremCase):
     )
 
 
-@dataclass(frozen=True)
-class RepResolution:
+class RepResolution(NamedTuple):
     spec: RepSpec
     element: Element  # None when the intended class is empty
     substituted: bool
@@ -154,8 +152,7 @@ def resolve_rep(
     )
 
 
-@dataclass(frozen=True)
-class VerdictReport:
+class VerdictReport(NamedTuple):
     case: TheoremCase
     computed_count: int
     count_match: bool
@@ -191,14 +188,11 @@ def verify_case(case: TheoremCase, max_n: int = None) -> VerdictReport:
     p = None if kind is ClassifierKind.MOD_8 else case.p
     summary = class_occupancy(partition, classifier_for(kind, case.n, p))
 
-    errata = []
     resolutions = tuple(
         resolve_rep(spec, case.n, case.p, max_n=max_n, summary=summary)
         for spec in predict(case)
     )
-    for res in resolutions:
-        if res.note:
-            errata.append(res.note)
+    errata = [res.note for res in resolutions if res.note]
 
     rep_orbits = tuple(
         orbit_of(partition, res.element) if res.element is not None else None
@@ -257,16 +251,15 @@ EXAMPLE_2_4_WORD = (
 )
 
 
-@dataclass(frozen=True)
-class Finding:
-    claim: str
-    holds: bool
-    errata: str = ""
-    details: dict = field(default_factory=dict)
+class Finding(namedtuple("Finding", "claim holds errata details")):
+    __slots__ = ()
+
+    def __new__(cls, claim: str, holds: bool, errata: str = "", details: dict = None):
+        return super().__new__(cls, claim, holds, errata,
+                               {} if details is None else details)
 
 
-@dataclass(frozen=True)
-class ExamplesReport:
+class ExamplesReport(NamedTuple):
     findings: tuple
 
     @property
@@ -368,8 +361,7 @@ def check_paper_examples(max_n: int = None) -> ExamplesReport:
 
 # --- sweeps --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     p: int
     k: int
     l: int

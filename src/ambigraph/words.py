@@ -11,28 +11,31 @@ Matrices are projective: M and -M are the same group element.
 """
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import accumulate, groupby
 from operator import itemgetter
+from typing import NamedTuple
 
-from .core import Element
+from .core import Element, compared_on
 from .diagram import ClosedPath, StepType, closed_path
 from .errors import InternalInconsistency, NotDivisible, NotPrimitive, OddBlockCount, ParseError
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(namedtuple("Word", "blocks notices")):
     """Alternating sequence of ((StepType, exponent >= 1)) blocks."""
 
-    blocks: tuple
-    notices: tuple = field(default=(), compare=False)
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
-    def __post_init__(self):
-        for i, (t, m) in enumerate(self.blocks):
+    def __new__(cls, blocks: tuple, notices: tuple = ()):
+        for i, (t, m) in enumerate(blocks):
             if m < 1:
                 raise ValueError(f"block exponent must be >= 1, got {m}")
-            if i and self.blocks[i - 1][0] is t:
+            if i and blocks[i - 1][0] is t:
                 raise ValueError("adjacent blocks must alternate in type")
+        return super().__new__(cls, blocks, notices)
+
+    __eq__, __ne__, __hash__ = compared_on("blocks")  # notices are not compared
 
     def __str__(self):
         if not self.blocks:
@@ -95,8 +98,7 @@ def parse_word(text: str) -> Word:
     return Word(tuple((t, len(list(run))) for t, run in groupby(tags)))
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(NamedTuple):
     p: int
     q: int
     r: int
@@ -158,8 +160,7 @@ def _proportional(u, v):
     )
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(NamedTuple):
     """Cyclic alternating exponent sequence, canonicalized.
 
     The canonical form is the even-block rotation minimizing the exponent
@@ -168,7 +169,9 @@ class Circuit:
     """
 
     exponents: tuple
-    start: StepType = field(compare=False)
+    start: StepType
+
+    __eq__, __ne__, __hash__ = compared_on("exponents")  # start is not compared
 
     def __str__(self):
         return "(" + ",".join(str(m) for m in self.exponents) + ")"
@@ -226,8 +229,7 @@ def stabilizer_word(e: Element) -> Word:
     return path_word(closed_path(e))
 
 
-@dataclass(frozen=True)
-class WordVerdict:
+class WordVerdict(NamedTuple):
     word: Word
     matrix: Mat2
     quadratic: tuple  # (r, s-p, -q)

@@ -1,4 +1,3 @@
-import dataclasses
 from math import gcd, isqrt
 
 import pytest
@@ -14,7 +13,7 @@ from ambigraph.cf import (
     psl_equivalent,
 )
 from ambigraph.core import Element, is_ambiguous, make_element
-from ambigraph.diagram import partition_graph
+from ambigraph.diagram import OrbitPartition, partition_graph
 from ambigraph.enumeration import (
     ambiguous_triples,
     enumerate_ambiguous,
@@ -142,7 +141,7 @@ def test_cf_key_limit_leaves_no_position_markers(monkeypatch):
     assert set(map(frozenset, groups.values())) == member_sets(partition_cf(n))
     pg = partition_graph(n)
     first = next(iter(pg.reduced))  # R(n) read as 1 bounds each CF cycle
-    one = dataclasses.replace(pg, reduced={first: pg.reduced[first]})
+    one = OrbitPartition(pg.n, pg.orbits, {first: pg.reduced[first]})
     monkeypatch.setattr(cf, "partition_graph", lambda n, max_n=None: one)
     with pytest.raises(CycleLimitExceeded) as info:
         partition_cf(n)

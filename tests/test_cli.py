@@ -210,6 +210,12 @@ def test_sweep_json(run_cli, golden):
     golden("sweep_small.json", out)
 
 
+def test_sweep_csv(run_cli, golden):
+    code, out = run_cli("sweep", "--p", "3,5", "--k", "3", "--l", "0,1", "--csv")
+    assert code == 0
+    golden("sweep_small.csv", out)
+
+
 def test_sweep_csv_to_file(run_cli):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "report.csv")

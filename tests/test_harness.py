@@ -230,14 +230,13 @@ def _reference_summary(partition, classify):
 def _reference_verify(case, max_n=None):
     """verify_case, and the resolve_rep fallbacks it triggers, on the
     per-member summary, with runtime zeroed."""
-    import dataclasses
     from unittest import mock
 
     from ambigraph import harness
 
     with mock.patch.object(harness, "class_occupancy", _reference_summary):
         report = verify_case(case, max_n=max_n)
-    return dataclasses.replace(report, runtime=0)
+    return report._replace(runtime=0)
 
 
 def _theorem_cases(limit):
@@ -252,14 +251,13 @@ def _theorem_cases(limit):
 
 
 def _assert_matches_the_reference(cases, max_n):
-    import dataclasses
     from unittest import mock
 
     from ambigraph import harness
 
     for case in cases:
         report = verify_case(case, max_n=max_n)
-        assert dataclasses.replace(report, runtime=0) == _reference_verify(
+        assert report._replace(runtime=0) == _reference_verify(
             case, max_n), case
     grid = ([3, 5, 7, 11, 13], [1, 2, 3, 5, 7], [0, 1, 2, 3, 4])
     rows = sweep(*grid, max_n=max_n)

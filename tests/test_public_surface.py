@@ -3,6 +3,8 @@
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 import types
 
 import ambigraph
@@ -37,6 +39,35 @@ def test_every_traced_function_resolves():
         module = importlib.import_module(f"ambigraph.{home}")
         for name in names:
             assert callable(getattr(module, name, None)), f"{home}.{name}"
+
+
+def test_element_post_init_counts_every_construction(monkeypatch):
+    """The tracer counts Element constructions by wrapping the class's
+    __post_init__, so every way of building one must call it, once."""
+    from ambigraph.core import Element, make_element
+
+    validate, calls = Element.__post_init__, []
+
+    def counted(obj):
+        calls.append(obj)
+        validate(obj)
+
+    monkeypatch.setattr(Element, "__post_init__", counted)
+    built = [Element(1, -31, 4, 125), make_element(1, 4, 125),
+             Element.from_triple((1, -31, 4), 125)]
+    assert calls == built and len(calls) == 3
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    """Importing the CLI pulls in neither dataclasses nor inspect, which
+    would add their import and exec time to every process's set-up."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys; before = set(sys.modules); import ambigraph.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_readme_library_example_runs(capsys):
