@@ -13,7 +13,7 @@ import io
 import json
 import sys
 
-from . import __version__
+from . import __version__, harness
 from .cf import cf_expand, orbit_of, psl_equivalent
 from .classify import (
     ClassifierKind,
@@ -483,7 +483,7 @@ def build_parser():
     s.set_defaults(func=_cmd_check_word)
 
     s = sub.add_parser("verify", help="verify an orbit-count theorem or the examples")
-    s.add_argument("--theorem", choices=["2.1", "2.3", "2.5", "2.6", "2.7", "2.8", "2.9"])
+    s.add_argument("--theorem", choices=harness.THEOREMS)
     s.add_argument("--p", type=int)
     s.add_argument("--k", type=int)
     s.add_argument("--l", type=int, default=None)

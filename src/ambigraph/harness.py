@@ -23,8 +23,20 @@ from .enumeration import DEFAULT_MAX_N
 from .errors import AmbigraphError, InternalInconsistency, LimitExceeded
 from .words import check_word_fixes, circuit_from_word, parse_word, path_word
 
-THEOREM_L = {"2.1": 0, "2.3": 0, "2.5": 1, "2.6": 1, "2.7": 2, "2.8": 2}
-_P_MOD4 = {"2.1": 1, "2.3": 3, "2.5": 1, "2.6": 3, "2.7": 1, "2.8": 3}
+# The paper's families, one row per theorem: l, or the least l where every
+# l from it on is claimed; p (mod 4), or None where every odd prime p is (and
+# l is open); the claimed orbit count; the classifier; and the claimed
+# representatives as (a, c, intended class).
+THEOREMS = {
+    "2.1": (0, 1, 2, ClassifierKind.MOD_P, ((0, 1, 1), (1, 2, -1))),
+    "2.3": (0, 3, 2, ClassifierKind.MOD_P, ((0, 1, 1), (0, -1, -1))),
+    "2.5": (1, 1, 2, ClassifierKind.MOD_P, ((0, 1, 1), (1, 2, -1))),
+    "2.6": (1, 3, 2, ClassifierKind.MOD_P, ((0, 1, 1), (0, -1, -1))),
+    "2.7": (2, 1, 2, ClassifierKind.MOD_P, ((0, 1, 1), (1, 2, -1))),
+    "2.8": (2, 3, 2, ClassifierKind.MOD_P, ((0, 1, 1), (0, -1, -1))),
+    "2.9": (3, None, 4, ClassifierKind.MOD_8,
+            ((0, 1, 1), (0, -1, 7), (1, 3, 3), (-1, -3, 5))),
+}
 
 
 class TheoremCase(NamedTuple):
@@ -47,21 +59,19 @@ def make_case(theorem: str, p: int, k: int, l: int = None,
               max_n: int = None) -> TheoremCase:
     if p is None or k is None:
         raise ValueError(f"theorem {theorem} needs p and k")
-    if theorem == "2.9":
-        if l is None or l < 3:
-            raise ValueError("theorem 2.9 needs l >= 3")
+    if theorem not in THEOREMS:
+        raise ValueError(f"unknown theorem {theorem}")
+    want, mod4, expected = THEOREMS[theorem][:3]
+    if mod4 is None:
+        if l is None or l < want:
+            raise ValueError(f"theorem {theorem} needs l >= {want}")
     else:
-        if theorem not in THEOREM_L:
-            raise ValueError(f"unknown theorem {theorem}")
-        want = THEOREM_L[theorem]
         if l is None:
             l = want
         if l != want:
             raise ValueError(f"theorem {theorem} requires l={want}")
-        if p % 4 != _P_MOD4[theorem]:
-            raise ValueError(
-                f"theorem {theorem} requires p = {_P_MOD4[theorem]} (mod 4)"
-            )
+        if p % 4 != mod4:
+            raise ValueError(f"theorem {theorem} requires p = {mod4} (mod 4)")
     if k < 3 or k % 2 == 0:
         raise ValueError("k must be odd and >= 3")
     cap = DEFAULT_MAX_N if max_n is None else max_n
@@ -70,8 +80,7 @@ def make_case(theorem: str, p: int, k: int, l: int = None,
     if p < 3 or odd_prime_divisors(p) != [p]:  # after the cap, which bounds p
         raise ValueError("p must be an odd prime")
     n = 2 ** l * p ** k
-    expected = 4 if theorem == "2.9" else 2
-    exploratory = theorem in ("2.1", "2.5", "2.7") and p % 8 == 1
+    exploratory = mod4 == 1 and p % 8 == 1
     return TheoremCase(theorem, p, k, l, n, expected, exploratory)
 
 
@@ -84,22 +93,8 @@ class RepSpec(NamedTuple):
 
 def predict(case: TheoremCase):
     """Expected representatives with their intended classifier values."""
-    if case.theorem == "2.9":
-        return (
-            RepSpec(0, 1, ClassifierKind.MOD_8, 1),
-            RepSpec(0, -1, ClassifierKind.MOD_8, 7),
-            RepSpec(1, 3, ClassifierKind.MOD_8, 3),
-            RepSpec(-1, -3, ClassifierKind.MOD_8, 5),
-        )
-    if case.p % 4 == 1:
-        return (
-            RepSpec(0, 1, ClassifierKind.MOD_P, 1),
-            RepSpec(1, 2, ClassifierKind.MOD_P, -1),
-        )
-    return (
-        RepSpec(0, 1, ClassifierKind.MOD_P, 1),
-        RepSpec(0, -1, ClassifierKind.MOD_P, -1),
-    )
+    kind, reps = THEOREMS[case.theorem][3:]
+    return tuple(RepSpec(a, c, kind, value) for a, c, value in reps)
 
 
 class RepResolution(NamedTuple):
@@ -184,7 +179,7 @@ class VerdictReport(NamedTuple):
 def verify_case(case: TheoremCase, max_n: int = None) -> VerdictReport:
     start = time.perf_counter()
     partition = cross_checked_partition(case.n, max_n=max_n)
-    kind = ClassifierKind.MOD_8 if case.theorem == "2.9" else ClassifierKind.MOD_P
+    kind = THEOREMS[case.theorem][3]
     p = None if kind is ClassifierKind.MOD_8 else case.p
     summary = class_occupancy(partition, classifier_for(kind, case.n, p))
 
@@ -374,10 +369,11 @@ class SweepRow(NamedTuple):
 
 
 def _theorem_for(p, l):
-    """The theorem whose l and p (mod 4) fit; p not 1 (mod 4) reads as 3."""
+    """The theorem whose l and p (mod 4) fit, for l >= 0; p not 1 (mod 4)
+    reads as 3."""
     mod4 = 1 if p % 4 == 1 else 3
-    return next((t for t, want in THEOREM_L.items()
-                 if want == l and _P_MOD4[t] == mod4), "2.9")
+    return next(t for t, (want, m, *_) in THEOREMS.items()
+                if (want, m) == (l, mod4) or m is None and l >= want)
 
 
 def sweep(ps, ks, ls, max_n: int) -> tuple:

@@ -190,6 +190,30 @@ def test_verify_3_15_json(run_cli, golden):
     golden("verify_2_3_3_15.json", out)
 
 
+def test_verify_2_8_json(run_cli, golden):
+    """n = 2^2 3^3 has 2 orbits, and sqrt(n) and -sqrt(n) land in orbits 0
+    and 1."""
+    code, out = run_cli("verify", "--theorem", "2.8", "--p", "3", "--k", "3", "--json")
+    assert code == 0
+    golden("verify_2_8_3_3.json", out)
+
+
+def test_verify_exploratory_json(run_cli, golden):
+    """p = 17 = 1 (mod 8): theorem 2.5's count is recorded, not asserted, and
+    the exploratory note exits 2."""
+    code, out = run_cli("verify", "--theorem", "2.5", "--p", "17", "--k", "3", "--json")
+    assert code == 2
+    golden("verify_2_5_exploratory.json", out)
+
+
+def test_verify_lists_the_theorems_in_order(run_cli, capsys):
+    code, out = run_cli("verify", "--theorem", "2.2", "--p", "3", "--k", "3")
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.endswith(
+        "argument --theorem: invalid choice: '2.2' (choose from "
+        "'2.1', '2.3', '2.5', '2.6', '2.7', '2.8', '2.9')\n")
+
+
 def test_verify_empty_class_json(run_cli, golden):
     """n = 500 has no member of the nonresidue class, so the second
     representative stays unresolved and the case still passes."""

@@ -119,9 +119,10 @@ def test_triples_are_checked(monkeypatch):
 
 
 def test_enumeration_holds_no_state(monkeypatch):
-    """No module keeps a container at module level but harness's two
-    constant tables, so no sieve product is cached: each call factors n
-    afresh and returns what trial division gives, whatever came before."""
+    """No module keeps a container at module level but harness's constant
+    table of theorem families, so no sieve product is cached: each call
+    factors n afresh and returns what trial division gives, whatever came
+    before."""
     import importlib
 
     from ambigraph.enumeration import reduced_triples
@@ -131,7 +132,7 @@ def test_enumeration_holds_no_state(monkeypatch):
                          "words", "harness", "cli", "errors")
             for attr, value in vars(importlib.import_module(f"ambigraph.{name}")).items()
             if not attr.startswith("__") and isinstance(value, (dict, list, set))}
-    assert held == {"harness.THEOREM_L", "harness._P_MOD4"}
+    assert held == {"harness.THEOREMS"}
     passes = _spy_passes(monkeypatch)
     for n in (125, 216, 216, 125):
         assert ambiguous_triples(n) == trial_division_triples(n)

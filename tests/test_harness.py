@@ -31,6 +31,31 @@ def test_make_case_validation():
                           ("2.9", 1, 3), ("2.9", -3, 3), ("2.9", 0, 3)):
         with pytest.raises(ValueError, match="p must be an odd prime"):
             make_case(theorem, p, 3, l)
+    for theorem, p, l, message in (
+        ("2.1", 5, 1, "theorem 2.1 requires l=0"),
+        ("2.3", 3, 2, "theorem 2.3 requires l=0"),
+        ("2.5", 5, 0, "theorem 2.5 requires l=1"),
+        ("2.6", 3, 3, "theorem 2.6 requires l=1"),
+        ("2.7", 5, 1, "theorem 2.7 requires l=2"),
+        ("2.8", 3, 0, "theorem 2.8 requires l=2"),
+        ("2.9", 3, 2, "theorem 2.9 needs l >= 3"),
+        ("2.9", 5, None, "theorem 2.9 needs l >= 3"),
+        ("2.1", 3, None, "theorem 2.1 requires p = 1 (mod 4)"),
+        ("2.3", 5, None, "theorem 2.3 requires p = 3 (mod 4)"),
+        ("2.5", 7, 1, "theorem 2.5 requires p = 1 (mod 4)"),
+        ("2.6", 13, 1, "theorem 2.6 requires p = 3 (mod 4)"),
+        ("2.7", 11, 2, "theorem 2.7 requires p = 1 (mod 4)"),
+        ("2.8", 17, 2, "theorem 2.8 requires p = 3 (mod 4)"),
+        ("2.2", 3, None, "unknown theorem 2.2"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            make_case(theorem, p, 3, l)
+        assert str(exc.value) == message, (theorem, p, l)
+    # exploratory: a p = 1 (mod 4) family at p = 1 (mod 8), never theorem 2.9
+    for theorem, l, exploratory in (("2.1", 0, True), ("2.5", 1, True),
+                                    ("2.7", 2, True), ("2.9", 3, False)):
+        assert make_case(theorem, 17, 3, l).exploratory is exploratory
+        assert make_case(theorem, 13, 3, l).exploratory is False  # 13 = 5 (mod 8)
 
 
 def test_make_case_refuses_only_cases_past_the_cap():
@@ -53,13 +78,22 @@ def test_make_case_refuses_only_cases_past_the_cap():
 
 
 def test_predict():
-    reps = predict(make_case("2.1", 5, 3))
-    assert [(r.a, r.c) for r in reps] == [(0, 1), (1, 2)]
-    reps = predict(make_case("2.3", 3, 5))
-    assert [(r.a, r.c) for r in reps] == [(0, 1), (0, -1)]
-    reps = predict(make_case("2.9", 3, 3, 3))
-    assert [(r.a, r.c) for r in reps] == [(0, 1), (0, -1), (1, 3), (-1, -3)]
-    assert [r.intended_value for r in reps] == [1, 7, 3, 5]
+    mod_p, mod_8 = ClassifierKind.MOD_P, ClassifierKind.MOD_8
+    for theorem, p, l, count, kind, reps in (
+        ("2.1", 5, 0, 2, mod_p, [(0, 1, 1), (1, 2, -1)]),
+        ("2.3", 3, 0, 2, mod_p, [(0, 1, 1), (0, -1, -1)]),
+        ("2.5", 5, 1, 2, mod_p, [(0, 1, 1), (1, 2, -1)]),
+        ("2.6", 3, 1, 2, mod_p, [(0, 1, 1), (0, -1, -1)]),
+        ("2.7", 5, 2, 2, mod_p, [(0, 1, 1), (1, 2, -1)]),
+        ("2.8", 3, 2, 2, mod_p, [(0, 1, 1), (0, -1, -1)]),
+        ("2.9", 3, 3, 4, mod_8, [(0, 1, 1), (0, -1, 7), (1, 3, 3), (-1, -3, 5)]),
+        ("2.9", 5, 6, 4, mod_8, [(0, 1, 1), (0, -1, 7), (1, 3, 3), (-1, -3, 5)]),
+    ):
+        case = make_case(theorem, p, 3, l)
+        assert (case.l, case.expected_count) == (l, count), theorem
+        specs = predict(case)
+        assert [(r.a, r.c, r.intended_value) for r in specs] == reps, theorem
+        assert {r.kind for r in specs} == {kind}, theorem
 
 
 def test_resolve_rep():
