@@ -259,7 +259,7 @@ def _cmd_circuit(args, out):
     circuit = circuit_from_word(word)
     verdict = check_word_fixes(word, e)
     out.write(f"path length {len(path)}\n")
-    out.write(f"vertices {' '.join(triples_str(path.triples, e.n))}\n")
+    out.write(f"vertices {' '.join(path.triples_str())}\n")
     out.write(f"circuit {circuit} starting {circuit.start}\n")
     out.write(f"word {word}\n")
     out.write(f"word fixes anchor: {verdict.fixes}\n")

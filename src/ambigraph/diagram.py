@@ -127,6 +127,17 @@ class ClosedPath(NamedTuple):
             a, b, c = (c + a, d, c) if tag is _YX else (b + a, b, d)
         return out
 
+    def triples_str(self):
+        """core.triples_str(self.triples, n), a block at a time: x steps by c
+        in (x, (x^2 - n)//c, c) on a YX run, by b in (x, b, (x^2 - n)//b)."""
+        (a, b, c), n, out, tail = self.anchor, self.n, [], f"|{self.n}"
+        for tag, k in self.blocks:
+            u, mid, end = (c, ",", f",{c}{tail}") if tag is _YX else (b, f",{b},", tail)
+            out += [f"{x}{mid}{(x * x - n) // u}{end}" for x in range(a, a + k * u, u)]
+            a += k * u
+            b, c = ((a * a - n) // u, c) if tag is _YX else (b, (a * a - n) // u)
+        return out
+
 
 def closed_path(e: Element) -> ClosedPath:
     """Walk the successor from an ambiguous anchor until it returns.

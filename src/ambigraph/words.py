@@ -64,13 +64,13 @@ def _merge_blocks(raw_blocks):
 
 
 def parse_word(text: str) -> Word:
-    """Parse "(yx)^5(y^2x)^11(yx)^6" style notation, or a raw yx/y2x string.
+    """Parse "(yx)^5(y^2x)^11(yx)^6" style notation, a raw yx/y2x string or "1".
 
     Adjacent same-type blocks are merged by exponent addition and noted on the
     returned word, since published words occasionally contain them.
     """
     s = text.strip()
-    if not s:
+    if not s or s == "1":
         return IDENTITY_WORD
     if "(" in s:
         raw_blocks = []
@@ -116,15 +116,16 @@ class Mat2(NamedTuple):
         return (self.p, self.q, self.r, self.s)
 
 
-IDENTITY = Mat2(1, 0, 0, 1)
-
-
 def word_to_matrix(w: Word) -> Mat2:
-    out = IDENTITY
+    """The product of the block matrices, later blocks on the left, one row
+    operation each: (yx)^m is (p, q) += m(r, s), (y^2x)^m (r, s) += m(p, q)."""
+    p, q, r, s = 1, 0, 0, 1
     for t, m in w.blocks:
-        block = Mat2(1, m, 0, 1) if t is StepType.YX else Mat2(1, 0, m, 1)
-        out = block @ out  # first-listed block acts first
-    return out
+        if t is StepType.YX:
+            p, q = p + m * r, q + m * s
+        else:
+            r, s = r + m * p, s + m * q
+    return Mat2(p, q, r, s)
 
 
 def mobius_apply(M: Mat2, e: Element) -> Element:

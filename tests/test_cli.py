@@ -889,6 +889,21 @@ def test_circuit_from_a_mid_run_anchor_golden(run_cli, golden):
     golden("circuit_1194127_midrun.txt", out)
 
 
+def test_check_word_on_the_mid_run_word_golden(run_cli, golden):
+    """check-word on the word that circuit prints for the mid-run anchor of
+    n = 1194127: its matrix entries pass 2^63, so JSON writes them as
+    strings, and the word fixes the anchor."""
+    with open(os.path.join(os.path.dirname(__file__), "golden",
+                           "circuit_1194127_midrun.txt")) as fh:
+        word = next(line[5:-1] for line in fh if line.startswith("word ("))
+    code, out = run_cli("check-word", "1194127", word, "--rep", "341,66", "--json")
+    assert code == 0
+    golden("check_word_1194127_midrun.json", out)
+    doc = json.loads(out)
+    assert doc["fixes"] is True
+    assert all(isinstance(v, str) and abs(int(v)) >= 2**63 for v in doc["matrix"])
+
+
 def _run_mutant(tmp_path, module, old, new, *argv):
     """Run the CLI from a copy of the package in which old, which must occur
     once in module, reads new: (exit code, stdout, stderr)."""

@@ -576,7 +576,9 @@ def test_run_walk_equals_the_reference_from_every_ambiguous_triple():
     inside a run: its vertices and step types are the reference walk's, and
     its blocks are the maximal runs of those step types from the anchor, so
     the first and last share a type exactly when the anchor is inside a
-    run, and block_ends gives each block's length, first and last vertex."""
+    run, block_ends gives each block's length, first and last vertex, and
+    triples_str lists the vertices' wire forms, as core.triples_str does."""
+    from ambigraph.core import triples_str
     from ambigraph.enumeration import ambiguous_triples
 
     for n in range(2, 301):
@@ -592,6 +594,7 @@ def test_run_walk_equals_the_reference_from_every_ambiguous_triple():
             tags = tags[i:] + tags[:i]
             path = closed_path(Element(*t, n))
             assert list(path.triples) == vertices[i:] + vertices[:i], (n, t)
+            assert path.triples_str() == triples_str(path.triples, n), (n, t)
             assert _step_types(path) == tags, (n, t)
             assert list(path.blocks) == [
                 (tag, len(list(run))) for tag, run in groupby(tags)], (n, t)

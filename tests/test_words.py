@@ -89,11 +89,37 @@ def test_parse_word_raw_string():
         parse_word("(yx)^a")
 
 
+def test_parse_word_reads_what_str_writes():
+    assert str(IDENTITY_WORD) == "1"
+    assert parse_word("1") == IDENTITY_WORD and parse_word(" 1 ") == IDENTITY_WORD
+    for text in ("(yx)^5(y^2x)^11(yx)^6", "(y^2x)^1", "(yx)^7(y^2x)^1000000",
+                 "yxy2xyyxyxyx"):
+        w = parse_word(text)
+        assert parse_word(str(w)) == w, text
+    with pytest.raises(ParseError):
+        parse_word("11")
+
+
 def test_word_to_matrix():
     w = parse_word("(yx)^5(y^2x)^11(yx)^6")
     assert word_to_matrix(w).entries() == (67, 341, 11, 56)
     assert word_to_matrix(IDENTITY_WORD).entries() == (1, 0, 0, 1)
     assert word_to_matrix(parse_word("(yx)^1")).entries() == (1, 1, 0, 1)
+    assert word_to_matrix(parse_word("(y^2x)^3")).entries() == (1, 0, 3, 1)
+    # the row-operation fold against the product of the block matrices,
+    # later blocks on the left, on seeded words of up to 400 blocks
+    rng = random.Random(20111)
+    for _ in range(60):
+        start = rng.choice((StepType.YX, StepType.YYX))
+        other = StepType.YYX if start is StepType.YX else StepType.YX
+        blocks = tuple((start if i % 2 == 0 else other, rng.randint(1, 10**6))
+                       for i in range(rng.randint(1, 400)))
+        ref = Mat2(1, 0, 0, 1)
+        for t, m in blocks:
+            ref = (Mat2(1, m, 0, 1) if t is StepType.YX else Mat2(1, 0, m, 1)) @ ref
+        M = word_to_matrix(Word(blocks))
+        assert M == ref and type(M) is Mat2
+        assert _det(M) == 1
 
 
 def test_projective_relations():
