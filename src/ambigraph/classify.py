@@ -1,5 +1,6 @@
 """Residue classifiers that are constant on orbits, the classes of a
-partition's orbits (class_occupancy), and invariance audits.
+partition's orbits (class_occupancy), and invariance audits: one random
+walk from each ambiguous triple serves every classifier of a command.
 
 Two classifiers are implemented:
 
@@ -14,18 +15,12 @@ Two classifiers are implemented:
 import enum
 import random
 from collections import Counter
-from itertools import chain
 from math import gcd
 from typing import NamedTuple
 
 from .core import Element, check_triple, x_triple
 from .enumeration import ambiguous_triples
-from .errors import (
-    InternalInconsistency,
-    NNotDivisibleBy8,
-    NotOddPrime,
-    PNotDividesN,
-)
+from .errors import InternalInconsistency, NNotDivisibleBy8, NotOddPrime, PNotDividesN
 
 
 class ClassifierKind(enum.Enum):
@@ -99,13 +94,26 @@ def classifier_for(kind: ClassifierKind, n: int, p: int = None):
 
 
 def _draws(seed):
-    """randrange(3)'s draws from Random(seed), as a C-level next(): the top 2
-    bits of a 32-bit word, redrawn on 3, taken from the top byte of each
-    4-byte group of getrandbits(32 * 4096), whose words run low to high."""
+    """take(k): the next k of randrange(3)'s draws from Random(seed), the
+    top 2 bits of each 32-bit word of getrandbits(32 * 4096), low word
+    first, redrawn on 3.  A refill extends the untaken rest, under one
+    chunk, by the whole chunks k needs: the buffer stays under one chunk
+    plus k draws, and a take costs its draws."""
     top2, bits = bytes(b >> 6 for b in range(256)), random.Random(seed).getrandbits
     chunks = (bits(32 * 4096).to_bytes(4 * 4096, "little")[3::4]
               .translate(top2).replace(b"\3", b"") for _ in iter(int, 1))
-    return chain.from_iterable(chunks).__next__
+    buf, pos = bytearray(), 0
+
+    def take(k):
+        nonlocal buf, pos
+        if pos + k > len(buf):
+            buf, pos = buf[pos:], 0
+            while len(buf) < k:
+                buf += next(chunks)
+        pos += k
+        return buf[pos - k:pos]
+
+    return take
 
 
 class AuditReport(NamedTuple):
@@ -121,65 +129,69 @@ class AuditReport(NamedTuple):
         return not self.violations
 
 
-def invariance_audit(
-    n: int,
-    kind: ClassifierKind,
-    p: int = None,
-    depth: int = 20,
-    seed: int = 0,
-    max_n: int = None,
-) -> AuditReport:
+def invariance_audit(n: int, kind: ClassifierKind, p: int = None, depth: int = 20,
+                     seed: int = 0, max_n: int = None) -> AuditReport:
     """Check class(g.e) == class(e) for g in {x, y, y^2} over the whole
-    ambiguous set and along depth random generator extensions of each element.
-    Each round steps onto image r of its state, r drawn as randrange(3) draws
-    it (_draws).  By x^2 = y^3 = 1 a state's predecessor s holds most of its
-    images: x(s') = s after an x step, y(s') = y^2(s) and y^2(s') = s after a
-    y step, y(s') = s and y^2(s') = y(s) after a y^2 step.  A state's other
-    1 or 2 images are built and classified on its first visit, new y and y^2
-    images validated by one test (x(s) has the equation and gcd of s).
-    """
+    ambiguous set and along depth random generator extensions of each
+    element: invariance_audits with one classifier."""
+    return invariance_audits(n, [(kind, p)], depth, seed, max_n)[0]
+
+
+def invariance_audits(n, kinds, depth=20, seed=0, max_n=None):
+    """The AuditReport of each (kind, p) of kinds from one walk per triple,
+    classified by the tuple of their values (the value itself for one), its
+    violations split per classifier afterwards, in order.  A walk takes
+    depth + 1 draws (_draws) and in round i steps onto image r of its state,
+    r its i-th draw.  By x^2 = y^3 = 1 a state's predecessor s holds most of
+    its images: x(s') = s after an x step, y(s') = y^2(s) and y^2(s') = s
+    after a y step, y(s') = s and y^2(s') = y(s) after a y^2 step.  The
+    other 1 or 2 are built and classified on its first visit, new y and y^2
+    images validated by one test (x(s) has the equation and gcd of s)."""
     if depth < 0:
         raise ValueError(f"audit depth must be >= 0, got {depth}")
-    classify = classifier_for(kind, n, p)
-    names = ("x", "y", "y2")
-    draw = _draws(seed)
-    violations = []
-    triples = ambiguous_triples(n, max_n)
+    fs = [classifier_for(kind, n, p) for kind, p in kinds]
+    single, take = len(fs) == 1, _draws(seed)
+    classify = fs[0] if single else lambda t: tuple([f(t) for f in fs])
+    found = []  # (state, image index, image, its class, the walk's class)
+    triples = ambiguous_triples(n, max_n) if fs else ()  # no walk, no reports
     for t in triples:
         expected = classify(t)
-        ok = (expected,) * 3
-        # the start reads as reached by an x step from x(t), of class own
-        prev = x_triple(t)
-        r, classes, own, seen, cur = 0, ok, classify(prev), {}, t
-        for _ in range(depth + 1):
+        # entry: x, y, y^2 images, their classes, own class, whether any image
+        # is off the walk's class, the state; the start is x(t)'s x image
+        u = x_triple(t)
+        r, last, seen, cur = 0, (0, 0, 0, expected, 0, 0, classify(u), 0, u), {}, t
+        for step in take(depth + 1):
             entry = seen.get(cur)
-            if entry is None:  # (images, their classes, the state's class)
+            if entry is None:
                 a, b, c = cur
+                prev = last[8]
                 if r:  # after a y or y^2 step only x(cur) is new
                     u = -a, c, b
                     if r == 1:  # y(cur) = y^2(prev), y^2(cur) = prev
-                        entry = (u, images[2], prev), (classify(u), classes[2], own)
+                        v, cv, w, cw = last[2], last[5], prev, last[6]
                     else:  # y(cur) = prev, y^2(cur) = y(prev)
-                        entry = (u, prev, images[1]), (classify(u), own, classes[1])
+                        v, cv, w, cw = prev, last[6], last[1], last[4]
+                    cu = classify(u)
                 else:  # after an x step y(cur) and y^2(cur) are new; x(cur) = prev
+                    u, cu = prev, last[6]
                     v = va, vb, vc = b - a, b - 2 * a + c, b
                     w = wa, wb, wc = c - a, c, vb
                     if (vb * vc != va * va - n or wb * wc != wa * wa - n
                             or gcd(va, vb, vc) != 1 or gcd(wa, wb, wc) != 1):
                         check_triple(v, n)
                         check_triple(w, n)
-                    entry = (prev, v, w), (own, classify(v), classify(w))
-                entry = seen[cur] = (*entry, classes[r])
-            images, classes, own = entry
-            if classes != ok:
-                e = Element.from_triple(cur, n)
-                violations += [(e, names[i], Element.from_triple(images[i], n))
-                               for i in range(3) if classes[i] != expected]
-            r = draw()
-            prev, cur = cur, images[r]
-    return AuditReport(
-        n, kind, p or 0, depth, 3 * (depth + 1) * len(triples), tuple(violations)
-    )
+                    cv, cw = classify(v), classify(w)
+                entry = seen[cur] = (u, v, w, cu, cv, cw, last[3 + r],
+                                     not cu == cv == cw == expected, cur)
+            if entry[7]:
+                found += [(cur, i, entry[i], entry[3 + i], expected)
+                          for i in range(3) if entry[3 + i] != expected]
+            last, cur, r = entry, entry[step], step
+    checked, names = 3 * (depth + 1) * len(triples), ("x", "y", "y2")
+    return [AuditReport(n, kind, p or 0, depth, checked, tuple(
+        (Element.from_triple(s, n), names[i], Element.from_triple(image, n))
+        for s, i, image, got, want in found if single or got[j] != want[j]))
+        for j, (kind, p) in enumerate(kinds)]
 
 
 class ClassSummary(NamedTuple):

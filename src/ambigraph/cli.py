@@ -19,7 +19,7 @@ from .classify import (
     ClassifierKind,
     class_occupancy,
     classifier_for,
-    invariance_audit,
+    invariance_audits,
     odd_prime_divisors,
 )
 from .core import approx_values, make_element, triples_str
@@ -194,26 +194,20 @@ def _cmd_classify(args, out):
         kinds["mod_p"] = (ClassifierKind.MOD_P, args.mod_p)
     if args.mod8:
         kinds["mod8"] = (ClassifierKind.MOD_8, None)
-    classifiers = {
-        name: classifier_for(kind, args.n, p) for name, (kind, p) in kinds.items()
-    }
+    classifiers = {name: classifier_for(kind, args.n, p)
+                   for name, (kind, p) in kinds.items()}
     if args.audit_depth < 0:
         raise AmbigraphError(f"--audit-depth must be >= 0, got {args.audit_depth}")
     partition = cross_checked_partition(args.n, max_n=args.max_n)
     classifiers = classifiers or _classifiers(args.n)
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "n": _int(args.n),
-        "orbits": [],
-        "audits": [],
-    }
+    doc = {"schema": SCHEMA_VERSION, "n": _int(args.n), "orbits": [], "audits": []}
     for o in partition.orbits:
         classes = {name: f(o.representative.triple)
                    for name, f in classifiers.items()}
         doc["orbits"].append({"rep": str(o.representative), "classes": classes})
-    for name, (kind, p) in kinds.items():
-        rpt = invariance_audit(args.n, kind, p=p, depth=args.audit_depth,
-                               seed=args.seed, max_n=args.max_n)
+    reports = invariance_audits(args.n, list(kinds.values()), args.audit_depth,
+                                args.seed, args.max_n)
+    for (name, (_, p)), rpt in zip(kinds.items(), reports):
         doc["audits"].append({"kind": name, **({"p": p} if p else {}),
                               "checked": rpt.checked,
                               "violations": len(rpt.violations)})
@@ -358,16 +352,12 @@ def _cmd_verify(args, out):
         )
         for note in report.errata_notes:
             out.write(f"  errata: {note}\n")
-    if not report.passed:
-        return EXIT_ERRATA
-    return EXIT_ERRATA if report.has_errata else EXIT_OK
+    return EXIT_ERRATA if not report.passed or report.has_errata else EXIT_OK
 
 
 def _cmd_sweep(args, out):
-    ps = [int(v) for v in args.p.split(",") if v]
-    ks = [int(v) for v in args.k.split(",") if v]
-    ls = [int(v) for v in args.l.split(",") if v]
-    rows = sweep(ps, ks, ls, args.max_n)
+    rows = sweep(*([int(v) for v in arg.split(",") if v]
+                   for arg in (args.p, args.k, args.l)), args.max_n)
     records = [{**r._asdict(), "n": _int(r.n)} for r in rows]
     doc = {
         "schema": SCHEMA_VERSION,
@@ -386,9 +376,7 @@ def _cmd_sweep(args, out):
     else:
         text = json.dumps(doc, indent=2) + "\n"
     _write(text, args.output, out)
-    if any(r.status == "fail" for r in rows):
-        return EXIT_ERRATA
-    return EXIT_OK
+    return EXIT_ERRATA if any(r.status == "fail" for r in rows) else EXIT_OK
 
 
 def _cmd_export_dot(args, out):

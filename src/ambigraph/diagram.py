@@ -30,7 +30,7 @@ class StepType(enum.Enum):
     YYX = "y2x"
 
     def __str__(self):
-        return self.value
+        return self._value_  # not the enum property
 
 
 _YX, _YYX = StepType.YX, StepType.YYX
@@ -254,7 +254,7 @@ def export_dot(record: OrbitRecord) -> str:
     for t in members:  # distinct and sorted, so the edges come sorted
         s, tag = successor_triple(t, n)
         lines.append(
-            f'  "{t[0]},{t[1]},{t[2]}" -> "{s[0]},{s[1]},{s[2]}" [label="{tag.value}"];'
+            f'  "{t[0]},{t[1]},{t[2]}" -> "{s[0]},{s[1]},{s[2]}" [label="{tag._value_}"];'
         )
     x_edges = {tuple(sorted((t, x_triple(t)))) for t in members}
     for t, s in sorted(x_edges):

@@ -40,7 +40,7 @@ class Word(namedtuple("Word", "blocks notices")):
     def __str__(self):
         if not self.blocks:
             return "1"
-        return "".join(f"({t.value})^{m}" for t, m in self.blocks)
+        return "".join(f"({t._value_})^{m}" for t, m in self.blocks)
 
     def __len__(self):
         return sum(m for _, m in self.blocks)

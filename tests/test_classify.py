@@ -251,13 +251,14 @@ def test_classifiers_name_n_and_the_triple_when_m_divides_b_and_c():
         classifier_for(ClassifierKind.MOD_8, 216)((0, -108, 2))
 
 
-def _reference_walk(n, depth, seed):
+def _reference_walk(n, depth, seed, triples=None):
     """The audit's walk by its plain rule: validate every image, then step
-    with a fresh generator call chosen by randrange(3)."""
+    with a fresh generator call chosen by randrange(3); from each of triples,
+    by default the ambiguous table."""
     generators = (("x", x_triple), ("y", y_triple), ("y2", yy_triple))
     rng = random.Random(seed)
     images = []
-    for t in ambiguous_triples(n):
+    for t in ambiguous_triples(n) if triples is None else triples:
         cur = t
         for _ in range(depth + 1):
             for name, g in generators:
@@ -313,20 +314,102 @@ def test_audit_walk_is_pinned_under_a_non_invariant_class(monkeypatch, n,
     assert 0 < len(report.violations) < report.checked // 2
 
 
+# draws taken at a time: none, one, a walk's, about one chunk's and more
+# than one chunk's, about 20000 in all across several refills
+_TAKES = (0, 1, 21, 3071, 3072, 3073, 5000, 21, 6000)
+
+
 @pytest.mark.parametrize("seed", [0, 7, -3])
 def test_bulk_draws_are_randrange_draws(seed):
     """_draws gives the draws of getrandbits(2) redrawn on 3, in order,
-    across several refills of its 4096-word buffer."""
+    across several refills of its buffer of 4096-word chunks, whatever
+    the number taken at a time."""
     from ambigraph.classify import _draws
 
     getrandbits = random.Random(seed).getrandbits
     want = []
-    while len(want) < 20000:  # about 3072 draws per refill
+    while len(want) < sum(_TAKES):  # about 3072 draws per chunk
         r = getrandbits(2)
         if r != 3:
             want.append(r)
-    draw = _draws(seed)
-    assert [draw() for _ in want] == want
+    take = _draws(seed)
+    pieces = [take(k) for k in _TAKES]
+    assert [len(piece) for piece in pieces] == list(_TAKES)
+    assert list(b"".join(pieces)) == want
+
+
+def test_draw_refills_take_whole_chunks(monkeypatch):
+    """A refill draws only the whole chunks that the take needs and appends
+    them to the untaken rest, which stays under one chunk; the buffer stays
+    under one chunk plus the largest take, so a walk of any depth costs its
+    draws and a large --audit-depth stays linear."""
+    from ambigraph import classify
+
+    words = []
+
+    class Counting(random.Random):
+        def getrandbits(self, k):
+            words.append(k)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(classify.random, "Random", Counting)
+    take = classify._draws(0)
+    cells = dict(zip(take.__code__.co_freevars, take.__closure__))
+    largest = 0
+    for k in (100_000, 1, 21, 5000, 0, 30_000):
+        before, largest = len(words), max(largest, k)
+        assert len(take(k)) == k
+        buffered = len(cells["buf"].cell_contents)
+        assert buffered - cells["pos"].cell_contents < 4096  # the untaken rest
+        assert buffered < 4096 + largest
+        # 3072 draws per chunk on average, never fewer than 2900 here
+        assert len(words) - before <= k // 2900 + 1
+    assert set(words) == {32 * 4096}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_a_walk_longer_than_a_chunk_is_pinned(monkeypatch, seed):
+    """Walks of depth 3100 take 3101 draws each, more than the about 3072
+    of one 4096-word chunk, so a take reaches into two or more chunks; four
+    of n = 216's walks, with the triple itself as its class, equal the
+    reference."""
+    from ambigraph import classify
+
+    starts = ambiguous_triples(216)[:4]
+    monkeypatch.setattr(classify, "ambiguous_triples", lambda n, max_n=None: starts)
+    monkeypatch.setattr(classify, "classifier_for", lambda kind, n, p=None: tuple)
+    report = invariance_audit(216, ClassifierKind.MOD_8, depth=3100, seed=seed)
+    walk = _reference_walk(216, 3100, seed, starts)
+    assert report.checked == len(walk) == 3 * 3101 * 4
+    assert [(e.triple, name, image.triple)
+            for e, name, image in report.violations] == _reference_violations(walk, tuple)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 20])
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("n", [216, 1125])
+def test_one_walk_serves_every_classifier(monkeypatch, n, depth, seed):
+    """invariance_audits walks once for two classifiers that are not
+    invariant, c mod 3 and b mod 5 standing in for mod 8 and mod p, and
+    gives each the report of its own audit: checked, and the violations in
+    order and multiplicity."""
+    from ambigraph import classify
+
+    stand_ins = {ClassifierKind.MOD_8: lambda t: t[2] % 3,
+                 ClassifierKind.MOD_P: lambda t: t[1] % 5}
+    monkeypatch.setattr(classify, "classifier_for",
+                        lambda kind, n, p=None: stand_ins[kind])
+    kinds = [(ClassifierKind.MOD_8, None), (ClassifierKind.MOD_P, 5)]
+    reports = classify.invariance_audits(n, kinds, depth, seed)
+    assert reports == [invariance_audit(n, kind, p, depth, seed) for kind, p in kinds]
+    walk = _reference_walk(n, depth, seed)
+    for report, (kind, _) in zip(reports, kinds):
+        assert report.checked == len(walk)
+        assert [(e.triple, name, image.triple) for e, name, image in
+                report.violations] == _reference_violations(walk, stand_ins[kind])
+    if depth:
+        assert all(report.violations for report in reports)
+    assert reports[0].violations != reports[1].violations
 
 
 @pytest.mark.parametrize("seed", [0, 7])

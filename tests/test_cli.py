@@ -76,6 +76,15 @@ def test_classify_69984_json_golden(run_cli, golden):
     golden("classify_69984.json", out)
 
 
+def test_classify_69984_seed7_json_golden(run_cli, golden):
+    """Both classifiers' audits from one walk at a seed and depth of their
+    own: 12 orbits, each audit 3 * 6 * 7416 images, no violation."""
+    code, out = run_cli("classify", "69984", "--mod-p", "3", "--mod8",
+                        "--seed", "7", "--audit-depth", "5", "--json")
+    assert code == 0
+    golden("classify_69984_seed7.json", out)
+
+
 def _reference_classify(n, kinds, depth):
     """classify --json's document with each occupancy counted member by
     member over the ambiguous table, as classify counted it before it read
@@ -500,16 +509,16 @@ def test_one_enumeration_per_command(monkeypatch, run_cli, argv):
     """Each command factors n once, for the one sieve product it hands on:
     orbits, verify (whose fallback representatives come from the orbits)
     and export-dot the reduced triples with T(n), ambiguous the table or
-    T(n).  classify also factors once per audit, which reads the table."""
+    T(n).  classify factors once more, for the table of its one audit walk,
+    whatever its number of classifiers."""
     from ambigraph import enumeration
 
     passes, factor = [], enumeration._factor_rows
     monkeypatch.setattr(enumeration, "_factor_rows",
                         lambda n: passes.append(n) or factor(n))
     code, _ = run_cli(*argv)
-    audits = argv.count("--mod-p") + argv.count("--mod8")
     assert code in (0, 2)
-    assert len(passes) == (1 + audits if argv[0] == "classify" else 1)
+    assert len(passes) == (2 if argv[0] == "classify" else 1)
 
 
 @pytest.mark.parametrize("argv, tables", [
@@ -525,7 +534,8 @@ def test_one_enumeration_per_command(monkeypatch, run_cli, argv):
 ])
 def test_orbit_commands_build_no_table(monkeypatch, run_cli, argv, tables):
     """orbits and verify run on the reduced triples and T(n) alone and never
-    ask for the ambiguous table; classify builds it once per audit."""
+    ask for the ambiguous table; classify builds it once, for its one
+    audit walk."""
     calls = _spy_tables(monkeypatch)
     code, _ = run_cli(*argv)
     assert code == (2 if "2.9" in argv else 0) and len(calls) == tables
