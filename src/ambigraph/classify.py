@@ -15,7 +15,9 @@ Two classifiers are implemented:
 import enum
 import random
 from collections import Counter
+from itertools import compress
 from math import gcd
+from operator import itemgetter
 from typing import NamedTuple
 
 from .core import Element, check_triple, x_triple
@@ -210,21 +212,27 @@ def class_occupancy(partition, classify) -> ClassSummary:
     k members of its first vertex's class, and k more of its x-image's when
     x maps the path onto another cycle.  a moves by a nonzero c or b at
     each step of a run, so its least member by (a, c), and that of its
-    x-images, is at an end."""
-    orbit_classes, occupancy, least = [], Counter(), {}
+    x-images, is at an end.  One map classifies an orbit's ends: each
+    block's first vertex, the last of each block of k > 1, and their
+    x-images; then one compress pass per class (none for a one-class
+    orbit) sums the k of the blocks starting in it and finds its least."""
+    orbit_classes, occupancy, least, key = [], Counter(), {}, itemgetter(0, 2)
     for record in partition.orbits:
-        both = len(record.path) < record.ambiguous_length
-        values = set()
-        for k, first, last in record.path.block_ends():
-            ends = (first, last, x_triple(first), x_triple(last)) if both else (
-                first, last)
-            for i, t in enumerate(ends):
-                value = classify(t)
-                values.add(value)
-                if i % 2 == 0:  # a first vertex, or the x-image of one
-                    occupancy[value] += k
-                m = least.get(value)
-                if m is None or (t[0], t[2]) < (m[0], m[2]):
-                    least[value] = t
+        ends = record.path.block_ends()
+        ks, ts = [k for k, _, _ in ends], [first for _, first, _ in ends]
+        lasts = [last for k, _, last in ends if k > 1]
+        if 2 * sum(ks) == record.ambiguous_length:
+            ks, ts = ks + ks, ts + [(-a, c, b) for a, b, c in ts]
+            lasts += [(-a, c, b) for a, b, c in lasts]
+        ts += lasts
+        vals = list(map(classify, ts))
+        values = set(vals)
+        for v in values:
+            hits = None if len(values) == 1 else list(map(v.__eq__, vals))
+            total = sum(ks) if hits is None else sum(compress(ks, hits))
+            if total:  # a class met only at last vertices holds no member here
+                occupancy[v] += total
+            t = min(ts if hits is None else compress(ts, hits), key=key)
+            least[v] = min(t, least.get(v, t), key=key)
         orbit_classes.append(frozenset(values))
     return ClassSummary(tuple(orbit_classes), dict(sorted(occupancy.items())), least)

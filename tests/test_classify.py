@@ -118,6 +118,71 @@ def test_occupancy_reports_empty_class():
     assert set(occ) == {1, -1}
 
 
+def _reference_occupancy(partition, classify):
+    """class_occupancy as a per-block loop: both ends of each block and,
+    when x maps the path onto another cycle, their x-images, each
+    classified on its own; k added per block for the first vertex and its
+    x-image; the least member per class kept by (a, c) comparison."""
+    from collections import Counter
+
+    from ambigraph.classify import ClassSummary
+
+    orbit_classes, occupancy, least = [], Counter(), {}
+    for record in partition.orbits:
+        both = len(record.path) < record.ambiguous_length
+        values = set()
+        for k, first, last in record.path.block_ends():
+            ends = (first, last, x_triple(first), x_triple(last)) if both else (
+                first, last)
+            for i, t in enumerate(ends):
+                value = classify(t)
+                values.add(value)
+                if i % 2 == 0:  # a first vertex, or the x-image of one
+                    occupancy[value] += k
+                m = least.get(value)
+                if m is None or (t[0], t[2]) < (m[0], m[2]):
+                    least[value] = t
+        orbit_classes.append(frozenset(values))
+    return ClassSummary(tuple(orbit_classes), dict(sorted(occupancy.items())), least)
+
+
+@pytest.mark.parametrize("limit", [500, pytest.param(1500, marks=pytest.mark.slow)])
+def test_class_occupancy_matches_the_per_block_loop(limit):
+    """For every nonsquare n <= limit, under mod p at each odd p | n, mod 8
+    when 8 | n, and three classifiers that are not constant on orbits (so
+    last vertices and x-images fall in other classes), the summary is the
+    per-block loop's, its occupancy and least dicts included."""
+    others = [lambda t: t[2] > 0, lambda t: t[0] % 3, lambda t: t[1] & 3]
+    for n in range(2, limit + 1):
+        if isqrt(n) ** 2 == n:
+            continue
+        partition = partition_graph(n)
+        fs = [classifier_for(ClassifierKind.MOD_P, n, q) for q in odd_prime_divisors(n)]
+        if n % 8 == 0:
+            fs.append(classifier_for(ClassifierKind.MOD_8, n))
+        for f in fs + others:
+            got, want = class_occupancy(partition, f), _reference_occupancy(partition, f)
+            assert got == want, n
+            assert got.occupancy == want.occupancy and got.least == want.least, n
+
+
+def test_a_class_met_only_at_a_last_vertex_has_no_occupancy():
+    """n = 2 under a mod 3: an orbit of 8 members (a path of 4 and its
+    x-images) meets class 0 only at the last vertex of a block, so 0 is in
+    the orbit's class set, which is what lets verify call an orbit not
+    homogeneous, and has no occupancy entry."""
+    partition = partition_graph(2)
+    summary = class_occupancy(partition, lambda t: t[0] % 3)
+    assert 0 in summary.orbit_classes[0] and 0 not in summary.occupancy
+    assert summary.least[0][0] % 3 == 0
+    record = partition.orbits[0]
+    assert len(record.path) < record.ambiguous_length
+    ends = record.path.block_ends()
+    firsts = [t for _, t, _ in ends]
+    assert all(t[0] % 3 for t in firsts + [x_triple(t) for t in firsts])
+    assert any(k > 1 and last[0] % 3 == 0 for k, _, last in ends)
+
+
 def test_legendre_rejects_non_odd_primes():
     for p in (-7, -1, 0, 1, 2, 4, 9, 15, 25, 49):
         with pytest.raises(NotOddPrime):

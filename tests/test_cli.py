@@ -243,6 +243,15 @@ def test_sweep_json(run_cli, golden):
     golden("sweep_small.json", out)
 
 
+def test_sweep_5_5_json_golden(run_cli, golden):
+    """A theorem-audit grid: n = 50000 substitutes two least-class
+    elements and n = 12500 has an empty class, so the golden pins least
+    and an absent class."""
+    code, out = run_cli("sweep", "--p", "5", "--k", "5", "--l", "2,4", "--json")
+    assert code == 0
+    golden("sweep_5_5_l2_4.json", out)
+
+
 def test_sweep_csv(run_cli, golden):
     code, out = run_cli("sweep", "--p", "3,5", "--k", "3", "--l", "0,1", "--csv")
     assert code == 0
