@@ -15,6 +15,7 @@ by one floor division, so it costs the circuit's blocks, not its steps.
 """
 
 import enum
+from collections import namedtuple
 from itertools import compress
 from math import inf, isqrt
 from operator import itemgetter
@@ -83,7 +84,7 @@ def _runs(t, n, limit=inf):
         seen.add(t)
 
 
-class ClosedPath(NamedTuple):
+class ClosedPath(namedtuple("ClosedPath", "n anchor blocks")):
     """The closed successor cycle through an ambiguous anchor.
 
     blocks are the anchored word's ((StepType, k), ...), the runs of one
@@ -91,9 +92,8 @@ class ClosedPath(NamedTuple):
     share a type when the anchor lies inside a run.
     """
 
-    n: int
-    anchor: tuple
-    blocks: tuple
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # len is the steps
 
     def __len__(self):
         return sum(k for _, k in self.blocks)
@@ -171,10 +171,12 @@ class OrbitRecord(NamedTuple):
         return tuple(vs)
 
 
-class OrbitPartition(NamedTuple):
-    n: int
-    orbits: tuple  # OrbitRecord, sorted by representative (a, c)
-    reduced: dict  # reduced triple -> orbit index; not compared, not in repr
+class OrbitPartition(namedtuple("OrbitPartition", "n orbits reduced")):
+    """The orbits of n as OrbitRecords, sorted by representative (a, c), and
+    reduced, each reduced triple's orbit index (not compared, not in repr)."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # len is the orbits
 
     def __len__(self):
         return len(self.orbits)

@@ -58,78 +58,106 @@ def ambiguous_triples(n: int, max_n: int = None):
     a row its a int."""
     _check(n, max_n)
     rows = []
-    for a, factors in enumerate(_factor_rows(n)):
-        m = n - a * a
-        divs = _divisors(m, a, factors, 0, m)
-        rows.append([(m // d, -d) for d in reversed(divs)]
-                    + [(-m // d, d) for d in divs])
+    for lo, _, factor_lists, _ in _factor_rows(n):
+        for a, factors in enumerate(factor_lists, lo):
+            m = n - a * a
+            divs = _divisors(m, a, factors, 0, m)
+            rows.append([(m // d, -d) for d in reversed(divs)]
+                        + [(-m // d, d) for d in divs])
     return tuple([(a, b, c) for a in range(1 - len(rows), len(rows))
                   for b, c in rows[abs(a)]])
 
 
+_BLOCK = 1 << 16  # rows of a sieved at a time: bounds the sieve's memory
+
+
 def _factor_rows(n: int):
-    """The factors [(p, e), ...] of each m = n - a^2, a in [0, isqrt(n)].
+    """Yield (lo, rest, factors, ks) for each block of at most _BLOCK
+    consecutive a in [0, isqrt(n)], in order, lo its first a.  Per a of the
+    block: the factors [(p, e), ...] of m = n - a^2; rest, what is left of m
+    once the primes up to isqrt(n) are divided out (1, or a prime that is
+    also the last factor); and k, the number of primitive divisors d of m,
+    those with gcd(a, d, m/d) = 1.
 
     The values m are factored by a sieve, as in the quadratic sieve: for
     each prime p <= sqrt(n), p | m exactly when a is a root of a^2 = n
     (mod p), so stepping a through those roots finds every a whose m has p
-    as a factor.  After the primes up to sqrt(n) are divided out, what is
-    left of m is 1 or a prime.
+    as a factor.  The (p, root) pairs are listed once; each block steps
+    every pair through its own rows.  After the primes up to sqrt(n) are
+    divided out, what is left of m is 1 or a prime.  k multiplies in e + 1
+    per p^e || m, or 2 for p | n, where p | a too and d takes all of p^e or
+    none, and 2 for a prime left over.
     """
     s = math.isqrt(n)
-    rest = [n - a * a for a in range(s + 1)]
-    factors = [[] for _ in range(s + 1)]
-    for p in _primes_upto(s):
-        for r in _sqrt_mod(n, p):
-            for a in range(r, s + 1, p):
-                m, e = rest[a], 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                rest[a] = m
-                factors[a].append((p, e))
-    for a in range(s + 1):
-        if rest[a] > 1:
-            factors[a].append((rest[a], 1))
-    return factors
+    pairs = [(p, r, n % p == 0) for p in _primes_upto(s) for r in _sqrt_mod(n, p)]
+    for lo in range(0, s + 1, _BLOCK):
+        size = min(_BLOCK, s + 1 - lo)
+        rest = [n - a * a for a in range(lo, lo + size)]
+        factors = [[] for _ in range(size)]
+        ks = [1] * size
+        for p, r, p_divides_n in pairs:
+            single = (p, 1)  # e = 1, most hits: one tuple per prime
+            for i in range((r - lo) % p, size, p):  # a range: a while is 1.5x slower
+                m = rest[i] // p
+                if m % p:
+                    factors[i].append(single)
+                    ks[i] *= 2
+                else:
+                    m, e = m // p, 2
+                    while not m % p:
+                        m, e = m // p, e + 1
+                    factors[i].append((p, e))
+                    ks[i] *= 2 if p_divides_n else e + 1
+                rest[i] = m
+        for i, m in enumerate(rest):
+            if m > 1:
+                factors[i].append((m, 1))
+                ks[i] *= 2
+        yield lo, rest, factors, ks
 
 
 def _divisors(m, a, factors, lo, hi):
     """The divisors d of m = n - a^2 with lo < d <= hi and gcd(a, d, m/d) = 1,
     ascending, from the factors of m: d takes all of p^e || m or none when
-    p | a, any power of p otherwise.  They are built largest prime first,
-    keeping a partial product x while lo // rest < x <= hi, rest the part of
-    m not yet used: x times a divisor of rest exceeds lo only if x * rest
-    does."""
+    p | a, any power of p otherwise, so for e = 1, most factors, each
+    partial product x gives the pair (x, x * p).  They are built largest
+    prime first, keeping a partial product x while lo // rest < x <= hi,
+    rest the part of m not yet used: x times a divisor of rest exceeds lo
+    only if x * rest does."""
     rest, divs = m, [1]
     for p, e in reversed(factors):
-        rest //= p ** e
-        powers = (1, p ** e) if a % p == 0 else [p ** j for j in range(e + 1)]
-        low = lo // rest
-        divs = [x for d in divs for q in powers if low < (x := d * q) <= hi]
+        if e == 1:
+            rest //= p
+            low = lo // rest
+            divs = [x for d in divs for x in (d, d * p) if low < x <= hi]
+        else:
+            pe = p ** e
+            rest //= pe
+            low = lo // rest
+            powers = (1, pe) if a % p == 0 else [p ** j for j in range(e + 1)]
+            divs = [x for d in divs for q in powers if low < (x := d * q) <= hi]
     return sorted(divs)
 
 
 def reduced_triples(n: int, max_n: int = None):
     """(the reduced triples 0 <= s - a < c <= s + a in (a, c) order, T(n) =
     len(ambiguous_triples(n))) of a positive nonsquare n within the cap, s =
-    isqrt(n).  Per a, the primitive divisors d of
-    m = n - a^2 number the product of e + 1 over p^e || m, with 2 for
-    p | gcd(a, n) (d takes all of p^e or none); each is c = d and c = -d of
-    a, and of -a if a > 0.  A reduced c has c, |b| = m/c <= s + a (m <
-    (s + 1)^2 - a^2 and c > s - a), so rows with a prime above s + a are
-    skipped, and the others take the divisors in the window (s - a, s + a]."""
+    isqrt(n).  Per a, the sieve counts the k primitive divisors d of
+    m = n - a^2; each is c = d and c = -d of a, and of -a if a > 0, so each
+    block adds 4 * sum(k) to T(n), less 2k for a = 0.  A reduced c has c,
+    |b| = m/c <= s + a (m < (s + 1)^2 - a^2 and c > s - a), so rows whose
+    leftover prime exceeds s + a are skipped, and the others take the
+    divisors in the window (s - a, s + a]."""
     _check(n, max_n)
     s, reduced, count = math.isqrt(n), [], 0
-    for a, factors in enumerate(_factor_rows(n)):
-        k = 1
-        for p, e in factors:
-            k *= 2 if a % p == 0 else e + 1
-        count += 4 * k if a else 2 * k
-        if factors and factors[-1][0] > s + a:
-            continue  # that prime divides c or |b|: no reduced triple here
-        m = n - a * a
-        reduced += [(a, -m // d, d) for d in _divisors(m, a, factors, s - a, s + a)]
+    for lo, rest, factor_lists, ks in _factor_rows(n):
+        count += 4 * sum(ks) - (0 if lo else 2 * ks[0])
+        for a, q, factors in zip(range(lo, lo + len(ks)), rest, factor_lists):
+            if q > s + a:
+                continue  # that prime divides c or |b|: no reduced triple here
+            m = n - a * a
+            reduced += [(a, -m // d, d)
+                        for d in _divisors(m, a, factors, s - a, s + a)]
     return tuple(reduced), count
 
 

@@ -958,14 +958,16 @@ def _run_mutant(tmp_path, module, old, new, *argv):
     ("enumeration.py", "tuple(reduced), count", "tuple(reduced[:-1]), count",
      "orbits hold 232 triples and 12 reduced ones, the sieve 232 and 11; "
      "first difference [(14, -1, 20)]"),
-    # a T(n) factor off by one: e in place of e + 1 for p not dividing a
+    # a T(n) factor off by one: e in place of e + 1 for p^e, e >= 2, with p
+    # not dividing a
     ("enumeration.py", "else e + 1", "else e",
-     "orbits hold 232 triples and 12 reduced ones, the sieve 124 and 12; "
+     "orbits hold 232 triples and 12 reduced ones, the sieve 224 and 12; "
      "first difference []"),
-    # the sieve's lower prune one too high: a partial divisor on the lower
-    # edge of the reduced window is dropped, with its reduced triples
+    # the sieve's lower prune one too high at p^e, e >= 2: a partial divisor
+    # on the lower edge of the reduced window is dropped, with its reduced
+    # triples
     ("enumeration.py", "low < (x := d * q)", "low + 1 < (x := d * q)",
-     "orbits hold 232 triples and 12 reduced ones, the sieve 232 and 6; "
+     "orbits hold 232 triples and 12 reduced ones, the sieve 232 and 9; "
      "first difference [(6, -20, 9)]"),
 ], ids=["successor-branch", "run-length", "cf-quotient", "dropped-reduced",
         "count-off-by-one", "lower-prune"])

@@ -222,7 +222,8 @@ def test_reduced_triples_lie_in_the_window_of_their_row():
 
     for n in [n for n in range(2, 3001) if _isqrt(n) ** 2 != n] + [
             69984, 1194127, 2607543]:
-        s, rows = _isqrt(n), _factor_rows(n)
+        s = _isqrt(n)
+        rows = [fs for _, _, factors, _ in _factor_rows(n) for fs in factors]
         for a, b, c in ambiguous_triples(n):
             if 0 <= s - a < c <= s + a:
                 assert c <= s + a and -b <= s + a, (n, a, b, c)
@@ -240,6 +241,66 @@ def test_reduced_sieve_matches_the_table_at_large_n(n):
     s, triples = _isqrt(n), ambiguous_triples(n, max_n=n)
     want = tuple(t for t in triples if 0 <= s - t[0] < t[2] <= s + t[0])
     assert reduced_triples(n, max_n=n) == (want, len(triples))
+
+
+def _block_edges(n, block):
+    """The block edges n reaches when the sieve takes `block` rows at a time,
+    by brute force: a root r >= block of a prime p <= s (its first row lies
+    past the first block), a prime block < p <= s that divides some
+    m = n - a^2 (a block may hold none of its rows), a prime p <= s of n,
+    and a row a whose m keeps a prime above s + a (reduced_triples skips
+    it)."""
+    s, edges = _isqrt(n), set()
+    for p in range(2, s + 1):
+        if all(p % q for q in range(2, _isqrt(p) + 1)):
+            roots = [r for r in range(p) if (r * r - n) % p == 0]
+            edges |= {name for name, hit in (
+                ("root past a block", any(r >= block for r in roots)),
+                ("prime past a block", roots and p > block),
+                ("prime of n", n % p == 0)) if hit}
+    for a in range(s + 1):
+        m, q = n - a * a, 2
+        while q * q <= m:  # divide out the primes up to sqrt(m)
+            if m % q:
+                q += 1
+            else:
+                m //= q
+        if m > s + a:  # the largest prime of n - a^2
+            return edges | {"skipped row"}
+    return edges
+
+
+def test_sieve_blocks_match_trial_division(monkeypatch):
+    """With _BLOCK shrunk to 1, 7 and 64 rows, both products, T(n) included,
+    are trial division's at every nonsquare n <= 1500 and at 69984 and
+    1194127, and these n reach every block edge at each block length."""
+    from ambigraph import enumeration
+
+    edges = {1: set(), 7: set(), 64: set()}
+    for n in [n for n in range(2, 1501) if _isqrt(n) ** 2 != n] + [69984, 1194127]:
+        s, want = _isqrt(n), trial_division_triples(n)
+        reduced = tuple(t for t in want if 0 <= s - t[0] < t[2] <= s + t[0])
+        for block in edges:
+            monkeypatch.setattr(enumeration, "_BLOCK", block)
+            assert enumeration.ambiguous_triples(n) == want, (n, block)
+            assert enumeration.reduced_triples(n) == (reduced, len(want)), (n, block)
+            edges[block] |= _block_edges(n, block)
+    assert all(reached == {"root past a block", "prime past a block",
+                           "prime of n", "skipped row"} for reached in edges.values())
+
+
+def test_reduced_sieve_across_two_real_blocks(monkeypatch):
+    """n = 4295098403 has s = 65537, so the default blocks of 2^16 rows put
+    a = 65536 and 65537 in a second block; its reduced triples and T(n) are
+    those of one block of all s + 1 rows."""
+    from ambigraph import enumeration
+
+    n = 4295098403
+    assert enumeration._BLOCK < _isqrt(n) + 1 <= 2 * enumeration._BLOCK
+    blocks = enumeration.reduced_triples(n, max_n=n)
+    monkeypatch.setattr(enumeration, "_BLOCK", 1 << 17)
+    assert blocks == enumeration.reduced_triples(n, max_n=n)
+    assert blocks[1] == 2488084
 
 
 def test_reduced_sieve_is_checked(monkeypatch):

@@ -93,6 +93,19 @@ def test_replace_validates_elements_and_words():
         w._replace(blocks=((StepType.YX, 1), (StepType.YX, 1)))
 
 
+def test_replace_round_trips_partitions_and_closed_paths():
+    """OrbitPartition's len counts orbits and ClosedPath's steps, not
+    fields, so both make records from fields by their constructor."""
+    pg = partition_graph(69984)
+    path = pg.orbits[0].path
+    assert len(pg) == 12 and len(path) == sum(k for _, k in path.blocks)
+    assert pg._replace(n=69984) == pg and pg._replace().reduced is pg.reduced
+    assert pg._replace(orbits=pg.orbits[:1]).orbits == pg.orbits[:1]
+    assert path._replace(n=69984) == path
+    assert path._replace(blocks=path.blocks[:1]).blocks == path.blocks[:1]
+    assert type(pg)._make(pg) == pg and type(path)._make(path) == path
+
+
 def test_fields_defaults_and_repr():
     e = Element(1, -31, 4, 125)
     assert repr(e) == "Element(a=1, b=-31, c=4, n=125)" and str(e) == "1,-31,4|125"
