@@ -9,7 +9,8 @@ even the parity of the steps between states matters, and when it is odd a
 determinant flip can be absorbed by going once more around the cycle.  The
 cycle states are the reduced triples (Galois), so the CF partition walks one
 cycle from each of the sieve's reduced triples and never meets the rest of
-the ambiguous set.
+the ambiguous set.  psl_equivalent walks one such cycle both ways, so a
+pair an even number of steps apart costs at most twice that distance.
 
 All arithmetic is exact on (a, b, c) triples; floors come from integer
 square roots, never floating point.
@@ -118,13 +119,41 @@ def orbit_of(partition: OrbitPartition, e: Element):
 def psl_equivalent(e1: Element, e2: Element) -> bool:
     """True iff e1 and e2 lie in the same PSL(2,Z)-orbit: their reductions
     r1 and r2 share a CF cycle, an even number of steps apart when the cycle
-    is even (the determinant -1 parity rule; an odd cycle absorbs it)."""
+    is even (the determinant -1 parity rule; an odd cycle absorbs it).
+
+    Two walks leave r1, one forward by _step and one backward to the
+    predecessor, and stop once the answer is settled: r2 met an even number
+    i of steps away, or the walks meeting each other, which closes the cycle
+    at 2i - 1 or 2i states.  So a pair an even number of steps apart costs
+    at most twice that distance, and any other pair about one trip round.  The
+    predecessor of a reduced (a, b, c) is _step on its reversal (a, -c, -b),
+    reversed back (Galois: alpha = q + 1/beta gives -1/beta' =
+    q + 1/(-1/alpha')); c > 0 and -b > 0 on reduced states, so both floors
+    divide by a positive."""
     if e1.n != e2.n:
         raise MismatchedN(f"cannot compare n={e1.n} with n={e2.n}")
     s, limit = isqrt(e1.n), _default_limit(e1.n)
     r1, r2 = _reduce(e1.triple, s, limit, e1), _reduce(e2.triple, s, limit, e2)
-    states = _cycle(r1, s, limit, e1)[0]
-    return r2 in states and (len(states) % 2 == 1 or states.index(r2) % 2 == 0)
+    if r1 == r2:
+        return True
+    fwd = back = r1
+    met = False  # r2 met at an odd distance: equivalent iff the cycle is odd
+    for i in range(1, (limit + 1) // 2 + 2):  # raise past limit + 1 steps
+        a, b, c = fwd
+        q = (a + s) // c
+        fwd = (q * c - a, -c, 2 * a * q - q * q * c - b)
+        if fwd == back:  # 2i - 1 states, each met by now
+            return met
+        a, b, c = back
+        q = (a + s) // -b
+        back = (-q * b - a, -2 * a * q - q * q * b - c, -b)
+        if fwd == back:  # 2i states; fwd is i steps from r1 either way
+            return fwd == r2 and i % 2 == 0
+        if fwd == r2 or back == r2:
+            if i % 2 == 0:
+                return True
+            met = True
+    raise CycleLimitExceeded(f"no period within {limit} CF steps of {e1}")
 
 
 def _cf_classes(n, reduced):

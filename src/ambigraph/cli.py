@@ -24,7 +24,7 @@ from .classify import (
 )
 from .core import approx_values, make_element, triples_str
 from .diagram import closed_path, export_dot, partition_graph
-from .enumeration import DEFAULT_MAX_N, ambiguous_triples, check_cap, reduced_triples
+from .enumeration import DEFAULT_MAX_N, ambiguous_count, ambiguous_triples, check_cap
 from .errors import AmbigraphError, InternalInconsistency, UnknownOrbit
 from .harness import (
     SweepRow,
@@ -126,7 +126,7 @@ def _write(text, path, out):
 def _cmd_ambiguous(args, out):
     n = args.n
     if args.count_only:
-        out.write(f"{reduced_triples(n, args.max_n)[1]}\n")
+        out.write(f"{ambiguous_count(n, args.max_n)}\n")
         return EXIT_OK
     triples = ambiguous_triples(n, args.max_n)
     runs = (triples[i:i + _RUN] for i in range(0, len(triples), _RUN))

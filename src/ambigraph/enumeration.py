@@ -1,6 +1,7 @@
 """Enumeration of the ambiguous numbers of Q*(sqrt(n)) by one sieve pass:
-the whole set (ambiguous_triples), or for the orbit engines only the
-reduced triples and the set's size (reduced_triples).  Nothing is cached:
+the whole set (ambiguous_triples), for the orbit engines only the
+reduced triples and the set's size (reduced_triples), or the size alone
+(ambiguous_count).  Nothing is cached:
 each call sieves, and its caller hands the product to what reads it."""
 
 import math
@@ -142,16 +143,14 @@ def _divisors(m, a, factors, lo, hi):
 def reduced_triples(n: int, max_n: int = None):
     """(the reduced triples 0 <= s - a < c <= s + a in (a, c) order, T(n) =
     len(ambiguous_triples(n))) of a positive nonsquare n within the cap, s =
-    isqrt(n).  Per a, the sieve counts the k primitive divisors d of
-    m = n - a^2; each is c = d and c = -d of a, and of -a if a > 0, so each
-    block adds 4 * sum(k) to T(n), less 2k for a = 0.  A reduced c has c,
+    isqrt(n).  T(n) sums each block's _block_count.  A reduced c has c,
     |b| = m/c <= s + a (m < (s + 1)^2 - a^2 and c > s - a), so rows whose
     leftover prime exceeds s + a are skipped, and the others take the
     divisors in the window (s - a, s + a]."""
     _check(n, max_n)
     s, reduced, count = math.isqrt(n), [], 0
     for lo, rest, factor_lists, ks in _factor_rows(n):
-        count += 4 * sum(ks) - (0 if lo else 2 * ks[0])
+        count += _block_count(lo, ks)
         for a, q, factors in zip(range(lo, lo + len(ks)), rest, factor_lists):
             if q > s + a:
                 continue  # that prime divides c or |b|: no reduced triple here
@@ -159,6 +158,20 @@ def reduced_triples(n: int, max_n: int = None):
             reduced += [(a, -m // d, d)
                         for d in _divisors(m, a, factors, s - a, s + a)]
     return tuple(reduced), count
+
+
+def _block_count(lo, ks):
+    """A block's share of T(n), from its rows' primitive divisor counts k:
+    each divisor d of m = n - a^2 is c = d and c = -d of a, and of -a if
+    a > 0, so 4k per row, less 2k for a = 0."""
+    return 4 * sum(ks) - (0 if lo else 2 * ks[0])
+
+
+def ambiguous_count(n: int, max_n: int = None):
+    """T(n) = len(ambiguous_triples(n)) of a positive nonsquare n within the
+    cap, from the sieve's divisor counts alone: no divisor is listed."""
+    _check(n, max_n)
+    return sum(_block_count(lo, ks) for lo, _, _, ks in _factor_rows(n))
 
 
 def check_cap(n: int, max_n: int = None):

@@ -1,3 +1,4 @@
+import random
 from math import gcd, isqrt
 
 import pytest
@@ -5,14 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from ambigraph.cf import (
     _cf_classes,
+    _cycle,
     _default_limit,
+    _reduce,
     _reduced,
     _step,
     cf_expand,
     partition_cf,
     psl_equivalent,
 )
-from ambigraph.core import Element, is_ambiguous, make_element
+from ambigraph.core import Element, is_ambiguous, make_element, x_triple
 from ambigraph.diagram import OrbitPartition, partition_graph
 from ambigraph.enumeration import (
     ambiguous_triples,
@@ -113,6 +116,187 @@ def test_psl_equivalent_matches_partition():
                 assert psl_equivalent(rep, e) == (
                     index[rep.triple] == index[e.triple]
                 ), (rep, e)
+
+
+def _full_cycle_equivalent(e1, e2):
+    """The former rule, kept as the reference: list r1's whole cycle, then
+    r2 is on it and the cycle is odd or r2's index is even."""
+    s, limit = isqrt(e1.n), _default_limit(e1.n)
+    r1, r2 = _reduce(e1.triple, s, limit, e1), _reduce(e2.triple, s, limit, e2)
+    states = _cycle(r1, s, limit, e1)[0]
+    return r2 in states and (len(states) % 2 == 1 or states.index(r2) % 2 == 0)
+
+
+def test_psl_equivalent_equals_full_cycle_reference_up_to_300():
+    """Every orbit representative against every ambiguous element."""
+    for n in range(2, 301):
+        if isqrt(n) ** 2 == n:
+            continue
+        elements = enumerate_ambiguous(n)
+        for rec in partition_graph(n).orbits:
+            rep = rec.representative
+            for e in elements:
+                assert psl_equivalent(rep, e) == _full_cycle_equivalent(rep, e), (rep, e)
+
+
+def _with_preperiod(rng, t, n):
+    """A seeded element whose CF is 5 to 20 random partial quotients, then
+    that of the reduced triple t: each step is alpha = q + 1/beta, which for
+    beta > 1 and q >= 1 has the CF [q; beta's CF], so most of the quotients
+    are a real preperiod.  As 1/beta is (-a, -c, -b) for beta = (a, b, c),
+    alpha = (-a - q*b, ., -b)."""
+    for _ in range(rng.randint(5, 20)):
+        a, b, c = t
+        a, c = -a - rng.randint(1, 50) * b, -b
+        t = (a, (a * a - n) // c, c)
+    return Element.from_triple(t, n)
+
+
+def test_psl_equivalent_equals_full_cycle_reference_at_large_n():
+    """Seeded pairs at n in [2 * 10^5, 10^6]: elements with real preperiods
+    against their images under short words in x and y (equivalent), against
+    their reductions' cycle states at small distances both ways (equivalent
+    by parity or by an odd cycle), and against unrelated elements, ambiguous
+    or not."""
+    rng = random.Random(31)
+    ns = [n for n in rng.sample(range(200000, 1000001), 12) if isqrt(n) ** 2 != n]
+    verdicts, preperiods = set(), set()
+    for n in ns:
+        s, limit, table = isqrt(n), _default_limit(n), ambiguous_triples(n)
+        reduced = reduced_triples(n)[0]
+        for _ in range(6):
+            e = _with_preperiod(rng, rng.choice(reduced), n)
+            preperiods.add(len(cf_expand(e).preperiod))
+            others = [_with_preperiod(rng, rng.choice(reduced), n),
+                      Element.from_triple(rng.choice(table), n)]
+            t = e.triple
+            for _ in range(rng.randint(1, 8)):
+                t = x_triple(t)
+                if rng.randrange(2):
+                    t = y_triple(t)
+                others.append(Element.from_triple(t, n))
+            states = _cycle(_reduce(e.triple, s, limit, e), s, limit, e)[0]
+            for d in (1, 2, 3, 4, -1, -2, -3, -4):
+                others.append(Element.from_triple(states[d % len(states)], n))
+            for other in others:
+                want = _full_cycle_equivalent(e, other)
+                assert psl_equivalent(e, other) == want, (e, other)
+                assert psl_equivalent(other, e) == want, (other, e)
+                verdicts.add(want)
+    assert verdicts == {True, False} and max(preperiods) >= 15
+
+
+def _cycle_of(a, c, n):
+    """The elements on the CF cycle through the reduced (a + sqrt(n))/c."""
+    e = make_element(a, c, n)
+    s = isqrt(n)
+    assert _reduced(e.triple, s)
+    states = _cycle(e.triple, s, _default_limit(n), e)[0]
+    return [Element.from_triple(t, n) for t in states]
+
+
+@pytest.mark.parametrize("n, a, c, length, offset, want", [
+    # sqrt(13) = [3; 1, 1, 1, 1, 6]: an odd cycle of 5 absorbs the parity
+    (13, 3, 1, 5, 1, True),  # met forward, odd distance
+    (13, 3, 1, 5, 2, True),  # met forward, even distance
+    (13, 3, 1, 5, -1, True),  # met backward, odd distance
+    (13, 3, 1, 5, -2, True),  # met backward, even distance
+    # sqrt(19) = [4; 2, 1, 3, 1, 2, 8]: an even cycle of 6 holds two orbits
+    (19, 4, 1, 6, 1, False),  # met forward, odd distance
+    (19, 4, 1, 6, 2, True),  # met forward, even distance
+    (19, 4, 1, 6, -1, False),  # met backward, odd distance
+    (19, 4, 1, 6, -2, True),  # met backward, even distance
+    (19, 4, 1, 6, 3, False),  # the walks meet on r2, 3 steps either way
+    (7, 2, 1, 4, 2, True),  # the walks meet on r2, 2 steps either way
+    (7, 2, 1, 4, 1, False),
+])
+def test_psl_equivalent_named_distances(n, a, c, length, offset, want):
+    cycle = _cycle_of(a, c, n)
+    assert len(cycle) == length
+    r1, r2 = cycle[0], cycle[offset % length]
+    assert psl_equivalent(r1, r2) is want and psl_equivalent(r2, r1) is want
+    assert _full_cycle_equivalent(r1, r2) is want
+
+
+def test_psl_equivalent_same_reduction_and_shortest_cycles():
+    # r1 == r2: the element itself, and elements reducing to one triple
+    e = make_element(341, 66, 1194127)
+    assert psl_equivalent(e, e)
+    assert psl_equivalent(make_element(0, 1, 2), make_element(0, -1, 2))
+    # cycles of one state: n = 2 has one; n = 5 has two, in two orbits
+    assert len(_cycle_of(1, 1, 2)) == 1
+    one, other = _cycle_of(1, 2, 5), _cycle_of(2, 1, 5)
+    assert len(one) == len(other) == 1
+    assert not psl_equivalent(one[0], other[0])
+    assert not psl_equivalent(other[0], one[0])
+    # cycles of two states, one step apart, so in two orbits
+    for n, a, c in ((3, 1, 1), (6, 2, 1)):
+        cycle = _cycle_of(a, c, n)
+        assert len(cycle) == 2, n
+        assert not psl_equivalent(cycle[0], cycle[1])
+        assert not psl_equivalent(cycle[1], cycle[0])
+        assert psl_equivalent(cycle[1], cycle[1])
+
+
+def test_psl_equivalent_on_different_cycles():
+    n = 69984
+    s = isqrt(n)
+    reduced = reduced_triples(n)[0]
+    first = _cycle(reduced[0], s, len(reduced), n)[0]
+    t = next(t for t in reduced if t not in first)
+    e1, e2 = Element.from_triple(reduced[0], n), Element.from_triple(t, n)
+    assert len(first) > 2 and len(_cycle(t, s, len(reduced), n)[0]) > 2
+    assert not psl_equivalent(e1, e2) and not psl_equivalent(e2, e1)
+
+
+def test_psl_equivalent_costs_the_distance(monkeypatch):
+    """With the step limit cut to 6, far below the 296 states of the cycle
+    through 341,66's reduction at n = 1194127, a pair 2 steps apart either
+    way is settled, and a pair 1 step apart on that even cycle, which needs
+    the whole cycle for its parity, raises naming e1.  At a limit of 295,
+    the least that lets a full _cycle walk close those 296 states, the walks
+    close it too."""
+    from ambigraph import cf
+
+    n = 1194127
+    e1 = make_element(341, 66, n)
+    s = isqrt(n)
+    r1 = _reduce(e1.triple, s, _default_limit(n), e1)
+    states = _cycle(r1, s, _default_limit(n), e1)[0]
+    assert len(states) == 296
+    behind, ahead = make_element(1067, 66, n), make_element(403, 922, n)
+    one_behind = make_element(1045, 1547, n)
+    for e, d in ((behind, -2), (ahead, 2), (one_behind, -1)):
+        assert _reduce(e.triple, s, _default_limit(n), e) == states[d], d
+    monkeypatch.setattr(cf, "_default_limit", lambda n: 6)
+    assert psl_equivalent(e1, behind)
+    assert psl_equivalent(e1, ahead)
+    with pytest.raises(CycleLimitExceeded) as info:
+        psl_equivalent(e1, one_behind)
+    assert str(info.value) == f"no period within 6 CF steps of {e1}"
+    assert len(_cycle(r1, s, 295, e1)[0]) == 296
+    with pytest.raises(CycleLimitExceeded):
+        _cycle(r1, s, 294, e1)
+    monkeypatch.setattr(cf, "_default_limit", lambda n: 295)
+    assert not psl_equivalent(e1, one_behind)
+
+
+def test_psl_equivalent_closes_an_odd_cycle_in_one_trip(monkeypatch):
+    """n = 61 has an odd cycle of 11 states and one of 3.  At a limit of 10,
+    the least that lets a full _cycle walk close 11 states, the walks settle
+    a pair on different cycles and a pair 1 step apart on the odd cycle,
+    which is equivalent, by meeting each other after one trip round."""
+    from ambigraph import cf
+
+    n, s = 61, isqrt(61)
+    odd, three = _cycle_of(4, 5, n), _cycle_of(5, 6, n)
+    assert (len(odd), len(three)) == (11, 3)
+    assert len(_cycle(odd[0].triple, s, 10, n)[0]) == 11
+    with pytest.raises(CycleLimitExceeded):
+        _cycle(odd[0].triple, s, 9, n)
+    monkeypatch.setattr(cf, "_default_limit", lambda n: 10)
+    assert not psl_equivalent(odd[0], three[0])
+    assert psl_equivalent(odd[0], odd[1]) and psl_equivalent(odd[0], odd[-1])
 
 
 def test_cf_key_limit_leaves_no_position_markers(monkeypatch):

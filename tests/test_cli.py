@@ -152,6 +152,18 @@ def test_equivalent_command(run_cli):
     assert code == 0 and out == "not equivalent\n"
 
 
+@pytest.mark.parametrize("pair, name", [
+    # 2 steps behind on the 296-state cycle: settled at that distance
+    (("341,66", "1067,66"), "equivalent_1194127_behind.txt"),
+    # 1 step behind on that even cycle: parity needs the whole cycle
+    (("341,66", "1045,1547"), "equivalent_1194127_parity.txt"),
+])
+def test_equivalent_goldens(run_cli, golden, pair, name):
+    code, out = run_cli("equivalent", "--n", "1194127", "--", *pair)
+    assert code == 0
+    golden(name, out)
+
+
 def test_circuit_command(run_cli, golden):
     code, out = run_cli("circuit", "125", "--rep", "1,2")
     assert code == 0
@@ -566,17 +578,22 @@ def _spy_tables(monkeypatch):
 
 
 def test_count_only_builds_no_table(monkeypatch, run_cli):
-    """ambiguous --count-only prints T(n) from the reduced sieve: the
-    table's length for every nonsquare n <= 400, with no table built."""
+    """ambiguous --count-only prints T(n) from the sieve's divisor counts:
+    the table's length for every nonsquare n <= 400, with no table built
+    and no divisor listed."""
+    from ambigraph import enumeration
     from ambigraph.enumeration import ambiguous_triples
 
     want = {n: len(ambiguous_triples(n)) for n in range(1, 401)
             if math.isqrt(n) ** 2 != n}
     calls = _spy_tables(monkeypatch)
+    divisors, listed = enumeration._divisors, []
+    monkeypatch.setattr(enumeration, "_divisors",
+                        lambda *args: listed.append(args) or divisors(*args))
     for n, count in want.items():
         code, out = run_cli("ambiguous", str(n), "--count-only")
         assert code == 0 and out == f"{count}\n", n
-    assert calls == []
+    assert calls == [] and listed == []
 
 
 @pytest.mark.parametrize(

@@ -316,3 +316,34 @@ def test_reduced_sieve_is_checked(monkeypatch):
     with pytest.raises(LimitExceeded):
         reduced_triples(1009, max_n=1000)
     assert passes == []  # each check runs before any work
+
+
+def test_ambiguous_count_is_checked(monkeypatch):
+    from ambigraph.enumeration import ambiguous_count
+    from ambigraph.errors import NonPositiveN
+
+    assert ambiguous_count(125) == ambiguous_count(125, max_n=125) == 180
+    passes = _spy_passes(monkeypatch)
+    with pytest.raises(NonPositiveN):
+        ambiguous_count(0)
+    with pytest.raises(SquareN):
+        ambiguous_count(49)
+    with pytest.raises(LimitExceeded):
+        ambiguous_count(1009, max_n=1000)
+    assert passes == []  # each check runs before any work
+
+
+def test_ambiguous_count_is_the_table_length(monkeypatch):
+    """ambiguous_count(n) is len(ambiguous_triples(n)) at every nonsquare
+    n <= 1500, and T(n) of reduced_triples at 4295098403 both in the default
+    blocks of 2^16 rows (two blocks) and in one block above s."""
+    from ambigraph import enumeration
+
+    for n in range(2, 1501):
+        if _isqrt(n) ** 2 != n:
+            assert enumeration.ambiguous_count(n) == len(ambiguous_triples(n)), n
+    n = 4295098403
+    assert enumeration._BLOCK == 1 << 16 < _isqrt(n) + 1
+    assert enumeration.ambiguous_count(n, max_n=n) == 2488084
+    monkeypatch.setattr(enumeration, "_BLOCK", 1 << 17)
+    assert enumeration.ambiguous_count(n, max_n=n) == 2488084
