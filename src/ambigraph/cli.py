@@ -22,7 +22,7 @@ from .classify import (
     invariance_audits,
     odd_prime_divisors,
 )
-from .core import approx_values, make_element, triples_str
+from .core import approx_values, make_element, triple_str, triples_str
 from .diagram import closed_path, export_dot, partition_graph
 from .enumeration import DEFAULT_MAX_N, ambiguous_count, ambiguous_triples, check_cap
 from .errors import AmbigraphError, InternalInconsistency, UnknownOrbit
@@ -73,13 +73,13 @@ def _orbit_json(rec, n, classifiers):
     word = path_word(rec.path)
     circuit = circuit_from_word(word)
     exponents = ",\n      ".join(map(str, circuit.exponents))
-    t = rec.representative.triple
+    t = rec.path.anchor
     classes = ",\n    ".join(f'"{name}": {f(t)}' for name, f in classifiers.items())
     classes = "{\n    " + classes + "\n  }" if classes else "{}"
     ts, sep = rec.triples, '",\n    "'
     members = sep.join(sep.join(triples_str(ts[i:i + _RUN], n))
                        for i in range(0, len(ts), _RUN))
-    return (f'{{\n  "n": {json.dumps(_int(n))},\n  "rep": "{rec.representative}",\n'
+    return (f'{{\n  "n": {json.dumps(_int(n))},\n  "rep": "{triple_str(t, n)}",\n'
             f'  "members": [\n    "{members}"\n  ],\n  "circuit": {{\n'
             f'    "exponents": [\n      {exponents}\n    ],\n'
             f'    "start": "{circuit.start.value}"\n  }},\n  "word": "{word}",\n'
@@ -179,16 +179,13 @@ def _cmd_orbits(args, out):
             f"(method: {args.method})\n"
         )
         for o in partition.orbits:
-            circuit = circuit_from_path(o.path)
-            out.write(
-                f"  rep {o.representative}  length {o.ambiguous_length}"
-                f"  circuit {circuit}\n"
-            )
+            out.write(f"  rep {triple_str(o.path.anchor, args.n)}"
+                      f"  length {o.ambiguous_length}"
+                      f"  circuit {circuit_from_path(o.path)}\n")
     return EXIT_OK
 
 
 def _cmd_classify(args, out):
-    check_cap(args.n, args.max_n)
     kinds = {}  # JSON name -> (kind, p); p is None for mod 8
     if args.mod_p is not None:
         kinds["mod_p"] = (ClassifierKind.MOD_P, args.mod_p)
@@ -202,9 +199,9 @@ def _cmd_classify(args, out):
     classifiers = classifiers or _classifiers(args.n)
     doc = {"schema": SCHEMA_VERSION, "n": _int(args.n), "orbits": [], "audits": []}
     for o in partition.orbits:
-        classes = {name: f(o.representative.triple)
-                   for name, f in classifiers.items()}
-        doc["orbits"].append({"rep": str(o.representative), "classes": classes})
+        classes = {name: f(o.path.anchor) for name, f in classifiers.items()}
+        doc["orbits"].append({"rep": triple_str(o.path.anchor, args.n),
+                              "classes": classes})
     reports = invariance_audits(args.n, list(kinds.values()), args.audit_depth,
                                 args.seed, args.max_n)
     for (name, (_, p)), rpt in zip(kinds.items(), reports):
@@ -234,20 +231,14 @@ def _cmd_cf(args, out):
 
 
 def _cmd_equivalent(args, out):
-    a1, c1 = _parse_pair(args.first)
-    a2, c2 = _parse_pair(args.second)
-    check_cap(args.n, args.max_n)
-    e1 = make_element(a1, c1, args.n)
-    e2 = make_element(a2, c2, args.n)
-    verdict = psl_equivalent(e1, e2)
+    verdict = psl_equivalent(_element(args.first, args.n),
+                             _element(args.second, args.n))
     out.write(f"{'equivalent' if verdict else 'not equivalent'}\n")
     return EXIT_OK
 
 
 def _cmd_circuit(args, out):
-    a, c = _parse_pair(args.rep)
-    check_cap(args.n, args.max_n)
-    e = make_element(a, c, args.n)
+    e = _element(args.rep, args.n)
     path = closed_path(e)
     word = path_word(path)
     circuit = circuit_from_word(word)
@@ -261,9 +252,7 @@ def _cmd_circuit(args, out):
 
 
 def _cmd_check_word(args, out):
-    a, c = _parse_pair(args.rep)
-    check_cap(args.n, args.max_n)
-    e = make_element(a, c, args.n)
+    e = _element(args.rep, args.n)
     w = parse_word(args.word)
     verdict = check_word_fixes(w, e)
     doc = {
@@ -403,6 +392,11 @@ def _parse_pair(text):
         raise AmbigraphError(f"expected 'a,c', got {text!r}") from exc
 
 
+def _element(text, n):
+    """The element (a + sqrt(n))/c of an "a,c" argument."""
+    return make_element(*_parse_pair(text), n)
+
+
 def _parse_rep_with_n(text):
     try:
         ac, n = text.split("|")
@@ -506,14 +500,13 @@ def dispatch(argv, out=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
+        if hasattr(args, "n"):  # cf's n is in its element, checked there
+            check_cap(args.n, args.max_n)
         return args.func(args, out)
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except AmbigraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (AmbigraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

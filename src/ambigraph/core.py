@@ -12,7 +12,6 @@ the successor walk and the invariance audit.
 
 import re
 from collections import namedtuple
-from functools import lru_cache
 from math import gcd, isqrt
 from operator import attrgetter
 
@@ -28,10 +27,12 @@ from .errors import (
 _WIRE_FORM = re.compile(r"(-?[0-9]+),(-?[0-9]+),(-?[0-9]+)\|(-?[0-9]+)")
 
 
-@lru_cache(maxsize=4096)
-def _is_square(n: int) -> bool:
-    s = isqrt(n)
-    return s * s == n
+def check_n(n):
+    """Raise NonPositiveN unless n > 0, and SquareN if n is a square."""
+    if n <= 0:
+        raise NonPositiveN(f"n must be positive, got {n}")
+    if isqrt(n) ** 2 == n:
+        raise SquareN(f"n must be nonsquare, got {n}")
 
 
 # The x generator on triples.
@@ -85,10 +86,7 @@ class Element(namedtuple("Element", "a b c n")):
         return self
 
     def __post_init__(self):
-        if self.n <= 0:
-            raise NonPositiveN(f"n must be positive, got {self.n}")
-        if _is_square(self.n):
-            raise SquareN(f"n must be nonsquare, got {self.n}")
+        check_n(self.n)
         check_triple(self.triple, self.n)
 
     @property
@@ -113,10 +111,7 @@ class Element(namedtuple("Element", "a b c n")):
 
 def make_element(a: int, c: int, n: int) -> Element:
     """Build the element (a + sqrt(n))/c, deriving and validating b."""
-    if n <= 0:
-        raise NonPositiveN(f"n must be positive, got {n}")
-    if _is_square(n):
-        raise SquareN(f"n must be nonsquare, got {n}")
+    check_n(n)
     if c == 0:
         raise ZeroDenominator("c must be nonzero")
     num = a * a - n

@@ -155,9 +155,13 @@ _a, _b, _c = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
 class OrbitRecord(NamedTuple):
-    representative: Element  # the least member by (a, c)
-    path: ClosedPath  # walked from the representative
+    path: ClosedPath  # walked from the least member by (a, c), its anchor
     ambiguous_length: int  # the number of members
+
+    @property
+    def representative(self):
+        """The least member by (a, c), as an Element built on access."""
+        return Element.from_triple(self.path.anchor, self.path.n)
 
     @property
     def triples(self):
@@ -227,7 +231,7 @@ def partition_graph(n: int, max_n: int = None) -> OrbitPartition:
             if placed.setdefault(r, k) != k:
                 raise InternalInconsistency(
                     f"{r} lies on the walk of another orbit (n={n})")
-        records.append(OrbitRecord(Element.from_triple(rep, n), path, length))
+        records.append(OrbitRecord(path, length))
     total = sum(rec.ambiguous_length for rec in records)
     if total != count or len(placed) != len(reduced):  # each seed is placed
         odd = placed.keys() ^ set(reduced) or set(ambiguous_triples(n, max_n)) ^ {

@@ -6,8 +6,8 @@ each call sieves, and its caller hands the product to what reads it."""
 
 import math
 
-from .core import Element, _is_square
-from .errors import LimitExceeded, NonPositiveN, SquareN
+from .core import Element, check_n
+from .errors import LimitExceeded
 
 DEFAULT_MAX_N = 10 ** 8
 
@@ -78,7 +78,9 @@ def _factor_rows(n: int):
     block: the factors [(p, e), ...] of m = n - a^2; rest, what is left of m
     once the primes up to isqrt(n) are divided out (1, or a prime that is
     also the last factor); and k, the number of primitive divisors d of m,
-    those with gcd(a, d, m/d) = 1.
+    those with gcd(a, d, m/d) = 1.  The three lists are refilled in place
+    for each block, so a caller's names for the last block hold no second
+    block alive; read a block before asking for the next.
 
     The values m are factored by a sieve, as in the quadratic sieve: for
     each prime p <= sqrt(n), p | m exactly when a is a root of a^2 = n
@@ -91,11 +93,13 @@ def _factor_rows(n: int):
     """
     s = math.isqrt(n)
     pairs = [(p, r, n % p == 0) for p in _primes_upto(s) for r in _sqrt_mod(n, p)]
+    rest, factors, ks = [], [], []
     for lo in range(0, s + 1, _BLOCK):
         size = min(_BLOCK, s + 1 - lo)
-        rest = [n - a * a for a in range(lo, lo + size)]
-        factors = [[] for _ in range(size)]
-        ks = [1] * size
+        factors.clear()
+        rest[:] = [n - a * a for a in range(lo, lo + size)]
+        factors += [[] for _ in range(size)]
+        ks[:] = [1] * size
         for p, r, p_divides_n in pairs:
             single = (p, 1)  # e = 1, most hits: one tuple per prime
             for i in range((r - lo) % p, size, p):  # a range: a while is 1.5x slower
@@ -182,10 +186,7 @@ def check_cap(n: int, max_n: int = None):
 
 
 def _check(n, max_n):
-    if n <= 0:
-        raise NonPositiveN(f"n must be positive, got {n}")
-    if _is_square(n):
-        raise SquareN(f"n must be nonsquare, got {n}")
+    check_n(n)
     check_cap(n, max_n)
 
 

@@ -48,18 +48,20 @@ class Word(namedtuple("Word", "blocks notices")):
 
 IDENTITY_WORD = Word(())
 
-_BLOCK_RE = re.compile(r"\(\s*(y\^?2x|yx)\s*\)\s*(?:\^\s*(?:\{(\d+)\}|(\d+)))?")
-_RAW_RE = re.compile(r"y\^?2x|yyx|yx")
+_BLOCK_RE = re.compile(r"\(\s*(y\^?2x|yx)\s*\)\s*(?:\^\s*(?:\{(\d+)\}|(\d+)))?\s*")
+_RAW_RE = re.compile(r"(y\^?2x|yyx|yx)")
 
 
-def _merge_blocks(raw_blocks):
-    """Merge adjacent same-type blocks by exponent addition, noting each."""
+def _merge_blocks(raw_blocks, noted):
+    """Merge adjacent same-type blocks by exponent addition, noting each
+    merge when noted."""
     blocks, notices = [], []
     for t, run in groupby(raw_blocks, itemgetter(0)):
         totals = list(accumulate(m for _, m in run))
         blocks.append((t, totals[-1]))
-        notices += [f"merged adjacent ({t})-blocks into ({t})^{m}"
-                    for m in totals[1:]]
+        if noted:
+            notices += [f"merged adjacent ({t})-blocks into ({t})^{m}"
+                        for m in totals[1:]]
     return Word(tuple(blocks), tuple(notices))
 
 
@@ -67,35 +69,23 @@ def parse_word(text: str) -> Word:
     """Parse "(yx)^5(y^2x)^11(yx)^6" style notation, a raw yx/y2x string or "1".
 
     Adjacent same-type blocks are merged by exponent addition and noted on the
-    returned word, since published words occasionally contain them.
+    returned word, since published words occasionally contain them; a raw
+    string's tokens are merged with no notice.
     """
     s = text.strip()
     if not s or s == "1":
         return IDENTITY_WORD
-    if "(" in s:
-        raw_blocks = []
-        pos = 0
-        while pos < len(s):
-            m = _BLOCK_RE.match(s, pos)
-            if m is None:
-                raise ParseError(f"cannot parse word at position {pos}: {s[pos:]!r}")
-            tag = StepType.YX if m.group(1) == "yx" else StepType.YYX
-            exp = int(m.group(2) or m.group(3) or 1)
-            raw_blocks.append((tag, exp))
-            pos = m.end()
-            while pos < len(s) and s[pos].isspace():
-                pos += 1
-        return _merge_blocks(raw_blocks)
-    # raw generator string: greedy scan of yx / yyx / y2x tokens
-    tags = []
-    pos = 0
+    pattern, kind = (_BLOCK_RE, "word") if "(" in s else (_RAW_RE, "raw word")
+    raw_blocks, pos = [], 0
     while pos < len(s):
-        m = _RAW_RE.match(s, pos)
+        m = pattern.match(s, pos)
         if m is None:
-            raise ParseError(f"cannot parse raw word at position {pos}: {s[pos:]!r}")
-        tags.append(StepType.YX if m.group(0) == "yx" else StepType.YYX)
+            raise ParseError(f"cannot parse {kind} at position {pos}: {s[pos:]!r}")
+        tag, *exponent = m.groups()  # a raw token has no exponent
+        raw_blocks.append((StepType.YX if tag == "yx" else StepType.YYX,
+                           int("".join(filter(None, exponent)) or 1)))
         pos = m.end()
-    return Word(tuple((t, len(list(run))) for t, run in groupby(tags)))
+    return _merge_blocks(raw_blocks, pattern is _BLOCK_RE)
 
 
 class Mat2(NamedTuple):

@@ -249,6 +249,14 @@ def test_verify_examples_exit_code(run_cli):
     assert code == 2  # errata found
 
 
+def test_verify_examples_json_golden(run_cli, golden):
+    """The findings carry the merge notice of a published word and the
+    fixed-point quadratics of the words checked."""
+    code, out = run_cli("verify", "--examples", "--json")
+    assert code == 2
+    golden("verify_examples.json", out)
+
+
 def test_sweep_json(run_cli, golden):
     code, out = run_cli("sweep", "--p", "3,5", "--k", "3", "--l", "0,1", "--json")
     assert code == 0
@@ -476,7 +484,12 @@ def test_big_integer_serialization():
     assert _int(2 ** 62) == 2 ** 62
 
 
-def test_point_queries_honour_max_n(run_cli):
+def test_point_queries_honour_max_n(monkeypatch, run_cli, capsys):
+    """Every subcommand that takes an n meets the cap first, once, in
+    dispatch: an n over it exits 1 whatever else is malformed, before any
+    sieve pass."""
+    from ambigraph import enumeration
+
     for argv in (
         ("--max-n", "1000", "circuit", "1009", "--rep", "1,2"),
         ("--max-n", "1000", "equivalent", "0,1", "1,2", "--n", "1009"),
@@ -485,6 +498,23 @@ def test_point_queries_honour_max_n(run_cli):
     ):
         code, out = run_cli(*argv)
         assert code == 1 and out == "", argv
+    passes, factor = [], enumeration._factor_rows
+    monkeypatch.setattr(enumeration, "_factor_rows",
+                        lambda n: passes.append(n) or factor(n))
+    capsys.readouterr()
+    for argv in (
+        ("ambiguous", "1009", "--count-only"),
+        ("orbits", "1009", "--json"),
+        ("classify", "1009", "--audit-depth", "-1"),
+        ("equivalent", "0,1", "x", "--n", "1009"),
+        ("circuit", "1009", "--rep", "1"),
+        ("check-word", "1009", "(zz)", "--rep", "1,2,3"),
+        ("export-dot", "1009", "--rep", "1"),
+    ):
+        code, out = run_cli("--max-n", "1000", *argv)
+        assert code == 1 and out == "", argv
+        assert "exceeds configured cap 1000" in capsys.readouterr().err, argv
+    assert passes == []
 
 
 def test_circuit_above_default_cap_fails_fast(run_cli):
@@ -628,6 +658,8 @@ def test_classify_rejects_bad_input_before_partitioning(run_cli, monkeypatch, ar
 
 
 def test_orbits_json_builds_one_element_per_orbit(monkeypatch, run_cli, golden):
+    """Orbit records hold triples, so orbits --json and classify --json
+    build no Element at all; one make_element shows the spy is live."""
     from ambigraph import core
 
     built = []
@@ -640,13 +672,15 @@ def test_orbits_json_builds_one_element_per_orbit(monkeypatch, run_cli, golden):
     monkeypatch.setattr(core, "check_triple", spy)  # run by every Element
     code, out = run_cli("orbits", "216", "--json")
     assert code == 0
-    doc = json.loads(out)
-    assert 0 < len(built) <= doc["orbit_count"] == 4
-    assert sum(len(o["members"]) for o in doc["orbits"]) > 4 * len(built)
-    built.clear()
+    golden("orbits_216.json", out)
+    assert json.loads(out)["orbit_count"] == 4
     code, out = run_cli("orbits", "125", "--json")
     golden("orbits_125.json", out)
-    assert len(built) <= json.loads(out)["orbit_count"]
+    code, out = run_cli("classify", "216", "--mod8", "--json")
+    golden("classify_216.json", out)
+    assert built == []
+    core.make_element(1, 2, 125)
+    assert built == [(1, -62, 2)]
 
 
 def test_cf_builds_only_the_parsed_element(monkeypatch, run_cli):

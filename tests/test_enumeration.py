@@ -5,7 +5,7 @@ import pytest
 
 from ambigraph.core import Element, is_ambiguous, x_triple
 from ambigraph.enumeration import ambiguous_triples, enumerate_ambiguous
-from ambigraph.errors import LimitExceeded, SquareN
+from ambigraph.errors import AmbigraphError, LimitExceeded, SquareN
 
 from generator_action import y_triple
 
@@ -347,3 +347,38 @@ def test_ambiguous_count_is_the_table_length(monkeypatch):
     assert enumeration.ambiguous_count(n, max_n=n) == 2488084
     monkeypatch.setattr(enumeration, "_BLOCK", 1 << 17)
     assert enumeration.ambiguous_count(n, max_n=n) == 2488084
+
+
+@pytest.mark.parametrize("n", [0, -5, 16, 10 ** 6])
+def test_one_rule_for_n(n):
+    """Element, make_element and the three sieve products reject a
+    nonpositive or square n by one rule: the same class and message."""
+    from ambigraph.core import check_n, make_element
+    from ambigraph.enumeration import ambiguous_count, reduced_triples
+
+    with pytest.raises(AmbigraphError) as want:
+        check_n(n)
+    for build in (lambda: Element(1, 1, 1, n), lambda: make_element(1, 1, n),
+                  lambda: ambiguous_triples(n), lambda: reduced_triples(n),
+                  lambda: ambiguous_count(n)):
+        with pytest.raises(AmbigraphError) as got:
+            build()
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+    assert str(want.value) == (f"n must be positive, got {n}" if n <= 0
+                               else f"n must be nonsquare, got {n}")
+
+
+def test_sieve_blocks_are_refilled_in_place(monkeypatch):
+    """_factor_rows yields every block in the same three lists, so a
+    caller's names for one block keep no second block alive; the counts
+    are those of one block."""
+    from ambigraph import enumeration
+
+    monkeypatch.setattr(enumeration, "_BLOCK", 8)
+    blocks = list(enumeration._factor_rows(1105))  # s = 33: five blocks
+    assert [lo for lo, *_ in blocks] == [0, 8, 16, 24, 32]
+    assert len({tuple(map(id, lists)) for _, *lists in blocks}) == 1
+    count = enumeration.ambiguous_count(1105)
+    monkeypatch.setattr(enumeration, "_BLOCK", 1 << 16)
+    assert count == enumeration.ambiguous_count(1105) == len(ambiguous_triples(1105))

@@ -89,6 +89,43 @@ def test_parse_word_raw_string():
         parse_word("(yx)^a")
 
 
+# (text, (str(word), notices)) or (text, the ParseError message): both
+# notations, spaces between and after blocks, ^{k} exponents, bad tokens
+PARSE_CORPUS = [
+    ("(yx)^5(y^2x)^11(yx)^6", ("(yx)^5(y2x)^11(yx)^6", ())),
+    ("(yx)^5 (y^2x)^11\t(yx)^6   ", ("(yx)^5(y2x)^11(yx)^6", ())),
+    ("  ( yx ) ^ {5}(y2x)^{11}  (yx)", ("(yx)^5(y2x)^11(yx)^1", ())),
+    ("(yx)^1(yx)^2(yx)^3(y^2x)(y^2x)(yx)", ("(yx)^6(y2x)^2(yx)^1", (
+        "merged adjacent (yx)-blocks into (yx)^3",
+        "merged adjacent (yx)-blocks into (yx)^6",
+        "merged adjacent (y2x)-blocks into (y2x)^2"))),
+    ("(yx)^5  (yx)^{22} ", ("(yx)^27", ("merged adjacent (yx)-blocks into (yx)^27",))),
+    ("(yx)^5 (zz)", "cannot parse word at position 7: '(zz)'"),
+    ("(yx)^a", "cannot parse word at position 4: '^a'"),
+    ("(yx)^{5", "cannot parse word at position 4: '^{5'"),
+    ("(yx) ^ x", "cannot parse word at position 5: '^ x'"),
+    ("(yx)^5(y^2x)^11 yx", "cannot parse word at position 16: 'yx'"),
+    ("yxyxy2xyyxyx", ("(yx)^2(y2x)^2(yx)^1", ())),
+    ("y^2xyx", ("(y2x)^1(yx)^1", ())),
+    ("yx yx", "cannot parse raw word at position 2: ' yx'"),
+    ("yxz", "cannot parse raw word at position 2: 'z'"),
+    ("yyyx", "cannot parse raw word at position 0: 'yyyx'"),
+    ("1", ("1", ())), (" 1 ", ("1", ())), ("", ("1", ())),
+    ("11", "cannot parse raw word at position 0: '11'"),
+]
+
+
+@pytest.mark.parametrize("text, want", PARSE_CORPUS)
+def test_parse_word_corpus(text, want):
+    if isinstance(want, str):
+        with pytest.raises(ParseError) as exc:
+            parse_word(text)
+        assert str(exc.value) == want
+    else:
+        w = parse_word(text)
+        assert (str(w), w.notices) == want
+
+
 def test_parse_word_reads_what_str_writes():
     assert str(IDENTITY_WORD) == "1"
     assert parse_word("1") == IDENTITY_WORD and parse_word(" 1 ") == IDENTITY_WORD
