@@ -182,22 +182,21 @@ def _cf_classes(n, reduced):
 
 
 def partition_cf(n: int, max_n: int = None) -> OrbitPartition:
-    """The successor walk's partition, checked against the CF cycles: each
-    CF class must be exactly one graph orbit's reduced triples, with that
-    orbit's length, else InternalInconsistency names n and a class.  Each
-    orbit's walk starts at a reduced triple, which some class holds, so
-    every orbit is matched or the check fails.  The CF cycles walk from the
-    keys of the walk's reduced map, which partition_graph has checked to be
-    exactly the sieve's reduced triples, so n is sieved once."""
-    pg = partition_graph(n, max_n=max_n)
-    graph = {}  # orbit index -> its reduced triples
-    for t, i in pg.reduced.items():
-        graph.setdefault(i, set()).add(t)
+    """The successor walk's partition, checked against the CF cycles: the
+    walk's reduced map must send every state of a CF class to one orbit
+    index, matched by no other class, whose record has the class's length,
+    else InternalInconsistency names n and a class.  The CF cycles walk from
+    the keys of that map, which partition_graph has checked to be exactly
+    the sieve's reduced triples, so n is sieved once, and every key lies in
+    some class: so each class is exactly one orbit's reduced triples."""
+    pg, matched = partition_graph(n, max_n=max_n), set()  # orbit indices
     for states, length in _cf_classes(n, pg.reduced):
         i = pg.reduced.get(states[0])
-        if graph.pop(i, None) != set(states) or pg.orbits[i].ambiguous_length != length:
+        if (i is None or i in matched or pg.orbits[i].ambiguous_length != length
+                or any(pg.reduced.get(t) != i for t in states)):
             raise InternalInconsistency(
                 f"graph and CF partitions disagree for n={n} at the CF class "
                 f"of {states[0]}, {len(states)} reduced triples of length {length}"
             )
+        matched.add(i)
     return pg

@@ -214,8 +214,8 @@ def class_occupancy(partition, classify) -> ClassSummary:
     each step of a run, so its least member by (a, c), and that of its
     x-images, is at an end.  One map classifies an orbit's ends: each
     block's first vertex, the last of each block of k > 1, and their
-    x-images; then one compress pass per class (none for a one-class
-    orbit) sums the k of the blocks starting in it and finds its least."""
+    x-images.  Each class of a split orbit takes one compress pass for its
+    k sum and its least; a one-class orbit's are its length and anchor."""
     orbit_classes, occupancy, least, key = [], Counter(), {}, itemgetter(0, 2)
     for record in partition.orbits:
         ends = record.path.block_ends()
@@ -228,11 +228,11 @@ def class_occupancy(partition, classify) -> ClassSummary:
         vals = list(map(classify, ts))
         values = set(vals)
         for v in values:
-            hits = None if len(values) == 1 else list(map(v.__eq__, vals))
-            total = sum(ks) if hits is None else sum(compress(ks, hits))
+            hits = len(values) > 1 and list(map(v.__eq__, vals))
+            total = sum(compress(ks, hits)) if hits else record.ambiguous_length
             if total:  # a class met only at last vertices holds no member here
                 occupancy[v] += total
-            t = min(ts if hits is None else compress(ts, hits), key=key)
+            t = min(compress(ts, hits), key=key) if hits else record.path.anchor
             least[v] = min(t, least.get(v, t), key=key)
         orbit_classes.append(frozenset(values))
     return ClassSummary(tuple(orbit_classes), dict(sorted(occupancy.items())), least)

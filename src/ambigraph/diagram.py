@@ -84,6 +84,13 @@ def _runs(t, n, limit=inf):
         seen.add(t)
 
 
+def _run_from(t, s):
+    """The run (StepType, k) that _runs takes from t (s = isqrt(n))."""
+    a, b, c = t
+    tag, u = (_YX, c) if (b + 2 * a + c) * c < 0 else (_YYX, b)
+    return tag, (s - a) // u if u > 0 else (s + a) // -u
+
+
 class ClosedPath(namedtuple("ClosedPath", "n anchor blocks")):
     """The closed successor cycle through an ambiguous anchor.
 
@@ -202,9 +209,10 @@ def partition_graph(n: int, max_n: int = None) -> OrbitPartition:
     steps when x maps C onto itself.  Its least member by (a, c) is the
     representative; its closed path is C's blocks rotated to start there
     or, on x(C), reversed with YX and Y2X swapped: a YX step t -> t' is a
-    Y2X step x(t') -> x(t).  A triple placed in two orbits, or placed reduced
-    triples or lengths that differ from the sieve's, raise
-    InternalInconsistency, which alone builds the table.
+    Y2X step x(t') -> x(t).  A path that does not start with the run from
+    its anchor and end with the run out of x(anchor) swapped, a triple
+    placed in two orbits, or placed reduced triples or lengths that differ
+    from the sieve's raise InternalInconsistency, which alone builds the table.
     """
     reduced, count = reduced_triples(n, max_n)
     s = isqrt(n)
@@ -214,9 +222,10 @@ def partition_graph(n: int, max_n: int = None) -> OrbitPartition:
             continue
         k = len(records)
         starts, blocks = _runs(seed, n, count)
-        lo, hi = min(map(_a, starts)), max(map(_a, starts))
-        v = min(compress(starts, map(lo.__eq__, map(_a, starts))), key=_c)
-        w = min(compress(starts, map(hi.__eq__, map(_a, starts))), key=_b)
+        avals = list(map(_a, starts))
+        lo, hi = min(avals), max(avals)
+        v = min(compress(starts, map(lo.__eq__, avals)), key=_c)
+        w = min(compress(starts, map(hi.__eq__, avals)), key=_b)
         if (-hi, w[1]) < (lo, v[2]):  # the least member is x(w), on x(C)
             rep, j = (-hi, w[2], w[1]), starts.index(w)
             word = [(_YYX if t is _YX else _YX, m)
@@ -224,6 +233,11 @@ def partition_graph(n: int, max_n: int = None) -> OrbitPartition:
         else:
             rep, j = v, starts.index(v)
             word = blocks[j:] + blocks[:j]
+        tag, m = _run_from(x_triple(rep), s)  # the last block, reversed by x
+        if (word[0] != _run_from(rep, s)
+                or word[-1] != (_YYX if tag is _YX else _YX, m)):
+            raise InternalInconsistency(f"the closed path at anchor {rep} does not "
+                                        f"start and end with its runs (n={n})")
         path = ClosedPath(n, rep, tuple(word))
         rx = [(-a, c, b) for a, b, c in starts if 0 <= s + a < b <= s - a]
         length = len(path) * (1 if seed in rx else 2)  # 1: x maps C onto itself

@@ -1020,13 +1020,39 @@ def _run_mutant(tmp_path, module, old, new, *argv):
     ("enumeration.py", "low < (x := d * q)", "low + 1 < (x := d * q)",
      "orbits hold 232 triples and 12 reduced ones, the sieve 232 and 9; "
      "first difference [(6, -20, 9)]"),
+    # an even CF cycle yielded as one class, not split by index parity
+    ("cf.py", "yield states[0::2], 2 * q\n            yield states[1::2], 2 * q",
+     "yield states, 2 * q", "graph and CF partitions disagree"),
+    # one state of an even cycle put into its sibling class as well
+    ("cf.py", "yield states[0::2], 2 * q", "yield states[0::2] + states[1:2], 2 * q",
+     "graph and CF partitions disagree"),
 ], ids=["successor-branch", "run-length", "cf-quotient", "dropped-reduced",
-        "count-off-by-one", "lower-prune"])
+        "count-off-by-one", "lower-prune", "cf-even-cycle-unsplit",
+        "cf-state-in-sibling-class"])
 def test_engine_mutations_exit_3(tmp_path, module, old, new, message):
     code, out, err = _run_mutant(tmp_path, module, old, new, "orbits", "216")
     assert code == 3 and out == "", (code, out)
     assert err.startswith("internal inconsistency:") and message in err, err
     assert "n=216" in err
+
+
+@pytest.mark.parametrize("old, new, argv, anchor", [
+    # the path on C rotated one block late: it starts at the next run start
+    ("word = blocks[j:] + blocks[:j]", "word = blocks[j + 1:] + blocks[:j + 1]",
+     ("orbits", "69984"), "(-261, -81, 23)"),
+    # the path on x(C) reversed without swapping YX and Y2X
+    ("word = [(_YYX if t is _YX else _YX, m)", "word = [(t, m)",
+     ("orbits", "216", "--json"), "(-14, 1, -20)"),
+], ids=["rotated-late", "reversed-unswapped"])
+def test_record_path_mutations_exit_3(tmp_path, old, new, argv, anchor):
+    """A record's closed path is derived from the seed walk's blocks, not
+    walked from its anchor; partition_graph checks its first and last
+    block, so a wrongly rotated or unswapped path exits 3 naming n and the
+    anchor."""
+    code, out, err = _run_mutant(tmp_path, "diagram.py", old, new, *argv)
+    assert code == 3 and out == "", (code, out)
+    assert err.startswith("internal inconsistency:") and f"anchor {anchor}" in err, err
+    assert f"n={argv[1]}" in err
 
 
 def test_sweep_exits_3_when_the_engines_disagree_out_of_scope(tmp_path):

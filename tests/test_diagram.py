@@ -2,6 +2,7 @@ import json
 import sys
 from itertools import groupby
 from math import isqrt
+from operator import itemgetter
 
 import pytest
 
@@ -307,6 +308,7 @@ def test_union_find_matches_cf_groups_up_to_1500(per_n):
                 rec.representative), (n, rec.path)
             assert rec.ambiguous_length == len(path) * (
                 1 if x_triple(path.anchor) in vertices else 2), n
+            assert rec.path.anchor == min(members, key=itemgetter(0, 2)), n
 
 
 def test_generators_on_the_ambiguous_set_up_to_1500():
