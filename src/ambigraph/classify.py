@@ -65,7 +65,9 @@ def classifier_for(kind: ClassifierKind, n: int, p: int = None):
     Euler's criterion on the residue, or the low three bits.
     """
     if kind is ClassifierKind.MOD_P:
-        if p >= 3 and n % p != 0:  # first, so that the prime test runs on p <= n
+        if p is None or p < 3:
+            raise NotOddPrime(f"{p} is not an odd prime")
+        if n % p != 0:  # first, so that the prime test runs on p <= n
             raise PNotDividesN(f"p={p} does not divide n={n}")
         legendre(1, p)  # raises NotOddPrime unless p is an odd prime
         half = (p - 1) // 2

@@ -12,6 +12,7 @@ computationally refutable and the reports say so explicitly.
 
 import time
 from collections import namedtuple
+from itertools import product
 from typing import NamedTuple
 
 from .classify import (ClassifierKind, ClassSummary, class_occupancy,
@@ -104,47 +105,34 @@ class RepResolution(NamedTuple):
     note: str  # empty when the literal representative was valid
 
 
-def resolve_rep(
-    spec: RepSpec, n: int, p: int = None, max_n: int = None, *,
-    summary: ClassSummary = None,
-) -> RepResolution:
+def resolve_rep(spec: RepSpec, n: int, classify,
+                summary: ClassSummary) -> RepResolution:
     """The element of spec's literal (a, c) or, when that is not a valid
     ambiguous element, the least member of the intended class, read from
-    summary (class_occupancy of n's partition under spec's classifier, which
-    is built when not given)."""
-    classify = classifier_for(spec.kind, n, p)
+    summary (class_occupancy of n's partition under classify)."""
     try:
         e = make_element(spec.a, spec.c, n)
         if not is_ambiguous(e):
             raise AmbigraphError("representative is not ambiguous")
-        value = classify(e.triple)
-        if value == spec.intended_value:
-            return RepResolution(spec, e, False, "")
-        note = (
-            f"literal representative ({spec.a},{spec.c}|{n}) has class "
-            f"{value}, not the intended {spec.intended_value} "
-            "(classifier degeneracy)"
-        )
-        return RepResolution(spec, e, False, note)
     except AmbigraphError as exc:
-        reason = str(exc)
-    if summary is None:
-        summary = class_occupancy(cross_checked_partition(n, max_n=max_n), classify)
-    t = summary.least.get(spec.intended_value)
-    if t is not None:
+        t = summary.least.get(spec.intended_value)
+        if t is None:
+            return RepResolution(spec, None, False, "no ambiguous element of "
+                                 f"class {spec.intended_value} exists for n={n}")
         cand = Element.from_triple(t, n)
         note = (
             f"literal representative ({spec.a},{spec.c}|{n}) is invalid "
-            f"({reason}); substituted least element of class "
+            f"({exc}); substituted least element of class "
             f"{spec.intended_value}: {cand}"
         )
         return RepResolution(spec, cand, True, note)
-    return RepResolution(
-        spec,
-        None,
-        False,
-        f"no ambiguous element of class {spec.intended_value} exists for n={n}",
+    value = classify(e.triple)
+    note = "" if value == spec.intended_value else (
+        f"literal representative ({spec.a},{spec.c}|{n}) has class "
+        f"{value}, not the intended {spec.intended_value} "
+        "(classifier degeneracy)"
     )
+    return RepResolution(spec, e, False, note)
 
 
 class VerdictReport(NamedTuple):
@@ -179,14 +167,10 @@ class VerdictReport(NamedTuple):
 def verify_case(case: TheoremCase, max_n: int = None) -> VerdictReport:
     start = time.perf_counter()
     partition = cross_checked_partition(case.n, max_n=max_n)
-    kind = THEOREMS[case.theorem][3]
-    p = None if kind is ClassifierKind.MOD_8 else case.p
-    summary = class_occupancy(partition, classifier_for(kind, case.n, p))
-
-    resolutions = tuple(
-        resolve_rep(spec, case.n, case.p, max_n=max_n, summary=summary)
-        for spec in predict(case)
-    )
+    classify = classifier_for(THEOREMS[case.theorem][3], case.n, case.p)
+    summary = class_occupancy(partition, classify)
+    resolutions = tuple(resolve_rep(spec, case.n, classify, summary)
+                        for spec in predict(case))
     errata = [res.note for res in resolutions if res.note]
 
     rep_orbits = tuple(
@@ -336,21 +320,14 @@ def check_paper_examples(max_n: int = None) -> ExamplesReport:
         # the published representative (0 + sqrt(n))/3 is not primitive
         try:
             make_element(0, 3, n)
-            rep_note = ""
         except AmbigraphError as exc:
-            rep_note = (
-                f"published representative (0+sqrt({n}))/3 is not a valid "
-                f"primitive triple ({exc}); class-3 elements exist and are "
-                "substituted"
-            )
-        if rep_note:
-            findings.append(
-                Finding(
-                    f"published representative sqrt({n})/3 is a valid element",
-                    False,
-                    errata=rep_note,
-                )
-            )
+            findings.append(Finding(
+                f"published representative sqrt({n})/3 is a valid element",
+                False,
+                errata=f"published representative (0+sqrt({n}))/3 is not a "
+                f"valid primitive triple ({exc}); class-3 elements exist and "
+                "are substituted",
+            ))
     return ExamplesReport(tuple(findings))
 
 
@@ -376,49 +353,37 @@ def _theorem_for(p, l):
                 if (want, m) == (l, mod4) or m is None and l >= want)
 
 
+def _sweep_row(p, k, l, max_n):
+    """The row of (p, k, l): skipped past the cap; out-of-scope, with its
+    orbit count, when k is even or below 3, as no theorem claims it; else
+    its theorem's verdict.  An error in either becomes the row's detail."""
+    big = _beyond_cap(p, k, l, max_n)
+    n = -1 if big else p ** k << l  # p^k first: 0 << l costs nothing
+    if big or n > max_n:
+        return SweepRow(p, k, l, n, "", "skipped", -1, -1,
+                        f"n exceeds cap {max_n}")
+    claimed = k % 2 == 1 and k >= 3
+    theorem = _theorem_for(p, l) if claimed else ""
+    try:
+        if not claimed:
+            return SweepRow(p, k, l, n, "", "out-of-scope",
+                            len(cross_checked_partition(n, max_n=max_n)), -1,
+                            "k even or k < 3: no claim attached")
+        case = make_case(theorem, p, k, l, max_n)
+        report = verify_case(case, max_n=max_n)
+    except (AmbigraphError, ValueError) as exc:  # ValueError: make_case
+        if isinstance(exc, InternalInconsistency):
+            raise
+        return SweepRow(p, k, l, n, theorem,
+                        "error" if claimed else "out-of-scope", -1, -1, str(exc))
+    status = ("exploratory" if case.exploratory
+              else "pass" if report.passed else "fail")
+    return SweepRow(p, k, l, n, theorem, status, report.computed_count,
+                    case.expected_count, "; ".join(report.errata_notes))
+
+
 def sweep(ps, ks, ls, max_n: int) -> tuple:
     """One row per (p, k, l), in deterministic iteration order."""
     if any(v < 0 for v in (*ks, *ls)):
         raise AmbigraphError(f"k and l must be >= 0, got k={ks}, l={ls}")
-    rows = []
-    for p in ps:
-        for k in ks:
-            for l in ls:
-                big = _beyond_cap(p, k, l, max_n)
-                n = -1 if big else p ** k << l  # p^k first: 0 << l costs nothing
-                if big or n > max_n:
-                    rows.append(SweepRow(p, k, l, n, "", "skipped", -1, -1,
-                                         f"n exceeds cap {max_n}"))
-                    continue
-                if k % 2 == 0 or k < 3:
-                    try:
-                        count = len(cross_checked_partition(n, max_n=max_n))
-                        note = "k even or k < 3: no claim attached"
-                    except InternalInconsistency:
-                        raise
-                    except AmbigraphError as exc:
-                        count = -1
-                        note = str(exc)
-                    rows.append(SweepRow(p, k, l, n, "", "out-of-scope",
-                                         count, -1, note))
-                    continue
-                theorem = _theorem_for(p, l)
-                try:
-                    case = make_case(theorem, p, k, l, max_n)
-                    report = verify_case(case, max_n=max_n)
-                except InternalInconsistency:
-                    raise
-                except (AmbigraphError, ValueError) as exc:  # ValueError: make_case
-                    rows.append(SweepRow(p, k, l, n, theorem, "error",
-                                         -1, -1, str(exc)))
-                    continue
-                if case.exploratory:
-                    status = "exploratory"
-                else:
-                    status = "pass" if report.passed else "fail"
-                rows.append(
-                    SweepRow(p, k, l, n, theorem, status,
-                             report.computed_count, case.expected_count,
-                             "; ".join(report.errata_notes))
-                )
-    return tuple(rows)
+    return tuple(_sweep_row(p, k, l, max_n) for p, k, l in product(ps, ks, ls))

@@ -189,6 +189,18 @@ def test_legendre_rejects_non_odd_primes():
             legendre(3, p)
 
 
+def test_mod_p_classifier_rejects_non_odd_primes():
+    """p = None (invariance_audit's default) and p < 3 are rejected before
+    the divisibility test; 9, which divides 243, by the prime test."""
+    for p in (None, -3, 1, 2, 9):
+        with pytest.raises(NotOddPrime):
+            classifier_for(ClassifierKind.MOD_P, 243, p)
+        with pytest.raises(NotOddPrime):
+            invariance_audit(243, ClassifierKind.MOD_P, p=p, depth=0)
+    with pytest.raises(NotOddPrime):
+        invariance_audit(125, ClassifierKind.MOD_P)
+
+
 def test_odd_prime_divisors():
     from ambigraph.classify import odd_prime_divisors
 

@@ -272,6 +272,17 @@ def test_sweep_5_5_json_golden(run_cli, golden):
     golden("sweep_5_5_l2_4.json", out)
 
 
+def test_sweep_statuses_json_golden(run_cli, golden):
+    """Every row status in one grid: pass and fail; exploratory, with
+    p = 17's degeneracy note; out-of-scope with a count and with the
+    square-n error; error at p = 9; skipped by the bit-length test
+    (n = -1) and by the exact test (n = 59049)."""
+    code, out = run_cli("--max-n", "50000", "sweep", "--p", "3,9,17",
+                        "--k", "2,3,5", "--l", "0,1,3", "--json")
+    assert code == 2
+    golden("sweep_statuses.json", out)
+
+
 def test_sweep_csv(run_cli, golden):
     code, out = run_cli("sweep", "--p", "3,5", "--k", "3", "--l", "0,1", "--csv")
     assert code == 0

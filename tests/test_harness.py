@@ -97,16 +97,22 @@ def test_predict():
 
 
 def test_resolve_rep():
-    res = resolve_rep(RepSpec(1, 3, ClassifierKind.MOD_8, 3), 1000)
+    from ambigraph.cf import partition_cf
+    from ambigraph.classify import class_occupancy, classifier_for
+
+    def resolve(spec, n):
+        classify = classifier_for(spec.kind, n)
+        return resolve_rep(spec, n, classify,
+                           class_occupancy(partition_cf(n), classify))
+
+    res = resolve(RepSpec(1, 3, ClassifierKind.MOD_8, 3), 1000)
     assert res.element.triple == (1, -333, 3) and not res.substituted
 
-    res = resolve_rep(RepSpec(1, 3, ClassifierKind.MOD_8, 3), 216)
+    res = resolve(RepSpec(1, 3, ClassifierKind.MOD_8, 3), 216)
     assert res.substituted and res.note
-    from ambigraph.classify import classifier_for
-
     assert classifier_for(ClassifierKind.MOD_8, 216)(res.element.triple) == 3
 
-    res = resolve_rep(RepSpec(0, 1, ClassifierKind.MOD_8, 1), 216)
+    res = resolve(RepSpec(0, 1, ClassifierKind.MOD_8, 1), 216)
     assert res.element.triple == (0, -216, 1) and not res.substituted
 
 
@@ -212,34 +218,47 @@ def test_sweep_passes_its_cap_through(monkeypatch):
 
 
 def test_verify_case_passes_its_cap_to_resolve_rep(monkeypatch):
-    """verify_case hands resolve_rep its cap and the class summary it has
-    built, and every enumeration that it or a direct resolve_rep fallback
-    triggers is checked against that cap."""
+    """verify_case hands every resolve_rep the one classifier and class
+    summary it has built, and every enumeration it triggers is checked
+    against its cap."""
     from ambigraph import enumeration, harness
     from ambigraph.errors import LimitExceeded
 
     seen, caps = [], []
     original, check = harness.resolve_rep, enumeration.check_cap
 
-    def spy(spec, n, p=None, max_n=None, *, summary=None):
-        seen.append((max_n, summary is not None))
-        return original(spec, n, p, max_n=max_n, summary=summary)
+    def spy(spec, n, classify, summary):
+        seen.append((classify, summary))
+        return original(spec, n, classify, summary)
 
     monkeypatch.setattr(harness, "resolve_rep", spy)
     monkeypatch.setattr(enumeration, "check_cap",
                         lambda n, max_n=None: caps.append(max_n) or check(n, max_n))
     case = make_case("2.9", 3, 5, 3)  # n = 1944: (1, 3) and (-1, -3) fall back
     verify_case(case, max_n=10 ** 6)
-    assert seen == [(10 ** 6, True)] * 4
+    classify, summary = seen[0]
+    assert len(seen) == 4
+    assert all(c is classify and s is summary for c, s in seen)
     assert caps and set(caps) == {10 ** 6}
-    caps.clear()
-    spec = predict(case)[2]
-    assert original(spec, case.n, case.p, max_n=10 ** 6).substituted
-    assert caps and set(caps) == {10 ** 6}
-    for call in (lambda: verify_case(case, max_n=case.n - 1),
-                 lambda: original(spec, case.n, case.p, max_n=case.n - 1)):
-        with pytest.raises(LimitExceeded):
-            call()
+    with pytest.raises(LimitExceeded):
+        verify_case(case, max_n=case.n - 1)
+
+
+def test_verify_case_builds_one_classifier(monkeypatch):
+    from ambigraph import harness
+
+    calls = []
+    original = harness.classifier_for
+
+    def spy(kind, n, p=None):
+        calls.append((kind, n))
+        return original(kind, n, p)
+
+    monkeypatch.setattr(harness, "classifier_for", spy)
+    for case in (make_case("2.9", 3, 5, 3), make_case("2.1", 5, 3)):
+        calls.clear()
+        verify_case(case)
+        assert calls == [(predict(case)[0].kind, case.n)], case
 
 
 def _reference_summary(partition, classify):
